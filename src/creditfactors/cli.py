@@ -9,6 +9,7 @@ error, 3 data error, 4 numerical error.
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -34,7 +35,7 @@ TRANSFORM_DIFF = "diff"
 
 CONFIG_KEYS = {
     "loans", "yields", "spreads", "macro", "panel", "spec",
-    "transform", "align", "factors", "lags", "kind",
+    "transform", "factors", "lags", "kind",
     "strong", "weak", "ridge", "seed", "out",
 }
 
@@ -117,58 +118,6 @@ def _emit(path, header, rows, comment):
 
 
 # ---------------------------------------------------------------------------
-# shared data loading
-# ---------------------------------------------------------------------------
-
-def _load_spread_levels(s: Settings) -> panel_mod.AlignedPanel:
-    spreads_path = s.get("spreads")
-    if spreads_path is not None:
-        return panel_mod.read_panel_csv(spreads_path, kind=panel_mod.KIND_SPREAD_LEVEL)
-    loans_path = s.get("loans")
-    yields_path = s.get("yields")
-    if loans_path is None or yields_path is None:
-        raise UsageError("need either spreads=PATH or both loans=PATH and yields=PATH")
-    rates = panel_mod.aggregate_loans(panel_mod.read_loans_csv(loans_path))
-    curve = panel_mod.read_yields_csv(yields_path)
-    return panel_mod.to_spreads(rates, curve)
-
-
-def _prepare_xy(s: Settings):
-    """Aligned response/predictor matrices plus the settings that shaped them."""
-    transform = s.get("transform", default=TRANSFORM_DIFF,
-                      choices={TRANSFORM_LEVELS, TRANSFORM_DIFF})
-    policy = s.get("align", default=panel_mod.ALIGN_INTERSECT,
-                   choices={panel_mod.ALIGN_INTERSECT, panel_mod.ALIGN_UNION})
-    spread_levels = _load_spread_levels(s)
-    macro = panel_mod.read_panel_csv(s.require("macro"), kind=panel_mod.KIND_MACRO)
-    y_panel = (panel_mod.first_difference(spread_levels)
-               if transform == TRANSFORM_DIFF else spread_levels)
-    combined = panel_mod.align([y_panel, macro], policy)
-    y_names = list(y_panel.names)
-    z_names = list(macro.names)
-    return combined, y_names, z_names, transform, policy, spread_levels
-
-
-def _matrix(combined, names):
-    return np.column_stack([combined.column(n) for n in names])
-
-
-def _summary_table(p: panel_mod.AlignedPanel):
-    header = ["", "N", "Mean", "SD", "Min", "Max"]
-    rows = []
-    for name in p.names:
-        col = p.column(name)
-        vals = col[~np.isnan(col)]
-        if vals.size == 0:
-            rows.append([name, "0", "", "", "", ""])
-            continue
-        sd = format(vals.std(ddof=1), ".4f") if vals.size > 1 else ""
-        rows.append([name, str(vals.size), format(vals.mean(), ".4f"), sd,
-                     format(vals.min(), ".4f"), format(vals.max(), ".4f")])
-    return header, rows
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
@@ -176,23 +125,19 @@ def cmd_aggregate(args) -> int:
     s = Settings(args)
     loans = s.require("loans")
     yields_path = s.require("yields")
-    out = s.out_dir()
     rates = panel_mod.aggregate_loans(panel_mod.read_loans_csv(loans))
-    spreads = panel_mod.to_spreads(rates, panel_mod.read_yields_csv(yields_path))
-    path = os.path.join(out, "spreads.csv")
-    panel_mod.write_panel_csv(spreads, path,
-                              comment=_meta(spreads.n_obs, TRANSFORM_LEVELS, "union"))
-    print(f"wrote {path}")
-    return EXIT_OK
+    return _write_spreads(s, rates, yields_path)
 
 
 def cmd_spreads(args) -> int:
     s = Settings(args)
     rates = panel_mod.read_panel_csv(s.require("panel"), kind=panel_mod.KIND_RATE)
-    curve = panel_mod.read_yields_csv(s.require("yields"))
-    spreads = panel_mod.to_spreads(rates, curve)
-    out = s.out_dir()
-    path = os.path.join(out, "spreads.csv")
+    return _write_spreads(s, rates, s.require("yields"))
+
+
+def _write_spreads(s: Settings, rates, yields_path) -> int:
+    spreads = panel_mod.to_spreads(rates, panel_mod.read_yields_csv(yields_path))
+    path = os.path.join(s.out_dir(), "spreads.csv")
     panel_mod.write_panel_csv(spreads, path,
                               comment=_meta(spreads.n_obs, TRANSFORM_LEVELS, "union"))
     print(f"wrote {path}")
@@ -227,113 +172,6 @@ def cmd_johansen(args) -> int:
     out = s.out_dir()
     _emit(os.path.join(out, "johansen.csv"), header, rows,
           _meta(result.n_obs, TRANSFORM_LEVELS, panel_mod.ALIGN_INTERSECT, f"lags={lags}"))
-    return EXIT_OK
-
-
-def cmd_ols(args) -> int:
-    s = Settings(args)
-    combined, y_names, z_names, transform, policy, _ = _prepare_xy(s)
-    X = _matrix(combined, z_names)
-    fits = [regress_mod.ols(combined.column(n), X, response_name=n,
-                            predictor_names=z_names) for n in y_names]
-    header, rows = regress_mod.fit_table(fits)
-    out = s.out_dir()
-    _emit(os.path.join(out, "ols.csv"), header, rows,
-          _meta(combined.n_obs, transform, policy))
-    return EXIT_OK
-
-
-def cmd_stepwise(args) -> int:
-    s = Settings(args)
-    combined, y_names, z_names, transform, policy, _ = _prepare_xy(s)
-    X = _matrix(combined, z_names)
-    fits, trace_rows = [], []
-    for n in y_names:
-        fit, trace = regress_mod.stepwise_aic(combined.column(n), X, response_name=n,
-                                              predictor_names=z_names)
-        fits.append(fit)
-        trace_rows.append([n, "0", "start", "", format(trace.initial_aic, ".4f")])
-        for i, step in enumerate(trace.steps, start=1):
-            trace_rows.append([n, str(i), step.action, step.predictor,
-                               format(step.aic_after, ".4f")])
-    header, rows = regress_mod.fit_table(
-        fits, predictors=[regress_mod.INTERCEPT] + z_names)
-    out = s.out_dir()
-    meta = _meta(combined.n_obs, transform, policy)
-    _emit(os.path.join(out, "stepwise.csv"), header, rows, meta)
-    _emit(os.path.join(out, "stepwise_trace.csv"),
-          ["response", "step", "action", "predictor", "aic"], trace_rows, meta)
-    return EXIT_OK
-
-
-def _fit_cca(s: Settings, combined, y_names, z_names):
-    ridge = s.get("ridge", default=0.0, cast=float)
-    Y = _matrix(combined, y_names)
-    Z = _matrix(combined, z_names)
-    return cca_mod.cca_fit(Y, Z, ridge=ridge), Y, Z
-
-
-def _write_cca_tables(out, sol, meta):
-    rows = cca_mod.eigen_table(sol)
-    header, body = cca_mod.eigen_table_rows(rows)
-    _emit(os.path.join(out, "cca_eigen.csv"), header, body, meta)
-    wrows = cca_mod.wilks_lambda(sol)
-    header, body = cca_mod.wilks_table_rows(wrows, sol.correlations)
-    _emit(os.path.join(out, "cca_wilks.csv"), header, body, meta)
-
-
-def cmd_cca(args) -> int:
-    s = Settings(args)
-    combined, y_names, z_names, transform, policy, _ = _prepare_xy(s)
-    sol, Y, Z = _fit_cca(s, combined, y_names, z_names)
-    k_max = min(s.get("factors", default=3, cast=int), sol.m)
-    out = s.out_dir()
-    meta = _meta(combined.n_obs, transform, policy, f"ridge={sol.ridge}")
-    _write_cca_tables(out, sol, meta)
-    header, body = cca_mod.redundancy_table_rows(cca_mod.redundancy(sol, Y))
-    _emit(os.path.join(out, "cca_redundancy.csv"), header, body, meta)
-    loadings = cca_mod.cross_loadings(sol, Z, k_max=k_max)
-    header, body = cca_mod.cross_loadings_table_rows(loadings, z_names)
-    _emit(os.path.join(out, "cca_cross_loadings.csv"), header, body, meta)
-    return EXIT_OK
-
-
-def _retained_factors(s: Settings, sol):
-    r = s.get("factors", default=3, cast=int)
-    if r < 1:
-        raise UsageError(f"factors must be >= 1, got {r}")
-    return fm.FactorScores.from_solution(sol, r=min(r, sol.m))
-
-
-def cmd_factor_regress(args) -> int:
-    s = Settings(args)
-    combined, y_names, z_names, transform, policy, _ = _prepare_xy(s)
-    sol, Y, Z = _fit_cca(s, combined, y_names, z_names)
-    factors = _retained_factors(s, sol)
-    fits = fm.factor_regressions(combined.select(y_names), factors)
-    header, rows = regress_mod.fit_table(fits)
-    out = s.out_dir()
-    _emit(os.path.join(out, "factor_regressions.csv"), header, rows,
-          _meta(combined.n_obs, transform, policy, f"factors={factors.r}"))
-    return EXIT_OK
-
-
-def cmd_diagnose(args) -> int:
-    s = Settings(args)
-    combined, y_names, z_names, transform, policy, _ = _prepare_xy(s)
-    sol, Y, Z = _fit_cca(s, combined, y_names, z_names)
-    factors = _retained_factors(s, sol)
-    strong = s.get("strong", default=0.30, cast=float)
-    weak = s.get("weak", default=0.10, cast=float)
-    fits = fm.factor_regressions(combined.select(y_names), factors)
-    report = fm.missing_factor_diagnostic(fits, factors.scores, thresholds=(strong, weak))
-    header, rows = fm.diagnostic_table_rows(report)
-    out = s.out_dir()
-    meta = _meta(combined.n_obs, transform, policy,
-                 f"factors={factors.r} strong={strong} weak={weak} "
-                 f"pc1_share={report.pc1_variance_share:.4f} verdict={report.verdict}")
-    _emit(os.path.join(out, "diagnostic.csv"), header, rows, meta)
-    print(f"verdict: {report.verdict}")
     return EXIT_OK
 
 
@@ -438,233 +276,325 @@ def _load_model_spec(path) -> synthgen.FactorModelSpec:
 
 
 # ---------------------------------------------------------------------------
-# analyze: the full report bundle
+# analysis: one run context, the report stages, and the commands built on them
 # ---------------------------------------------------------------------------
 
-def _column_groups(names):
-    """Grade- and term-stacked groupings when every name parses as term-grade."""
-    parsed = {}
-    for name in names:
-        try:
-            term = panel_mod.term_of_series(name)
-        except DataError:
-            return None
-        parsed[name] = (term, name.split("-", 1)[1])
-    grades = sorted({g for _, g in parsed.values()})
-    terms = sorted({t for t, _ in parsed.values()})
-    grade_groups = {g: [n for n in names if parsed[n][1] == g] for g in grades}
-    term_groups = {f"{t}-month": [n for n in names if parsed[n][0] == t] for t in terms}
-    return grade_groups, term_groups
+# Each single-stage command is a view of `analyze`: it runs a subset of the
+# stages on the per-response grouping and writes the listed analyze tables
+# under its own file names.
+VIEWS = {
+    "ols": {"ols_full_responses.csv": "ols.csv"},
+    "stepwise": {"ols_stepwise_responses.csv": "stepwise.csv",
+                 "ols_stepwise_trace_responses.csv": "stepwise_trace.csv"},
+    "cca": {name: name for name in ("cca_eigen.csv", "cca_wilks.csv",
+                                    "cca_redundancy.csv", "cca_cross_loadings.csv")},
+    "factor-regress": {"factor_regressions_responses.csv": "factor_regressions.csv"},
+    "diagnose": {"diagnostic_responses.csv": "diagnostic.csv"},
+}
 
 
-def _stacked(combined, members, X):
-    y = np.concatenate([combined.column(n) for n in members])
-    return y, np.tile(X, (len(members), 1))
+class Run:
+    """Settings, aligned data, fitted factors and written tables of one run.
+
+    Responses and predictors are aligned on the intersect grid. With a view
+    (a VIEWS entry) only the view's tables are written, each echoed as it is;
+    without one every table is written and listed, with its note, in
+    summary.md.
+    """
+
+    def __init__(self, args, view=None):
+        self.s = Settings(args)
+        self.view = view
+        self.out = self.s.out_dir(default="report" if view is None else ".")
+        self.transform = self.s.get("transform", default=TRANSFORM_DIFF,
+                                    choices={TRANSFORM_LEVELS, TRANSFORM_DIFF})
+        self.spread_levels = _load_spread_levels(self.s)
+        macro = panel_mod.read_panel_csv(self.s.require("macro"), kind=panel_mod.KIND_MACRO)
+        y_panel = (panel_mod.first_difference(self.spread_levels)
+                   if self.transform == TRANSFORM_DIFF else self.spread_levels)
+        self.combined = panel_mod.align([y_panel, macro], panel_mod.ALIGN_INTERSECT)
+        self.y_names = list(y_panel.names)
+        self.z_names = list(macro.names)
+        self.Y = np.column_stack([self.combined.column(n) for n in self.y_names])
+        self.Z = np.column_stack([self.combined.column(n) for n in self.z_names])
+        self.per_response = {n: [n] for n in self.y_names}
+        self.files = []  # (file name, summary note), in writing order
+
+    def table(self, fname, content, n_obs, extra="", note=""):
+        """Write one (header, rows) table unless the view leaves it out."""
+        if self.view is not None:
+            if fname not in self.view:
+                return
+            fname = self.view[fname]
+        path = os.path.join(self.out, fname)
+        header, rows = content
+        write_csv(path, header, rows,
+                  comment=_meta(n_obs, self.transform, panel_mod.ALIGN_INTERSECT, extra))
+        self.files.append((fname, note))
+        if self.view is not None:
+            print(f"wrote {path}")
+
+    def thresholds(self):
+        return (self.s.get("strong", default=0.30, cast=float),
+                self.s.get("weak", default=0.10, cast=float))
+
+    @functools.cached_property
+    def factors(self) -> fm.FactorScores:
+        """Leading canonical variates, with the CCA fit as `source`; fitted on first use."""
+        r = self.s.get("factors", default=3, cast=int)
+        if r < 1:
+            raise UsageError(f"factors must be >= 1, got {r}")
+        ridge = self.s.get("ridge", default=0.0, cast=float)
+        sol = cca_mod.cca_fit(self.Y, self.Z, ridge=ridge)
+        return fm.FactorScores.from_solution(sol, r=min(r, sol.m))
 
 
-def _grouped_fits(combined, groups, X, x_names):
-    fits = []
-    shared_design = None
-    for label, members in groups.items():
-        y, design = _stacked(combined, members, X)
-        fits.append(regress_mod.ols(y, design, response_name=label,
-                                    predictor_names=x_names))
-        shared_design = design
-    return fits, shared_design
+def _load_spread_levels(s: Settings) -> panel_mod.AlignedPanel:
+    spreads_path = s.get("spreads")
+    if spreads_path is not None:
+        return panel_mod.read_panel_csv(spreads_path, kind=panel_mod.KIND_SPREAD_LEVEL)
+    loans_path = s.get("loans")
+    yields_path = s.get("yields")
+    if loans_path is None or yields_path is None:
+        raise UsageError("need either spreads=PATH or both loans=PATH and yields=PATH")
+    rates = panel_mod.aggregate_loans(panel_mod.read_loans_csv(loans_path))
+    curve = panel_mod.read_yields_csv(yields_path)
+    return panel_mod.to_spreads(rates, curve)
 
 
-def _grouped_stepwise(combined, groups, X, x_names):
+def _summary_table(p: panel_mod.AlignedPanel):
+    header = ["", "N", "Mean", "SD", "Min", "Max"]
+    rows = []
+    for name in p.names:
+        col = p.column(name)
+        vals = col[~np.isnan(col)]
+        if vals.size == 0:
+            rows.append([name, "0", "", "", "", ""])
+            continue
+        sd = format(vals.std(ddof=1), ".4f") if vals.size > 1 else ""
+        rows.append([name, str(vals.size), format(vals.mean(), ".4f"), sd,
+                     format(vals.min(), ".4f"), format(vals.max(), ".4f")])
+    return header, rows
+
+
+def _stacked(run: Run, groups, X):
+    """Each group's responses stacked end to end, and X tiled to match.
+
+    Every group must have the same size, so one tiled design serves them all.
+    """
+    design = np.tile(X, (len(next(iter(groups.values()))), 1))
+    ys = {label: np.concatenate([run.combined.column(n) for n in members])
+          for label, members in groups.items()}
+    return ys, design
+
+
+def _stacked_fits(run: Run, groups, X, x_names):
+    ys, design = _stacked(run, groups, X)
+    fits = [regress_mod.ols(y, design, response_name=label, predictor_names=x_names)
+            for label, y in ys.items()]
+    return fits, design
+
+
+def _ols_table(run: Run, section, groups):
+    fits, design = _stacked_fits(run, groups, run.Z, run.z_names)
+    run.table(f"ols_full_{section}.csv", regress_mod.fit_table(fits), fits[0].n_obs,
+              note=f"regressions on all predictors ({section})")
+    return fits, design
+
+
+def _stepwise_tables(run: Run, section, groups):
+    ys, design = _stacked(run, groups, run.Z)
     fits, trace_rows = [], []
-    for label, members in groups.items():
-        y, design = _stacked(combined, members, X)
+    for label, y in ys.items():
         fit, trace = regress_mod.stepwise_aic(y, design, response_name=label,
-                                              predictor_names=x_names)
+                                              predictor_names=run.z_names)
         fits.append(fit)
         trace_rows.append([label, "0", "start", "", format(trace.initial_aic, ".4f")])
         for i, step in enumerate(trace.steps, start=1):
             trace_rows.append([label, str(i), step.action, step.predictor,
                                format(step.aic_after, ".4f")])
-    return fits, trace_rows
+    table = regress_mod.fit_table(fits, predictors=[regress_mod.INTERCEPT] + run.z_names)
+    run.table(f"ols_stepwise_{section}.csv", table, fits[0].n_obs,
+              note=f"stepwise-selected regressions ({section})")
+    run.table(f"ols_stepwise_trace_{section}.csv",
+              (["response", "step", "action", "predictor", "aic"], trace_rows),
+              fits[0].n_obs, note=f"accepted stepwise moves ({section})")
 
 
-def cmd_analyze(args) -> int:
-    s = Settings(args)
-    out = s.out_dir(default="report")
-    combined, y_names, z_names, transform, policy, spread_levels = _prepare_xy(s)
-    adf_kind = s.get("kind", default=st.REGRESSION_CONSTANT_TREND,
-                     choices=set(st.REGRESSION_KINDS))
-    adf_lags = s.get("lags", cast=int)
-    strong = s.get("strong", default=0.30, cast=float)
-    weak = s.get("weak", default=0.10, cast=float)
-    lag_note = "auto" if adf_lags is None else str(adf_lags)
-    summary = []
+def _cca_tables(run: Run):
+    sol, n_obs = run.factors.source, run.combined.n_obs
+    run.table("cca_eigen.csv", cca_mod.eigen_table_rows(cca_mod.eigen_table(sol)), n_obs,
+              f"ridge={sol.ridge}", "canonical correlations and eigenvalue shares")
+    table = cca_mod.wilks_table_rows(cca_mod.wilks_lambda(sol), sol.correlations)
+    run.table("cca_wilks.csv", table, n_obs,
+              note="sequential significance tests of the canonical pairs")
+    table = cca_mod.redundancy_table_rows(cca_mod.redundancy(sol, run.Y))
+    run.table("cca_redundancy.csv", table, n_obs,
+              note="variance shares explained across sets")
+    loadings = cca_mod.cross_loadings(sol, run.Z, k_max=run.factors.r)
+    run.table("cca_cross_loadings.csv",
+              cca_mod.cross_loadings_table_rows(loadings, run.z_names), n_obs,
+              note="predictor correlations with the leading variates")
 
-    def table(fname, header, rows, n_obs, extra=""):
-        write_csv(os.path.join(out, fname), header, rows,
-                  comment=_meta(n_obs, transform, policy, extra))
-        summary.append(fname)
 
-    # 1. response levels: summary stats and unit-root tests
-    header, rows = _summary_table(spread_levels)
-    table("spread_levels_summary.csv", header, rows, spread_levels.n_obs)
-    adf_levels = {n: st.adf_test(spread_levels.complete_column(n),
-                                 lag_order=adf_lags, kind=adf_kind)
-                  for n in spread_levels.names}
-    header, rows = st.adf_table(adf_levels)
-    table("adf_levels.csv", header, rows, spread_levels.n_obs,
-          f"kind={adf_kind} lags={lag_note}")
+def _factor_tables(run: Run, section, groups, diagnose=True):
+    """Regressions on the retained factors, then the missing-factor diagnostic."""
+    factors = run.factors
+    fits, design = _stacked_fits(run, groups, factors.scores, list(factors.names))
+    n_obs = fits[0].n_obs
+    run.table(f"factor_regressions_{section}.csv", regress_mod.fit_table(fits), n_obs,
+              f"factors={factors.r}", f"regressions on retained factors ({section})")
+    if not diagnose:
+        return None
+    strong, weak = run.thresholds()
+    report = fm.missing_factor_diagnostic(fits, design, thresholds=(strong, weak))
+    share = f"pc1_share={report.pc1_variance_share:.4f}"
+    run.table(f"factor_regressions_pc1_{section}.csv",
+              regress_mod.fit_table(report.augmented), n_obs, share,
+              f"factor regressions with the residual component added ({section})")
+    run.table(f"diagnostic_{section}.csv", fm.diagnostic_table_rows(report), n_obs,
+              f"factors={factors.r} strong={strong} weak={weak} {share} "
+              f"verdict={report.verdict}", f"missing-factor diagnostic ({section})")
+    return report
 
-    # 2. first differences: summary stats and unit-root tests
-    diffs = panel_mod.first_difference(spread_levels)
-    header, rows = _summary_table(diffs)
-    table("spread_diffs_summary.csv", header, rows, diffs.n_obs)
-    adf_diffs = {n: st.adf_test(diffs.complete_column(n),
-                                lag_order=adf_lags, kind=adf_kind)
-                 for n in diffs.names}
-    header, rows = st.adf_table(adf_diffs)
-    table("adf_diffs.csv", header, rows, diffs.n_obs,
-          f"kind={adf_kind} lags={lag_note}")
 
-    # 3. cointegration within level groups of tractable size
-    groups = _column_groups(list(spread_levels.names))
-    johansen_runs = {}
-    if groups is not None:
-        _, term_groups = groups
-        for label, members in term_groups.items():
-            if 2 <= len(members) <= 6:
-                sub = panel_mod.align([spread_levels.select(members)],
-                                      panel_mod.ALIGN_INTERSECT)
-                johansen_runs[label] = st.johansen_trace(sub)
-    elif 2 <= spread_levels.n_series <= 6:
-        sub = panel_mod.align([spread_levels], panel_mod.ALIGN_INTERSECT)
-        johansen_runs["all"] = st.johansen_trace(sub)
-    for label, result in johansen_runs.items():
-        header, rows = st.johansen_table(result)
-        table(f"johansen_{label}.csv", header, rows, result.n_obs,
-              f"lags={result.lag_order}")
-
-    # 4. predictor panel description
-    macro_panel = combined.select(z_names)
-    header, rows = _summary_table(macro_panel)
-    table("macro_summary.csv", header, rows, macro_panel.n_obs)
-    Z = _matrix(combined, z_names)
-    corr = np.corrcoef(Z, rowvar=False)
-    header = [""] + z_names
-    rows = [[z_names[i]] + [format(corr[i, j], ".3f") for j in range(len(z_names))]
-            for i in range(len(z_names))]
-    table("macro_correlations.csv", header, rows, macro_panel.n_obs)
-
-    # 5. canonical correlation analysis of responses against predictors
-    sol, Y, Z = _fit_cca(s, combined, y_names, z_names)
-    eigen_rows = cca_mod.eigen_table(sol)
-    header, rows = cca_mod.eigen_table_rows(eigen_rows)
-    table("cca_eigen.csv", header, rows, combined.n_obs, f"ridge={sol.ridge}")
-    wilks_rows = cca_mod.wilks_lambda(sol)
-    header, rows = cca_mod.wilks_table_rows(wilks_rows, sol.correlations)
-    table("cca_wilks.csv", header, rows, combined.n_obs)
-    header, rows = cca_mod.redundancy_table_rows(cca_mod.redundancy(sol, Y))
-    table("cca_redundancy.csv", header, rows, combined.n_obs)
-    factors = _retained_factors(s, sol)
-    loadings = cca_mod.cross_loadings(sol, Z, k_max=factors.r)
-    header, rows = cca_mod.cross_loadings_table_rows(loadings, z_names)
-    table("cca_cross_loadings.csv", header, rows, combined.n_obs)
-
-    # 6. regressions on observed predictors, grouped when names allow stacking
-    X = _matrix(combined, z_names)
-    if groups is not None:
-        grade_groups, term_groups = groups
-        sections = [("grades", grade_groups), ("terms", term_groups)]
-    else:
-        sections = [("responses", {n: [n] for n in y_names})]
-    verdicts = {}
-    for section, sec_groups in sections:
-        fits, shared = _grouped_fits(combined, sec_groups, X, z_names)
-        header, rows = regress_mod.fit_table(fits)
-        table(f"ols_full_{section}.csv", header, rows, fits[0].n_obs)
-        sw_fits, trace_rows = _grouped_stepwise(combined, sec_groups, X, z_names)
-        header, rows = regress_mod.fit_table(
-            sw_fits, predictors=[regress_mod.INTERCEPT] + z_names)
-        table(f"ols_stepwise_{section}.csv", header, rows, sw_fits[0].n_obs)
-        table(f"ols_stepwise_trace_{section}.csv",
-              ["response", "step", "action", "predictor", "aic"], trace_rows,
-              sw_fits[0].n_obs)
-        aug, _, share = fm.augment_with_pc1(fits, shared)
-        header, rows = regress_mod.fit_table(aug)
-        table(f"ols_pc1_{section}.csv", header, rows, aug[0].n_obs,
-              f"pc1_share={share:.4f}")
-
-        # factor regressions for the same grouping
-        fscores = factors.scores
-        ffits = []
-        for label, members in sec_groups.items():
-            y = np.concatenate([combined.column(n) for n in members])
-            design = np.tile(fscores, (len(members), 1))
-            ffits.append(regress_mod.ols(y, design, response_name=label,
-                                         predictor_names=list(factors.names)))
-        header, rows = regress_mod.fit_table(ffits)
-        table(f"factor_regressions_{section}.csv", header, rows, ffits[0].n_obs,
-              f"factors={factors.r}")
-        fdesign = np.tile(fscores, (len(next(iter(sec_groups.values()))), 1))
-        faug, _, fshare = fm.augment_with_pc1(ffits, fdesign)
-        header, rows = regress_mod.fit_table(faug)
-        table(f"factor_regressions_pc1_{section}.csv", header, rows,
-              faug[0].n_obs, f"pc1_share={fshare:.4f}")
-        report = fm.missing_factor_diagnostic(ffits, fdesign, thresholds=(strong, weak))
-        header, rows = fm.diagnostic_table_rows(report)
-        table(f"diagnostic_{section}.csv", header, rows, ffits[0].n_obs,
-              f"factors={factors.r} strong={strong} weak={weak} "
-              f"pc1_share={report.pc1_variance_share:.4f} verdict={report.verdict}")
-        verdicts[section] = report
-
-    # 7. panels used downstream, re-readable by the panel reader
-    panel_mod.write_panel_csv(combined, os.path.join(out, "aligned_panel.csv"),
-                              comment=_meta(combined.n_obs, transform, policy))
-    summary.append("aligned_panel.csv")
-    fkeys = tuple(panel_mod.SeriesKey(n, panel_mod.KIND_MACRO) for n in factors.names)
-    fpanel = panel_mod.AlignedPanel(combined.start, fkeys, factors.scores)
-    panel_mod.write_panel_csv(fpanel, os.path.join(out, "factor_scores.csv"),
-                              comment=_meta(combined.n_obs, transform, policy))
-    summary.append("factor_scores.csv")
-
-    _write_summary(out, summary, combined, transform, policy, factors, sol,
-                   johansen_runs, verdicts, strong, weak, adf_kind, lag_note)
-    print(f"wrote {os.path.join(out, 'summary.md')}")
-    print(f"report bundle in {out} ({len(summary) + 1} files)")
+def cmd_ols(args) -> int:
+    run = Run(args, VIEWS["ols"])
+    _ols_table(run, "responses", run.per_response)
     return EXIT_OK
 
 
-_FILE_NOTES = {
-    "spread_levels_summary.csv": "descriptive statistics of the spread levels",
-    "adf_levels.csv": "unit-root tests on spread levels",
-    "spread_diffs_summary.csv": "descriptive statistics of the first differences",
-    "adf_diffs.csv": "unit-root tests on the first differences",
-    "macro_summary.csv": "descriptive statistics of the predictor panel",
-    "macro_correlations.csv": "correlations among predictors",
-    "cca_eigen.csv": "canonical correlations and eigenvalue shares",
-    "cca_wilks.csv": "sequential significance tests of the canonical pairs",
-    "cca_redundancy.csv": "variance shares explained across sets",
-    "cca_cross_loadings.csv": "predictor correlations with the leading variates",
-    "aligned_panel.csv": "the aligned data all regressions used",
-    "factor_scores.csv": "retained factor score series",
-}
+def cmd_stepwise(args) -> int:
+    run = Run(args, VIEWS["stepwise"])
+    _stepwise_tables(run, "responses", run.per_response)
+    return EXIT_OK
 
 
-def _write_summary(out, files, combined, transform, policy, factors, sol,
-                   johansen_runs, verdicts, strong, weak, adf_kind, lag_note):
-    lines = ["# Analysis report", ""]
-    lines.append("## Settings")
-    lines.append("")
-    lines.append(f"- observations used: {combined.n_obs} "
-                 f"({combined.start} to {combined.end})")
-    lines.append(f"- transform: {transform}")
-    lines.append(f"- alignment: {policy}")
-    lines.append(f"- retained factors: {factors.r}")
-    lines.append(f"- unit-root regression: {adf_kind}, lags {lag_note}")
+def cmd_cca(args) -> int:
+    run = Run(args, VIEWS["cca"])
+    _cca_tables(run)
+    return EXIT_OK
+
+
+def cmd_factor_regress(args) -> int:
+    run = Run(args, VIEWS["factor-regress"])
+    _factor_tables(run, "responses", run.per_response, diagnose=False)
+    return EXIT_OK
+
+
+def cmd_diagnose(args) -> int:
+    run = Run(args, VIEWS["diagnose"])
+    report = _factor_tables(run, "responses", run.per_response)
+    print(f"verdict: {report.verdict}")
+    return EXIT_OK
+
+
+def _column_groups(names):
+    """Grade- and term-stacked groupings when every name parses as term-grade."""
+    try:
+        terms = {n: panel_mod.term_of_series(n) for n in names}
+    except DataError:
+        return {}
+    grades = {n: n.split("-", 1)[1] for n in names}
+    return {
+        "grades": {g: [n for n in names if grades[n] == g]
+                   for g in sorted(set(grades.values()))},
+        "terms": {f"{t}-month": [n for n in names if terms[n] == t]
+                  for t in sorted(set(terms.values()))},
+    }
+
+
+def cmd_analyze(args) -> int:
+    run = Run(args)
+    levels = run.spread_levels
+    adf_kind = run.s.get("kind", default=st.REGRESSION_CONSTANT_TREND,
+                         choices=set(st.REGRESSION_KINDS))
+    adf_lags = run.s.get("lags", cast=int)
+    lag_note = "auto" if adf_lags is None else str(adf_lags)
+    adf_note = f"kind={adf_kind} lags={lag_note}"
+
+    # 1-2. spread levels and first differences: summary stats and unit-root tests
+    for p, stem, stats_of, tests_on in (
+            (levels, "levels", "the spread levels", "spread levels"),
+            (panel_mod.first_difference(levels), "diffs",
+             "the first differences", "the first differences")):
+        run.table(f"spread_{stem}_summary.csv", _summary_table(p), p.n_obs,
+                  note=f"descriptive statistics of {stats_of}")
+        results = {n: st.adf_test(p.complete_column(n), lag_order=adf_lags, kind=adf_kind)
+                   for n in p.names}
+        run.table(f"adf_{stem}.csv", st.adf_table(results), p.n_obs, adf_note,
+                  f"unit-root tests on {tests_on}")
+
+    # 3. cointegration within term groups (all series if names are generic) of tractable size
+    groupings = _column_groups(list(levels.names))
+    johansen_runs = {}
+    for label, members in groupings.get("terms", {"all": list(levels.names)}).items():
+        if 2 <= len(members) <= 6:
+            sub = panel_mod.align([levels.select(members)], panel_mod.ALIGN_INTERSECT)
+            result = st.johansen_trace(sub)
+            johansen_runs[label] = result
+            run.table(f"johansen_{label}.csv", st.johansen_table(result), result.n_obs,
+                      f"lags={result.lag_order}", f"cointegration trace tests ({label})")
+
+    # 4. predictor panel description
+    n_obs = run.combined.n_obs
+    run.table("macro_summary.csv", _summary_table(run.combined.select(run.z_names)),
+              n_obs, note="descriptive statistics of the predictor panel")
+    corr = np.corrcoef(run.Z, rowvar=False)
+    rows = [[name] + [format(c, ".3f") for c in corr[i]]
+            for i, name in enumerate(run.z_names)]
+    run.table("macro_correlations.csv", ([""] + run.z_names, rows), n_obs,
+              note="correlations among predictors")
+
+    # 5. canonical correlation analysis of responses against predictors
+    _cca_tables(run)
+
+    # 6. regressions, stacked by grade and by term when every group has the
+    # same size (one tiled design then serves them all), else per response
+    sections = {section: groups for section, groups in groupings.items()
+                if len({len(members) for members in groups.values()}) == 1}
+    unstacked = [section for section in groupings if section not in sections]
+    verdicts = {}
+    for section, groups in (sections or {"responses": run.per_response}).items():
+        fits, design = _ols_table(run, section, groups)
+        _stepwise_tables(run, section, groups)
+        aug, _, share = fm.augment_with_pc1(fits, design)
+        run.table(f"ols_pc1_{section}.csv", regress_mod.fit_table(aug), aug[0].n_obs,
+                  f"pc1_share={share:.4f}",
+                  f"regressions with the residual component added ({section})")
+        verdicts[section] = _factor_tables(run, section, groups)
+
+    # 7. panels used downstream, re-readable by the panel reader
+    fkeys = tuple(panel_mod.SeriesKey(n, panel_mod.KIND_MACRO) for n in run.factors.names)
+    for fname, p, note in (
+            ("aligned_panel.csv", run.combined, "the aligned data all regressions used"),
+            ("factor_scores.csv",
+             panel_mod.AlignedPanel(run.combined.start, fkeys, run.factors.scores),
+             "retained factor score series")):
+        panel_mod.write_panel_csv(p, os.path.join(run.out, fname), comment=_meta(
+            n_obs, run.transform, panel_mod.ALIGN_INTERSECT))
+        run.files.append((fname, note))
+
+    _write_summary(run, johansen_runs, verdicts, unstacked, f"{adf_kind}, lags {lag_note}")
+    print(f"wrote {os.path.join(run.out, 'summary.md')}")
+    print(f"report bundle in {run.out} ({len(run.files) + 1} files)")
+    return EXIT_OK
+
+
+def _write_summary(run: Run, johansen_runs, verdicts, unstacked, unit_root_note):
+    strong, weak = run.thresholds()
+    lines = ["# Analysis report", "", "## Settings", ""]
+    lines.append(f"- observations used: {run.combined.n_obs} "
+                 f"({run.combined.start} to {run.combined.end})")
+    lines.append(f"- transform: {run.transform}")
+    lines.append(f"- alignment: {panel_mod.ALIGN_INTERSECT}")
+    lines.append(f"- retained factors: {run.factors.r}")
+    lines.append(f"- unit-root regression: {unit_root_note}")
     lines.append(f"- diagnostic thresholds: strong {strong}, weak {weak}")
-    lines.append("")
-    lines.append("## Key results")
-    lines.append("")
-    top = ", ".join(format(r, ".4f") for r in sol.correlations[:3])
+    if unstacked:
+        lines.append(f"- left unstacked because group sizes differ: {', '.join(unstacked)}")
+    lines += ["", "## Key results", ""]
+    top = ", ".join(format(r, ".4f") for r in run.factors.source.correlations[:3])
     lines.append(f"- leading canonical correlations: {top}")
     for label, res in johansen_runs.items():
         rejected = sum(res.rejected)
@@ -674,29 +604,10 @@ def _write_summary(out, files, combined, transform, policy, factors, sol,
         lines.append(f"- missing-factor verdict ({section}): {report.verdict} "
                      f"(mean delta {report.mean_delta:.3f}, "
                      f"PC1 share {report.pc1_variance_share:.3f})")
+    lines += ["", "## Files", ""]
+    lines += [f"- `{fname}`: {note}" for fname, note in run.files]
     lines.append("")
-    lines.append("## Files")
-    lines.append("")
-    for fname in files:
-        note = _FILE_NOTES.get(fname)
-        if note is None:
-            stem = fname.rsplit(".", 1)[0]
-            for prefix, text in (
-                ("johansen_", "cointegration trace tests"),
-                ("ols_full_", "regressions on all predictors"),
-                ("ols_stepwise_trace_", "accepted stepwise moves"),
-                ("ols_stepwise_", "stepwise-selected regressions"),
-                ("ols_pc1_", "regressions with the residual component added"),
-                ("factor_regressions_pc1_", "factor regressions with the residual component added"),
-                ("factor_regressions_", "regressions on retained factors"),
-                ("diagnostic_", "missing-factor diagnostic"),
-            ):
-                if stem.startswith(prefix):
-                    note = f"{text} ({stem[len(prefix):]})"
-                    break
-        lines.append(f"- `{fname}`: {note or ''}".rstrip(": "))
-    lines.append("")
-    with open(os.path.join(out, "summary.md"), "w") as fh:
+    with open(os.path.join(run.out, "summary.md"), "w") as fh:
         fh.write("\n".join(lines))
 
 
@@ -730,20 +641,17 @@ def build_parser() -> argparse.ArgumentParser:
         ["panel", "lags", "kind"])
     add("johansen", cmd_johansen, "cointegration trace test on a panel",
         ["panel", "lags"])
-    add("ols", cmd_ols, "regress every response on all predictors",
-        ["spreads", "loans", "yields", "macro", "transform", "align"])
-    add("stepwise", cmd_stepwise, "AIC stepwise selection per response",
-        ["spreads", "loans", "yields", "macro", "transform", "align"])
+    inputs = ["spreads", "loans", "yields", "macro", "transform"]
+    add("ols", cmd_ols, "regress every response on all predictors", inputs)
+    add("stepwise", cmd_stepwise, "AIC stepwise selection per response", inputs)
     add("cca", cmd_cca, "canonical correlations between responses and predictors",
-        ["spreads", "loans", "yields", "macro", "transform", "align", "factors", "ridge"])
+        inputs + ["factors", "ridge"])
     add("factor-regress", cmd_factor_regress, "regress responses on retained factors",
-        ["spreads", "loans", "yields", "macro", "transform", "align", "factors", "ridge"])
+        inputs + ["factors", "ridge"])
     add("diagnose", cmd_diagnose, "missing-factor diagnostic from factor regressions",
-        ["spreads", "loans", "yields", "macro", "transform", "align", "factors",
-         "ridge", "strong", "weak"])
+        inputs + ["factors", "ridge", "strong", "weak"])
     add("analyze", cmd_analyze, "full report bundle",
-        ["spreads", "loans", "yields", "macro", "transform", "align", "factors",
-         "ridge", "strong", "weak", "lags", "kind"])
+        inputs + ["factors", "ridge", "strong", "weak", "lags", "kind"])
     add("simulate", cmd_simulate, "draw a synthetic dataset from a model spec",
         ["spec", "seed"])
     return parser
@@ -758,8 +666,6 @@ _FLAGS = {
     "spec": dict(help="model spec JSON for simulation"),
     "transform": dict(choices=[TRANSFORM_LEVELS, TRANSFORM_DIFF],
                       help="response transform before analysis (default diff)"),
-    "align": dict(choices=[panel_mod.ALIGN_INTERSECT, panel_mod.ALIGN_UNION],
-                  help="grid alignment policy (default intersect)"),
     "factors": dict(type=int, help="retained factor count (default 3)"),
     "lags": dict(type=int, help="lag order (default: rule of thumb / 2)"),
     "kind": dict(choices=list(st.REGRESSION_KINDS),
@@ -782,7 +688,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -8,7 +8,7 @@ the signature of a common factor the proxies never saw.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -176,6 +176,7 @@ class DiagnosticReport:
     strong_threshold: float
     weak_threshold: float
     verdict: str
+    augmented: tuple = field(default=(), compare=False, repr=False)  # fits with PC1 added
 
     def __post_init__(self):
         if self.verdict not in (VERDICT_MISSING, VERDICT_NONE, VERDICT_INCONCLUSIVE):
@@ -215,6 +216,7 @@ def missing_factor_diagnostic(fits_before, designs, thresholds=(0.30, 0.10)) -> 
         strong_threshold=strong,
         weak_threshold=weak,
         verdict=verdict,
+        augmented=augmented,
     )
 
 

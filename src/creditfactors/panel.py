@@ -8,6 +8,7 @@ transform returns a new panel.
 """
 
 import csv
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -76,6 +77,8 @@ class LoanRecord:
     term: int
 
     def __post_init__(self):
+        if not math.isfinite(self.rate):
+            raise DataError(f"loan rate must be finite, got {self.rate}")
         if not self.rate > 0:
             raise DataError(f"loan rate must be positive, got {self.rate}")
         if self.grade not in GRADES:
@@ -410,12 +413,13 @@ def read_yields_csv(path) -> list:
 def read_panel_csv(path, kind: str = KIND_MACRO) -> AlignedPanel:
     """Panel CSV: first column 'date' as YYYY-MM, one series per remaining column.
 
-    Empty cells are missing. Leading '#' lines are metadata comments and are
-    skipped. Months must be consecutive.
+    Empty cells are missing; non-finite numbers (nan, inf) are rejected.
+    Leading '#' lines are metadata comments and are skipped; errors still name
+    the line of the file. Months must be consecutive.
     """
     with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.reader(lines)
+        numbered = [(i, ln) for i, ln in enumerate(fh, start=1) if not ln.startswith("#")]
+    reader = csv.reader(ln for _, ln in numbered)
     try:
         header = next(reader)
     except StopIteration:
@@ -427,7 +431,8 @@ def read_panel_csv(path, kind: str = KIND_MACRO) -> AlignedPanel:
         raise DataError(f"{path}: no series columns")
     months = []
     rows = []
-    for i, row in enumerate(reader, start=2):
+    for row in reader:
+        i = numbered[reader.line_num - 1][0]
         if not row:
             continue
         if len(row) != len(header):
@@ -440,9 +445,12 @@ def read_panel_csv(path, kind: str = KIND_MACRO) -> AlignedPanel:
                 vals.append(np.nan)
             else:
                 try:
-                    vals.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise DataError(f"{path}:{i}: unparseable number {cell!r}") from None
+                if not math.isfinite(value):
+                    raise DataError(f"{path}:{i}: non-finite number {cell!r}")
+                vals.append(value)
         rows.append(vals)
     if not rows:
         raise DataError(f"{path}: no data rows")

@@ -3,18 +3,6 @@
 import csv
 
 
-def fmt(value, decimals: int = 5) -> str:
-    """Fixed-decimal rendering; integers lose the trailing zeros."""
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int,)) or float(value).is_integer() and abs(float(value)) < 1e15:
-        if float(value) == int(value):
-            return str(int(value))
-    return format(float(value), f".{decimals}f")
-
-
 def to_csv_text(header, rows, comment: str = None) -> str:
     """Render a table as CSV text with optional leading '#' comment lines."""
     out = []

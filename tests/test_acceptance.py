@@ -294,6 +294,10 @@ def test_c7_analyze_is_byte_deterministic(tmp_path):
                                      "n_periods": 63}))
     sim_dir = tmp_path / "sim"
     env_base = dict(os.environ)
+    # the subprocess runs in tmp_path, so a relative PYTHONPATH would not resolve
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cf.__file__)))
+    env_base["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env_base.get("PYTHONPATH")]))
 
     def run_cli(args, extra_env):
         env = dict(env_base)

@@ -31,6 +31,13 @@ def write_spread_panel(path, T=40, n=4, seed=101):
     return panel
 
 
+def write_named_spreads(path, names, T=40, seed=77):
+    rng = np.random.default_rng(seed)
+    keys = tuple(cf.SeriesKey(nm, cf.KIND_SPREAD_LEVEL) for nm in names)
+    vals = rng.normal(size=(T, len(names))).cumsum(axis=0) * 0.2 + 5.0
+    cf.write_panel_csv(cf.AlignedPanel(cf.Month(2010, 1), keys, vals), path)
+
+
 def write_macro_panel(path, T=40, q=3, seed=202):
     rng = np.random.default_rng(seed)
     names = ["UNRATE", "CPI", "SLOPE"][:q]
@@ -196,6 +203,17 @@ class TestConfig:
         write_spread_panel(workdir / "spreads.csv")
         assert run("ols", "--spreads", "spreads.csv") == 2
 
+    def test_align_setting_is_gone(self, workdir, capsys):
+        write_spread_panel(workdir / "spreads.csv")
+        write_macro_panel(workdir / "macro.csv")
+        (workdir / "run.cfg").write_text("macro = macro.csv\nalign = intersect\n")
+        assert run("analyze", "--config", "run.cfg", "--spreads", "spreads.csv") == 2
+        assert "'align'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run("analyze", "--spreads", "spreads.csv", "--macro", "macro.csv",
+                "--align", "intersect")
+        assert exc.value.code == 2
+
 
 class TestExitCodes:
     def test_missing_input_file_exit_3(self, workdir):
@@ -211,6 +229,36 @@ class TestExitCodes:
                            workdir / "macro.csv")
         assert run("cca", "--spreads", "spreads.csv", "--macro", "macro.csv",
                    "--out", "out") == 4
+
+    def test_zero_factors_exit_2(self, workdir):
+        write_spread_panel(workdir / "spreads.csv")
+        write_macro_panel(workdir / "macro.csv")
+        assert run("cca", "--spreads", "spreads.csv", "--macro", "macro.csv",
+                   "--factors", "0", "--out", "out") == 2
+
+    def test_non_finite_cell_exit_3(self, workdir, capsys):
+        write_spread_panel(workdir / "spreads.csv")
+        write_macro_panel(workdir / "macro.csv")
+        lines = (workdir / "spreads.csv").read_text().splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + ",inf"
+        (workdir / "spreads.csv").write_text("\n".join(lines) + "\n")
+        assert run("analyze", "--spreads", "spreads.csv", "--macro", "macro.csv",
+                   "--out", "rep") == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "spreads.csv:6: non-finite number 'inf'" in err[0]
+
+    def test_linear_algebra_failure_exit_4(self, workdir, capsys, monkeypatch):
+        write_spread_panel(workdir / "spreads.csv")
+        write_macro_panel(workdir / "macro.csv")
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr("creditfactors.cca.cca_fit", no_convergence)
+        assert run("cca", "--spreads", "spreads.csv", "--macro", "macro.csv",
+                   "--out", "out") == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["numerical error: SVD did not converge"]
 
     def test_unknown_subcommand_exits_with_usage(self, workdir):
         with pytest.raises(SystemExit) as exc:
@@ -280,6 +328,23 @@ class TestAnalyze:
         assert "johansen_all.csv" in produced
         assert "ols_full_grades.csv" not in produced
 
+    @pytest.mark.parametrize("names, stacked, unstacked", [
+        (["36-A", "36-B", "60-A"], [], "grades, terms"),
+        (["36-A", "36-B", "60-C"], ["grades"], "terms"),
+    ])
+    def test_unequal_groups_are_left_unstacked(self, workdir, names, stacked, unstacked):
+        write_named_spreads(workdir / "spreads.csv", names)
+        write_macro_panel(workdir / "macro.csv")
+        assert run("analyze", "--spreads", "spreads.csv", "--macro", "macro.csv",
+                   "--out", "rep") == 0
+        produced = set(os.listdir(workdir / "rep"))
+        sections = {name[len("diagnostic_"):-len(".csv")] for name in produced
+                    if name.startswith("diagnostic_")}
+        assert sections == set(stacked or ["responses"])
+        assert "johansen_36-month.csv" in produced
+        summary = (workdir / "rep" / "summary.md").read_text()
+        assert f"- left unstacked because group sizes differ: {unstacked}\n" in summary
+
     def test_loans_route_matches_spreads_route(self, workdir):
         # the pipeline must not care whether spreads arrive built or raw
         rng = np.random.default_rng(55)
@@ -320,3 +385,28 @@ class TestDiagnoseCommand:
         assert "verdict: missing_factor" in out
         text = (workdir / "diag" / "diagnostic.csv").read_text()
         assert "verdict=missing_factor" in text
+
+
+class TestViews:
+    """Each single-stage command writes the per-response tables of analyze."""
+
+    @pytest.mark.parametrize("command, files", [
+        ("ols", {"ols.csv": "ols_full_responses.csv"}),
+        ("stepwise", {"stepwise.csv": "ols_stepwise_responses.csv",
+                      "stepwise_trace.csv": "ols_stepwise_trace_responses.csv"}),
+        ("cca", {name: name for name in ["cca_eigen.csv", "cca_wilks.csv",
+                                         "cca_redundancy.csv", "cca_cross_loadings.csv"]}),
+        ("factor-regress", {"factor_regressions.csv": "factor_regressions_responses.csv"}),
+        ("diagnose", {"diagnostic.csv": "diagnostic_responses.csv"}),
+    ])
+    def test_view_files_match_analyze(self, workdir, command, files):
+        write_named_spreads(workdir / "spreads.csv", ["alpha", "beta", "gamma"])
+        write_macro_panel(workdir / "macro.csv")
+        data = ["--spreads", "spreads.csv", "--macro", "macro.csv"]
+        factors = [] if command in ("ols", "stepwise") else ["--factors", "2"]
+        assert run("analyze", *data, "--factors", "2", "--out", "rep") == 0
+        assert run(command, *data, *factors, "--out", "view") == 0
+        assert sorted(os.listdir(workdir / "view")) == sorted(files)
+        for view_name, analyze_name in files.items():
+            assert (workdir / "view" / view_name).read_bytes() == \
+                   (workdir / "rep" / analyze_name).read_bytes(), view_name

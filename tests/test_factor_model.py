@@ -203,6 +203,12 @@ class TestDiagnostic:
         assert report.mean_delta == pytest.approx(np.mean(report.deltas), abs=1e-12)
         assert 0.0 <= report.pc1_variance_share <= 1.0
         assert report.strong_threshold > report.weak_threshold
+        # the report carries the augmented fits its "after" column came from
+        aug, _, share = cf.augment_with_pc1(fits, fs.scores)
+        assert report.pc1_variance_share == share
+        assert tuple(f.adj_r_squared for f in report.augmented) == report.adj_r2_after
+        for mine, theirs in zip(report.augmented, aug):
+            np.testing.assert_array_equal(mine.coefficients, theirs.coefficients)
 
     def test_threshold_order_validated(self):
         spec = cf.scenario_no_missing_factor(1)

@@ -421,6 +421,32 @@ class TestCsv:
         with pytest.raises(cf.DataError, match="p.csv:2"):
             cf.read_panel_csv(path)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e999"])
+    def test_panel_reader_rejects_non_finite_cell(self, tmp_path, cell):
+        path = tmp_path / "p.csv"
+        path.write_text(f"date,x\n2010-01,1.0\n2010-02,{cell}\n")
+        with pytest.raises(cf.DataError, match="p.csv:3: non-finite"):
+            cf.read_panel_csv(path)
+
+    def test_panel_reader_counts_comment_lines(self, tmp_path):
+        # a package-written panel starts with a comment line, so its second
+        # data row is physical line 4
+        path = tmp_path / "p.csv"
+        cf.write_panel_csv(single("x", "2010-01", [1.0, 2.0, 3.0]), path,
+                           comment="n_obs=3 transform=levels align=union")
+        lines = path.read_text().splitlines()
+        lines[3] = "2010-02,abc"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(cf.DataError, match="p.csv:4: unparseable"):
+            cf.read_panel_csv(path)
+
+    @pytest.mark.parametrize("rate", ["inf", "nan"])
+    def test_loans_reader_rejects_non_finite_rate(self, tmp_path, rate):
+        path = tmp_path / "loans.csv"
+        path.write_text(f"date,rate,grade,term\n2010-01,9.5,A,36\n2010-01,{rate},A,36\n")
+        with pytest.raises(cf.DataError, match="loans.csv:3: loan rate must be finite"):
+            cf.read_loans_csv(path)
+
 
 class TestTermOfSeries:
     def test_parses_term(self):
