@@ -10,6 +10,7 @@ result with a macro series observed on a different calendar.
 Everything below is synthetic and seeded, so the output is reproducible.
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -77,10 +78,10 @@ print()
 
 # ---------------------------------------------------------------------------
 # 5. CSV round trip. Written values parse back to the same floats.
-with tempfile.NamedTemporaryFile(suffix=".csv", mode="w", delete=False) as fh:
-    path = fh.name
-cf.write_panel_csv(combined, path, comment="demo panel")
-back = cf.read_panel_csv(path)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "panel.csv")
+    cf.write_panel_csv(combined, path, comment="demo panel")
+    back = cf.read_panel_csv(path)
 assert back.names == combined.names
 assert np.array_equal(back.values, combined.values)
-print(f"round trip through {path}: exact")
+print("round trip through a panel CSV: exact")

@@ -22,3 +22,21 @@ def inv_sqrt_psd(matrix: np.ndarray, label: str, hint: str = "") -> np.ndarray:
             msg += f"; {hint}"
         raise NumericalError(msg)
     return (v / np.sqrt(w)) @ v.T
+
+
+def canonical_pairs(Sxx, Syy, Sxy, labels, hint: str = ""):
+    """Canonical correlations and weights of two blocks from their covariances.
+
+    Both blocks are whitened and the whitened cross-covariance decomposed,
+
+        Sxx^(-1/2) Sxy Syy^(-1/2) = P D Q',
+
+    giving the min(p, q) leading correlations diag(D), descending, with
+    weights a = Sxx^(-1/2) P and b = Syy^(-1/2) Q. labels names the two blocks
+    in the singular-covariance error, which carries hint.
+    """
+    ix = inv_sqrt_psd(Sxx, labels[0], hint)
+    iy = inv_sqrt_psd(Syy, labels[1], hint)
+    P, d, Qt = np.linalg.svd(ix @ Sxy @ iy)
+    m = d.size
+    return d, ix @ P[:, :m], iy @ Qt[:m].T

@@ -1,17 +1,18 @@
 """Canonical correlation analysis with significance and redundancy diagnostics.
 
-cca_fit standardizes both variable sets, whitens them with inverse square
-roots of their correlation matrices, and reads the canonical structure off the
-SVD of the whitened cross-covariance:
+cca_fit standardizes both variable sets and hands their correlation matrices
+to _linalg.canonical_pairs, which whitens them with inverse square roots and
+reads the canonical structure off the SVD of the whitened cross-covariance:
 
     K = Sy^(-1/2) Syz Sz^(-1/2) = P D Q'
 
 Weights are a = Sy^(-1/2) P and b = Sz^(-1/2) Q, rescaled so every variate has
 unit sample variance (ddof=1), with the sign convention that the largest
-weight in each left variate is positive. Eigenvalues are rho^2/(1 - rho^2);
-percentage columns are shares of their total. wilks_lambda implements the
-sequential likelihood-ratio tests with the F approximation whose df constant
-m = n - 3/2 - (p + q)/2 is computed once from the full variable counts.
+weight in each left variate is positive. eigen_table computes the eigenvalues
+rho^2/(1 - rho^2) and their percentage shares of the total. wilks_lambda
+implements the sequential likelihood-ratio tests with the F approximation
+whose df constant m = n - 3/2 - (p + q)/2 is computed once from the full
+variable counts.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as _sstats
 
-from ._linalg import inv_sqrt_psd
+from ._linalg import canonical_pairs
 from .errors import DataError, NumericalError
 
 
@@ -35,8 +36,6 @@ class CcaSolution:
     b_weights: np.ndarray           # (q, m); V = standardized(Z) @ b_weights
     u_scores: np.ndarray            # (T, m), unit sample variance each
     v_scores: np.ndarray            # (T, m)
-    eigenvalues: np.ndarray         # rho^2 / (1 - rho^2)
-    variance_percentages: np.ndarray
     y_means: np.ndarray
     y_scales: np.ndarray
     z_means: np.ndarray
@@ -45,8 +44,7 @@ class CcaSolution:
 
     def __post_init__(self):
         for field in ("correlations", "a_weights", "b_weights", "u_scores", "v_scores",
-                      "eigenvalues", "variance_percentages", "y_means", "y_scales",
-                      "z_means", "z_scales"):
+                      "y_means", "y_scales", "z_means", "z_scales"):
             arr = np.array(getattr(self, field), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, field, arr)
@@ -72,15 +70,6 @@ def _standardize(M, label):
     if dead.size:
         raise NumericalError(f"constant column(s) in {label}: indices {[int(i) for i in dead]}")
     return (M - means) / scales, means, scales
-
-
-def _eigen_shares(lam: np.ndarray) -> np.ndarray:
-    total = lam.sum()
-    if not np.isfinite(total):
-        return np.full_like(lam, np.nan)
-    if total <= 0:
-        return np.zeros_like(lam)
-    return 100.0 * lam / total
 
 
 def cca_fit(Y, Z, ridge: float = 0.0) -> CcaSolution:
@@ -109,21 +98,16 @@ def cca_fit(Y, Z, ridge: float = 0.0) -> CcaSolution:
     Sz = Zs.T @ Zs / (T - 1)
     Syz = Ys.T @ Zs / (T - 1)
 
-    hint = "supply a small ridge (e.g. 1e-8) to proceed"
-    iy = inv_sqrt_psd(Sy + ridge * np.eye(p), "left-set", hint if ridge == 0 else "")
-    iz = inv_sqrt_psd(Sz + ridge * np.eye(q), "right-set", hint if ridge == 0 else "")
-
-    P, d, Qt = np.linalg.svd(iy @ Syz @ iz)
-    m = min(p, q)
-    a = iy @ P[:, :m]
-    b = iz @ Qt[:m].T
+    hint = "supply a small ridge (e.g. 1e-8) to proceed" if ridge == 0 else ""
+    _, a, b = canonical_pairs(Sy + ridge * np.eye(p), Sz + ridge * np.eye(q), Syz,
+                              ("left-set", "right-set"), hint)
 
     # unit sample variance of every variate (exact under ridge = 0, renormalized otherwise)
     a = a / np.sqrt(np.einsum("jk,jk->k", a, Sy @ a))
     b = b / np.sqrt(np.einsum("jk,jk->k", b, Sz @ b))
 
     # orient: the largest-magnitude left weight of each pair is positive
-    for k in range(m):
+    for k in range(a.shape[1]):
         jmax = int(np.argmax(np.abs(a[:, k])))
         if a[jmax, k] < 0:
             a[:, k] = -a[:, k]
@@ -135,16 +119,11 @@ def cca_fit(Y, Z, ridge: float = 0.0) -> CcaSolution:
     order = np.argsort(-rho, kind="stable")
     rho, a, b, u, v = rho[order], a[:, order], b[:, order], u[:, order], v[:, order]
 
-    with np.errstate(divide="ignore"):
-        lam = np.where(rho < 1.0, rho ** 2 / (1.0 - rho ** 2), np.inf)
-
     return CcaSolution(
         p=p, q=q, n_obs=T,
         correlations=rho,
         a_weights=a, b_weights=b,
         u_scores=u, v_scores=v,
-        eigenvalues=lam,
-        variance_percentages=_eigen_shares(lam),
         y_means=y_means, y_scales=y_scales,
         z_means=z_means, z_scales=z_scales,
         ridge=float(ridge),
@@ -186,7 +165,8 @@ def eigen_table(source) -> tuple:
     if np.any(rho >= 1.0):
         raise NumericalError("degenerate correlation (rho = 1)")
     lam = rho ** 2 / (1.0 - rho ** 2)
-    pct = _eigen_shares(lam)
+    total = lam.sum()
+    pct = 100.0 * lam / total if total > 0 else np.zeros_like(lam)
     cum = np.cumsum(pct)
     return tuple(
         EigenRow(k=i + 1, correlation=float(rho[i]), squared=float(rho[i] ** 2),
@@ -252,20 +232,11 @@ class RedundancyRow:
 
 
 def _column_correlations(A, B, label):
-    """corr(A_j, B_k) matrix; errors on constant columns of A."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
+    """corr(A_j, B_k) matrix; errors on constant columns of either."""
     if A.shape[0] != B.shape[0]:
         raise DataError(f"{label}: row count {A.shape[0]} does not match scores {B.shape[0]}")
-    a_scale = A.std(axis=0, ddof=1)
-    b_scale = B.std(axis=0, ddof=1)
-    dead = np.flatnonzero(a_scale == 0)
-    if dead.size:
-        raise NumericalError(f"constant column(s) in {label}: indices {[int(i) for i in dead]}")
-    if np.any(b_scale == 0):
-        raise NumericalError("degenerate variate scores")
-    As = (A - A.mean(axis=0)) / a_scale
-    Bs = (B - B.mean(axis=0)) / b_scale
+    As = _standardize(A, label)[0]
+    Bs = _standardize(B, "variate scores")[0]
     return As.T @ Bs / (A.shape[0] - 1)
 
 
@@ -289,9 +260,7 @@ def cross_loadings(solution: CcaSolution, Z, k_max: int = None) -> np.ndarray:
     if Z.shape[1] != solution.q:
         raise DataError(f"right set has {Z.shape[1]} columns, solution expects {solution.q}")
     m = solution.m
-    if k_max is None:
-        k_max = m
-    k_max = int(k_max)
+    k_max = m if k_max is None else int(k_max)
     if not 1 <= k_max <= m:
         raise DataError(f"k_max must be in 1..{m}, got {k_max}")
     return _column_correlations(Z, solution.u_scores[:, :k_max], "right set")

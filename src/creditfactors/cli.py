@@ -56,7 +56,7 @@ def load_config(path) -> dict:
         raise UsageError(f"config file not found: {path}")
     cfg = {}
     with open(path) as fh:
-        for i, line in enumerate(fh, start=1):
+        for i, line in enumerate(panel_mod._decoded(fh, path), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -232,41 +232,42 @@ def _load_model_spec(path) -> synthgen.FactorModelSpec:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise DataError(f"{path}: expected a JSON object")
+    try:
+        return _spec_from_json(raw)
+    except (TypeError, ValueError, OverflowError) as exc:  # DataError included
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _spec_from_json(raw: dict) -> synthgen.FactorModelSpec:
     if "preset" in raw:
         name = raw["preset"]
         if name not in _PRESETS:
-            raise DataError(f"{path}: unknown preset {name!r} "
-                            f"(expected one of {sorted(_PRESETS)})")
-        kwargs = {}
-        if "seed" in raw:
-            kwargs["seed"] = int(raw["seed"])
-        if "n_periods" in raw:
-            kwargs["n_periods"] = int(raw["n_periods"])
+            raise DataError(f"unknown preset {name!r} (expected one of {sorted(_PRESETS)})")
+        kwargs = {key: int(raw[key]) for key in ("seed", "n_periods") if key in raw}
         extra = set(raw) - {"preset", "seed", "n_periods"}
         if extra:
-            raise DataError(f"{path}: unexpected keys with preset: {sorted(extra)}")
+            raise DataError(f"unexpected keys with preset: {sorted(extra)}")
         kwargs.setdefault("seed", 0)
         return _PRESETS[name](**kwargs)
     required = {"intercepts", "proxied_loadings", "proxy_projection",
                 "proxy_noise_scale", "idio_variances", "n_periods", "seed"}
     missing = required - set(raw)
     if missing:
-        raise DataError(f"{path}: missing keys: {sorted(missing)}")
+        raise DataError(f"missing keys: {sorted(missing)}")
     extra = set(raw) - required - {"missing_loadings"}
     if extra:
-        raise DataError(f"{path}: unknown keys: {sorted(extra)}")
-    n = len(raw["intercepts"])
+        raise DataError(f"unknown keys: {sorted(extra)}")
     missing_loadings = raw.get("missing_loadings")
-    if missing_loadings is None:
-        missing_loadings = [[] for _ in range(n)]
+    missing_loadings = [] if missing_loadings is None else missing_loadings
     return synthgen.FactorModelSpec(
         intercepts=raw["intercepts"],
         proxied_loadings=raw["proxied_loadings"],
-        missing_loadings=np.asarray(missing_loadings, dtype=float).reshape(n, -1),
+        missing_loadings=np.asarray(missing_loadings, dtype=float).reshape(
+            len(raw["intercepts"]), -1),
         proxy_projection=raw["proxy_projection"],
         proxy_noise_scale=float(raw["proxy_noise_scale"]),
         idio_variances=raw["idio_variances"],

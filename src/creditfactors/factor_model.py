@@ -119,43 +119,28 @@ def _rebuild_response(fit: RegressionFit, X: np.ndarray) -> np.ndarray:
     return design @ fit.coefficients + fit.residuals
 
 
-def _designs_for(fits, designs):
-    if isinstance(designs, np.ndarray) or designs is None:
-        designs = [designs] * len(fits)
-    else:
-        designs = list(designs)
-        if len(designs) != len(fits):
-            raise DataError(f"{len(designs)} designs for {len(fits)} fits")
-    out = []
-    for fit, X in zip(fits, designs):
-        if X is None:
-            X = np.empty((fit.n_obs, 0))
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
-        if X.shape[0] != fit.n_obs:
-            raise DataError(f"design rows {X.shape[0]} do not match fit rows {fit.n_obs}")
-        out.append(X)
-    return out
-
-
-def augment_with_pc1(fits, designs):
+def augment_with_pc1(fits, design):
     """Refit every equation with the residual PC1 appended as a predictor.
 
-    designs supplies each fit's original slope matrix (one shared array is
-    broadcast). Returns (augmented fits, pc1 scores, pc1 variance share).
+    design is the one slope matrix every fit shares (without the intercept
+    column). Returns (augmented fits, pc1 scores, pc1 variance share).
     """
     fits = list(fits)
     if len(fits) < 2:
         raise DataError("need at least two fitted responses")
-    designs = _designs_for(fits, designs)
-    pc1, share = residual_pc1(residual_matrix(fits))
+    X = np.asarray(design, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    R = residual_matrix(fits)  # checks that every fit has the same rows
+    if X.shape[0] != R.shape[0]:
+        raise DataError(f"design rows {X.shape[0]} do not match fit rows {R.shape[0]}")
+    pc1, share = residual_pc1(R)
+    X_pc1 = np.column_stack([X, pc1])
     augmented = []
-    for fit, X in zip(fits, designs):
-        y = _rebuild_response(fit, X)
+    for fit in fits:
         slim = [n for n in fit.predictor_names if n != INTERCEPT]
         augmented.append(ols(
-            y, np.column_stack([X, pc1]),
+            _rebuild_response(fit, X), X_pc1,
             intercept=fit.has_intercept,
             response_name=fit.response_name,
             predictor_names=slim + [PC1_NAME],
@@ -183,7 +168,7 @@ class DiagnosticReport:
             raise DataError(f"unknown verdict {self.verdict!r}")
 
 
-def missing_factor_diagnostic(fits_before, designs, thresholds=(0.30, 0.10)) -> DiagnosticReport:
+def missing_factor_diagnostic(fits_before, design, thresholds=(0.30, 0.10)) -> DiagnosticReport:
     """Decide whether the residual PC1 behaves like an omitted common factor.
 
     missing_factor: every adjusted-R^2 delta is at least the strong threshold.
@@ -195,7 +180,7 @@ def missing_factor_diagnostic(fits_before, designs, thresholds=(0.30, 0.10)) -> 
     if strong <= weak:
         raise DataError(f"strong threshold must exceed weak ({strong} vs {weak})")
     fits = list(fits_before)
-    augmented, _, share = augment_with_pc1(fits, designs)
+    augmented, _, share = augment_with_pc1(fits, design)
     before = np.array([f.adj_r_squared for f in fits])
     after = np.array([f.adj_r_squared for f in augmented])
     deltas = after - before

@@ -170,20 +170,18 @@ class AlignedPanel:
     def end(self) -> Month:
         return self.start.plus(self.n_obs - 1)
 
-    def column(self, name: str) -> np.ndarray:
+    def _index(self, name: str) -> int:
         try:
-            j = self.names.index(name)
+            return self.names.index(name)
         except ValueError:
             raise DataError(f"no series named {name!r}") from None
-        return self.values[:, j]
+
+    def column(self, name: str) -> np.ndarray:
+        return self.values[:, self._index(name)]
 
     def select(self, names: Sequence[str]) -> "AlignedPanel":
         """Sub-panel with the given columns, in the given order, same grid."""
-        idx = []
-        for name in names:
-            if name not in self.names:
-                raise DataError(f"no series named {name!r}")
-            idx.append(self.names.index(name))
+        idx = [self._index(name) for name in names]
         return AlignedPanel(self.start, tuple(self.columns[j] for j in idx), self.values[:, idx])
 
     def is_complete(self) -> bool:
@@ -361,11 +359,19 @@ def align(panels: Sequence[AlignedPanel], policy: str = ALIGN_INTERSECT) -> Alig
 # CSV interfaces
 # ---------------------------------------------------------------------------
 
+def _decoded(fh, path):
+    """The lines of a text file; a byte that does not decode is a DataError naming it."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: cannot decode text ({exc.reason})") from None
+
+
 def read_loans_csv(path) -> list:
     """Loan-level CSV with header date,rate,grade,term (one loan per row)."""
     records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(_decoded(fh, path), restval="")
         required = {"date", "rate", "grade", "term"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise DataError(f"{path}: expected header with columns date,rate,grade,term")
@@ -377,9 +383,7 @@ def read_loans_csv(path) -> list:
                     grade=row["grade"].strip(),
                     term=int(row["term"]),
                 ))
-            except DataError as exc:
-                raise DataError(f"{path}:{i}: {exc}") from None
-            except ValueError as exc:
+            except ValueError as exc:  # DataError included
                 raise DataError(f"{path}:{i}: {exc}") from None
     if not records:
         raise DataError(f"{path}: no loan rows")
@@ -390,7 +394,7 @@ def read_yields_csv(path) -> list:
     """Yield-curve CSV with header date,maturity_months,yield."""
     points = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(_decoded(fh, path), restval="")
         required = {"date", "maturity_months", "yield"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise DataError(f"{path}: expected header with columns date,maturity_months,yield")
@@ -401,9 +405,7 @@ def read_yields_csv(path) -> list:
                     maturity_months=int(row["maturity_months"]),
                     yield_pct=float(row["yield"]),
                 ))
-            except DataError as exc:
-                raise DataError(f"{path}:{i}: {exc}") from None
-            except ValueError as exc:
+            except ValueError as exc:  # DataError included
                 raise DataError(f"{path}:{i}: {exc}") from None
     if not points:
         raise DataError(f"{path}: no yield rows")
@@ -418,7 +420,8 @@ def read_panel_csv(path, kind: str = KIND_MACRO) -> AlignedPanel:
     the line of the file. Months must be consecutive.
     """
     with open(path, newline="") as fh:
-        numbered = [(i, ln) for i, ln in enumerate(fh, start=1) if not ln.startswith("#")]
+        numbered = [(i, ln) for i, ln in enumerate(_decoded(fh, path), start=1)
+                    if not ln.startswith("#")]
     reader = csv.reader(ln for _, ln in numbered)
     try:
         header = next(reader)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import canonical_pairs
 from .errors import DataError, NumericalError
 from .panel import AlignedPanel
 from .regress import ols
@@ -174,28 +175,20 @@ def johansen_trace(panel, lag_order: int = 2) -> JohansenResult:
 
     dX = np.diff(X, axis=0)
     rows = n - K
-    Z0 = dX[K - 1:]
     parts = [np.ones((rows, 1))]
     for i in range(1, K):
         parts.append(dX[K - 1 - i:n - 1 - i])
     Z1 = np.column_stack(parts)
-    ZK = X[:n - K]
 
-    R0 = Z0 - Z1 @ np.linalg.lstsq(Z1, Z0, rcond=None)[0]
-    RK = ZK - Z1 @ np.linalg.lstsq(Z1, ZK, rcond=None)[0]
-    S00 = R0.T @ R0 / rows
-    SKK = RK.T @ RK / rows
-    S0K = R0.T @ RK / rows
-    try:
-        L = np.linalg.cholesky(SKK)
-        G = np.linalg.cholesky(S00)
-    except np.linalg.LinAlgError:
-        raise NumericalError("singular product-moment matrix; columns may be collinear") from None
-    # eigenvalues of SKK^-1 SK0 S00^-1 S0K through a symmetric pencil
-    E = np.linalg.solve(G, S0K)            # G^-1 S0K
-    H = np.linalg.solve(L, E.T)            # L^-1 SK0 G^-T
-    lam = np.linalg.eigvalsh(H @ H.T)[::-1]
-    lam = np.clip(lam, 0.0, None)
+    # residuals R0 (differences) and RK (levels lagged K) on Z1, in one solve
+    W = np.column_stack([dX[K - 1:], X[:n - K]])
+    R = W - Z1 @ np.linalg.lstsq(Z1, W, rcond=None)[0]
+    S = R.T @ R / rows
+    # Johansen's eigenvalues, those of SKK^-1 SK0 S00^-1 S0K, are the squared
+    # canonical correlations of R0 and RK
+    rho, _, _ = canonical_pairs(S[:k, :k], S[k:, k:], S[:k, k:], ("R0", "RK"),
+                                "columns may be collinear")
+    lam = rho ** 2
     if np.any(1.0 - lam <= 1e-14):
         raise NumericalError("degenerate eigenvalue at 1; system is collinear")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import inv_sqrt_psd
+from ._linalg import canonical_pairs
 from .errors import DataError
 
 _RANK_TOL = 1e-8
@@ -27,6 +27,8 @@ def _frozen_array(obj, field, value, ndim):
     arr = np.array(value, dtype=float)
     if arr.ndim != ndim:
         raise DataError(f"{field} must be {ndim}-D, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DataError(f"{field} must be finite")
     arr.setflags(write=False)
     object.__setattr__(obj, field, arr)
     return arr
@@ -67,10 +69,12 @@ class FactorModelSpec:
             raise DataError("need at least one proxy")
         if np.any(idio <= 0):
             raise DataError("idio_variances must all be positive")
-        if self.proxy_noise_scale < 0:
-            raise DataError("proxy_noise_scale must be nonnegative")
+        if not 0 <= self.proxy_noise_scale < np.inf:
+            raise DataError("proxy_noise_scale must be finite and nonnegative")
         if self.n_periods < 2:
             raise DataError("n_periods must be at least 2")
+        if self.seed < 0:
+            raise DataError(f"seed must be nonnegative, got {self.seed}")
         if np.linalg.matrix_rank(b1, tol=_RANK_TOL) < r:
             raise DataError("proxied_loadings must have full column rank")
         if b2.shape[1] and np.linalg.matrix_rank(b2, tol=_RANK_TOL) < b2.shape[1]:
@@ -148,12 +152,10 @@ def population_covariance(spec: FactorModelSpec):
 
 def population_cca(spec: FactorModelSpec) -> np.ndarray:
     """Exact canonical correlations between responses and proxies, descending."""
-    cov_yy, cov_yz, _ = population_covariance(spec)
-    iy = inv_sqrt_psd(cov_yy, "response",
-                      "population covariance is singular; use positive idio_variances")
-    sv = np.linalg.svd(iy @ cov_yz, compute_uv=False)
-    m = min(spec.n_responses, spec.n_proxies)
-    return np.clip(sv[:m], 0.0, 1.0)
+    cov_yy, cov_yz, cov_zz = population_covariance(spec)
+    rho, _, _ = canonical_pairs(cov_yy, cov_zz, cov_yz, ("response", "proxy"),
+                                "population covariance is singular; use positive idio_variances")
+    return np.clip(rho, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

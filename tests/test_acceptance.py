@@ -246,6 +246,16 @@ def test_c6_unit_root_and_cointegration_behavior():
     assert reject_stationary >= 180
     assert retain_walk >= 180
 
+    # size with margin, on its own stream: over 2000 walks the share retained
+    # at 10% sits within about four binomial standard deviations
+    # (sqrt(0.9 * 0.1 / 2000) = 0.0067) of the nominal 0.90
+    rng_size = np.random.default_rng(7005)
+    size_draws = 2000
+    retain_share = sum(
+        cf.adf_test(np.cumsum(rng_size.normal(size=200))).p_value > 0.10
+        for _ in range(size_draws)) / size_draws
+    assert abs(retain_share - 0.90) <= 0.027
+
     # the reporting floor is exact, not approximate
     floor = cf.adf_test(np.random.default_rng(99).normal(size=400))
     assert floor.p_value == 0.01
@@ -274,7 +284,8 @@ def test_c6_unit_root_and_cointegration_behavior():
     assert elapsed < 120.0
     report("C6 unit-root and cointegration behavior",
            f"AR(0.5) rejected {reject_stationary}/200, walks retained "
-           f"{retain_walk}/200, pair rank found {reject_pair}/200, "
+           f"{retain_walk}/200 (share {retain_share:.3f} of {size_draws}), "
+           f"pair rank found {reject_pair}/200, "
            f"independent retained {retain_indep}/200, floor exact, "
            f"critical-value row exact, {elapsed:.1f}s")
 

@@ -1,0 +1,250 @@
+"""Property tests of the CLI contract on malformed inputs.
+
+Each test writes generated files (panel, loan, yield, config or spec) into a
+fresh directory and calls cli.main in-process. Whatever the input, main must
+return 0 (success), 2 (usage), 3 (data) or 4 (numerical), and no exception may
+escape it. Inputs start from a valid file and take a few random defects: bad
+dates, ragged rows, non-numeric or non-finite cells, unknown keys, truncation,
+stray bytes.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from creditfactors import cli
+
+EXIT_CODES = {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_NUMERICAL}
+
+FUZZ = settings(max_examples=25, deadline=None, database=None)
+
+BAD_CELLS = ["", " ", "nan", "NaN", "inf", "-inf", "1e308", "-1e400", "x", "1.2.3",
+             "0x1A", "--1", "1e", "é", '"', "1;2", "0", "-3", "36.5", "99999999999999999999"]
+BAD_DATES = ["", "2005-13", "2005-00", "05-01", "2005-1", "abc", "0000-01", "9999-12",
+             "2005-01-99", "2005/01", " 2005-02 ", "2005-01-01T00", "١٩٩٩-01"]
+BAD_BYTES = [b"\xff\xfe", b"\x00", b"\xef\xbb\xbf", b"\r", b"\x80abc"]
+
+
+def run_main(argv_of, files):
+    """Write files ({name: bytes}) to a fresh directory and run main on them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, data in files.items():
+            paths[name] = os.path.join(tmp, name)
+            with open(paths[name], "wb") as fh:
+                fh.write(data)
+        paths["out"] = os.path.join(tmp, "out")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv_of(paths))
+    assert code in EXIT_CODES, stderr.getvalue()
+    if code != cli.EXIT_OK:
+        assert stderr.getvalue().strip(), "a failing exit must say why"
+    return code
+
+
+def _month(t, start=(2005, 1)):
+    idx = start[0] * 12 + start[1] - 1 + t
+    return f"{idx // 12:04d}-{idx % 12 + 1:02d}"
+
+
+@st.composite
+def mutated_csv(draw, rows):
+    """A valid table (list of string rows, header first) with a few defects."""
+    rows = [list(r) for r in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        kind = draw(st.sampled_from(["cell", "date", "drop", "extra", "dup", "swap", "blank"]))
+        if kind == "cell" and len(row) > 1:
+            row[draw(st.integers(1, len(row) - 1))] = draw(st.sampled_from(BAD_CELLS))
+        elif kind == "date" and row:
+            row[0] = draw(st.sampled_from(BAD_DATES))
+        elif kind == "drop" and row:
+            del row[draw(st.integers(0, len(row) - 1))]
+        elif kind == "extra":
+            row.append(draw(st.sampled_from(BAD_CELLS)))
+        elif kind == "dup":
+            rows.insert(i, list(row))
+        elif kind == "swap":
+            j = draw(st.integers(0, len(rows) - 1))
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == "blank":
+            rows[i] = []
+    data = as_csv(rows)
+    if draw(st.integers(0, 9)) == 0:
+        data = data[:draw(st.integers(0, len(data)))]
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(BAD_BYTES)) + data[at:]
+    return data
+
+
+def panel_rows(n_cols, T, prefix, seed):
+    values = np.random.default_rng(seed).normal(size=(T, n_cols)).cumsum(axis=0)
+    rows = [["date"] + [f"{prefix}{j + 1}" for j in range(n_cols)]]
+    return rows + [[_month(t)] + [repr(float(v)) for v in values[t]] for t in range(T)]
+
+
+def as_csv(rows):
+    return "\n".join(",".join(r) for r in rows).encode()
+
+
+@st.composite
+def panel_csv(draw, n_cols, n_rows=st.integers(0, 40), prefix="S"):
+    seed = draw(st.integers(0, 2 ** 16))
+    return draw(mutated_csv(panel_rows(n_cols, draw(n_rows), prefix, seed)))
+
+
+@st.composite
+def loans_and_yields(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    T = draw(st.integers(1, 14))
+    loans = [["date", "rate", "grade", "term"]]
+    for t in range(T):
+        for grade in ("A", "B"):
+            for term in (36, 60):
+                for _ in range(2):
+                    loans.append([_month(t), f"{8 + rng.normal():.3f}", grade, str(term)])
+    yields = [["date", "maturity_months", "yield"]]
+    for t in range(T):
+        for m in (36, 60):
+            yields.append([_month(t), str(m), f"{2 + 0.1 * rng.normal():.4f}"])
+    return draw(mutated_csv(loans)), draw(mutated_csv(yields))
+
+
+SETTING_VALUES = st.sampled_from(
+    ["", "0", "1", "-1", "2", "3", "abc", "1e9", "nan", "inf", "-inf", "0.5", "1e-8",
+     "levels", "diff", "constant", "constant_trend", "99999", "1.5", "é"])
+
+
+@st.composite
+def config_file(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["setting", "setting", "unknown", "no_eq", "comment"]))
+        if kind == "setting":
+            key = draw(st.sampled_from(
+                ["factors", "lags", "kind", "strong", "weak", "ridge", "transform", "seed"]))
+            lines.append(f"{key} = {draw(SETTING_VALUES)}")
+        elif kind == "unknown":
+            lines.append(f"{draw(st.sampled_from(['align', 'factor', 'Lags', '']))} = 1")
+        elif kind == "no_eq":
+            lines.append(draw(st.sampled_from(["factors", "lags 2", "==", "=x"])))
+        else:
+            lines.append("# comment")
+    data = "\n".join(lines).encode()
+    if draw(st.integers(0, 9)) == 0:
+        data = draw(st.sampled_from(BAD_BYTES)) + data
+    return data
+
+
+JSON_GARBAGE = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 400),
+    st.floats(-10, 400) | st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e300]),
+    st.text(max_size=4),
+    st.lists(st.integers(-3, 3) | st.floats(-3, 3), max_size=4),
+    st.lists(st.lists(st.floats(-3, 3) | st.text(max_size=2), max_size=3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2),
+)
+
+VALID_FULL_SPEC = {
+    "intercepts": [1.0, 2.0, 3.0],
+    "proxied_loadings": [[1.0], [0.5], [-0.7]],
+    "missing_loadings": [[0.3], [0.2], [0.1]],
+    "proxy_projection": [[1.0], [0.4]],
+    "proxy_noise_scale": 0.3,
+    "idio_variances": [0.5, 0.4, 0.6],
+    "n_periods": 30,
+    "seed": 1,
+}
+
+
+@st.composite
+def spec_json(draw):
+    kind = draw(st.sampled_from(["preset", "full", "full", "raw"]))
+    if kind == "preset":
+        spec = {"preset": draw(st.sampled_from(["default", "missing_factor", "nope"])
+                               | JSON_GARBAGE)}
+        for key in ("seed", "n_periods", "extra"):
+            if draw(st.booleans()):
+                spec[key] = draw(st.integers(-3, 80) | JSON_GARBAGE)
+    elif kind == "full":
+        spec = dict(VALID_FULL_SPEC)
+        for key in draw(st.lists(st.sampled_from(sorted(spec) + ["unknown"]), max_size=3)):
+            action = draw(st.sampled_from(["replace", "replace", "delete"]))
+            if action == "delete":
+                spec.pop(key, None)
+            else:
+                spec[key] = draw(JSON_GARBAGE)
+    else:
+        return draw(st.sampled_from([b"", b"{", b"[]", b"null", b"3", b'"preset"',
+                                     b"\xff{}", b'{"preset": "default"} x']))
+    return json.dumps(spec).encode()
+
+
+LOANS = b"date,rate,grade,term\n2005-01,8.1,A,36\n2005-01,9.2,B,36\n"
+YIELDS = b"date,maturity_months,yield\n2005-01,36,2.1\n"
+SPREADS = as_csv(panel_rows(3, 30, "S", 1))
+MACRO = as_csv(panel_rows(2, 30, "Z", 2))
+
+
+@FUZZ
+@given(panel=panel_csv(n_cols=3), lags=st.sampled_from([[], ["--lags", "1"], ["--lags", "0"]]))
+@example(panel=b"\xff\xfe", lags=[])  # undecodable bytes escaped as UnicodeDecodeError
+def test_panel_commands_keep_the_exit_contract(panel, lags):
+    for command in ("adf", "johansen"):
+        run_main(lambda p: [command, "--panel", p["panel.csv"], "--out", p["out"], *lags],
+                 {"panel.csv": panel})
+
+
+@settings(FUZZ, max_examples=15)
+@given(spreads=panel_csv(n_cols=3, n_rows=st.integers(0, 30)),
+       macro=panel_csv(n_cols=2, n_rows=st.integers(0, 30), prefix="Z"))
+def test_analyze_keeps_the_exit_contract(spreads, macro):
+    run_main(lambda p: ["analyze", "--spreads", p["spreads.csv"], "--macro", p["macro.csv"],
+                        "--factors", "1", "--out", p["out"]],
+             {"spreads.csv": spreads, "macro.csv": macro})
+
+
+@FUZZ
+@given(files=loans_and_yields())
+# a short row left None cells, which escaped as TypeError
+@example(files=(LOANS + b"2005-01,8.0,A\n", YIELDS))
+@example(files=(LOANS, YIELDS + b"2005-01,60\n"))
+def test_aggregate_keeps_the_exit_contract(files):
+    loans, yields = files
+    run_main(lambda p: ["aggregate", "--loans", p["loans.csv"], "--yields", p["yields.csv"],
+                        "--out", p["out"]],
+             {"loans.csv": loans, "yields.csv": yields})
+
+
+@FUZZ
+@given(config=config_file())
+@example(config=b"\xff\xfe")
+def test_config_files_keep_the_exit_contract(config):
+    files = {"spreads.csv": SPREADS, "macro.csv": MACRO, "settings.cfg": config}
+    for command in ("adf", "johansen"):
+        run_main(lambda p: [command, "--panel", p["macro.csv"], "--config", p["settings.cfg"],
+                            "--out", p["out"]], files)
+    run_main(lambda p: ["analyze", "--spreads", p["spreads.csv"], "--macro", p["macro.csv"],
+                        "--config", p["settings.cfg"], "--out", p["out"]], files)
+
+
+@settings(FUZZ, max_examples=30)
+@given(spec=spec_json())
+# each escaped main: ValueError, TypeError (twice), OverflowError, numpy's ValueError
+@example(spec=b'{"preset": "default", "seed": "x"}')
+@example(spec=b'{"preset": ["default"]}')
+@example(spec=json.dumps(dict(VALID_FULL_SPEC, intercepts=None)).encode())
+@example(spec=json.dumps(dict(VALID_FULL_SPEC, n_periods=float("inf"))).encode())
+@example(spec=b'{"preset": "default", "seed": -1}')
+def test_simulate_keeps_the_exit_contract(spec):
+    run_main(lambda p: ["simulate", "--spec", p["spec.json"], "--out", p["out"]],
+             {"spec.json": spec})

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import creditfactors as cf
 
@@ -199,6 +200,40 @@ class TestJohansen:
         panel = cf.AlignedPanel(cf.Month(2005, 1), keys, vals)
         res = cf.johansen_trace(panel)
         assert res.n_obs == 100 - res.lag_order
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    @pytest.mark.parametrize("lag_order", [1, 2])
+    def test_eigenvalues_match_generalized_eigh_oracle(self, k, lag_order):
+        # an independent route to the eigenvalues: the symmetric-definite
+        # pencil SK0 S00^-1 S0K v = lam SKK v on residuals rebuilt row by row
+        rng = np.random.default_rng(60 + 10 * k + lag_order)
+        n = 160
+        X = np.column_stack([random_walk(rng, n) for _ in range(k)])
+        X[:, -1] = 0.8 * X[:, 0] + rng.normal(0, 0.5, n)  # one planted relation
+        res = cf.johansen_trace(X, lag_order=lag_order)
+
+        dX = np.diff(X, axis=0)
+        ts = range(lag_order, n)  # rows t with Delta X_t and X_{t-K} observed
+        Z0 = np.array([dX[t - 1] for t in ts])
+        ZK = np.array([X[t - lag_order] for t in ts])
+        Z1 = np.array([np.concatenate([[1.0]] + [dX[t - 1 - i] for i in range(1, lag_order)])
+                       for t in ts])
+        R0 = Z0 - Z1 @ scipy.linalg.lstsq(Z1, Z0)[0]
+        RK = ZK - Z1 @ scipy.linalg.lstsq(Z1, ZK)[0]
+        rows = len(ts)
+        S00, SKK, S0K = R0.T @ R0 / rows, RK.T @ RK / rows, R0.T @ RK / rows
+        oracle = scipy.linalg.eigh(S0K.T @ np.linalg.solve(S00, S0K), SKK,
+                                   eigvals_only=True)[::-1]
+        assert res.n_obs == rows
+        np.testing.assert_allclose(res.eigenvalues, oracle, rtol=0, atol=1e-10)
+
+    def test_singular_moment_matrix_rejected(self):
+        # a pure trend is not collinear with a walk in levels, but its
+        # differences are constant, so the differenced residuals vanish
+        rng = np.random.default_rng(51)
+        X = np.column_stack([random_walk(rng, 100), np.arange(100.0)])
+        with pytest.raises(cf.NumericalError, match="collinear"):
+            cf.johansen_trace(X)
 
     def test_collinear_panel_rejected(self):
         rng = np.random.default_rng(48)
