@@ -10,15 +10,18 @@ Weights are a = Sy^(-1/2) P and b = Sz^(-1/2) Q, rescaled so every variate has
 unit sample variance (ddof=1), with the sign convention that the largest
 weight in each left variate is positive. eigen_table computes the eigenvalues
 rho^2/(1 - rho^2) and their percentage shares of the total. wilks_lambda
-implements the sequential likelihood-ratio tests with the F approximation
+implements the sequential likelihood-ratio tests with Rao's F approximation
 whose df constant m = n - 3/2 - (p + q)/2 is computed once from the full
-variable counts.
+variable counts. Its p-value is the F upper tail, computed in _f_sf as the
+regularized incomplete beta I_w(dfd/2, dfn/2), w = dfd/(dfd + dfn*F), by the
+modified-Lentz continued fraction of Numerical Recipes (Press et al., 6.4),
+so the package needs numpy only.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _sstats
 
 from ._linalg import canonical_pairs
 from .errors import DataError, NumericalError
@@ -185,6 +188,86 @@ class WilksRow:
     p_value: float
 
 
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_LENTZ_FLOOR = 1e-300     # keeps the continued fraction's denominators off zero
+_LENTZ_MAX_TERMS = 100_000
+_LENTZ_TOL = 2.3e-16      # a step factor d*c within one ulp of 1 ends the fraction
+
+
+def _stirling_delta(z: float) -> float:
+    """lgamma(z) minus Stirling's (z - 1/2) log z - z + log(2 pi)/2.
+
+    The asymptotic series is accurate to 1e-16 from z = 10 on; below that
+    lgamma and the Stirling terms are small enough to subtract directly.
+    """
+    if z < 10.0:
+        return math.lgamma(z) - ((z - 0.5) * math.log(z) - z + _HALF_LOG_2PI)
+    r = 1.0 / (z * z)
+    return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r * (
+        1 / 1188 - r * 691 / 360360))))) / z
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction of I_x(a, b) by modified Lentz (Numerical Recipes 6.4).
+
+    It converges in O(sqrt(max(a, b))) terms for x below (a + 1)/(a + b + 2).
+    """
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _LENTZ_FLOOR else _LENTZ_FLOOR)
+    h = d
+    for m in range(1, _LENTZ_MAX_TERMS):
+        for aa in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                   -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) > _LENTZ_FLOOR else _LENTZ_FLOOR)
+            c = 1.0 + aa / c
+            c = c if abs(c) > _LENTZ_FLOOR else _LENTZ_FLOOR
+            h *= d * c
+        if abs(d * c - 1.0) <= _LENTZ_TOL:
+            return h
+    raise NumericalError(f"incomplete beta did not converge (a={a}, b={b}, x={x})")
+
+
+def _f_sf(x: float, dfn: float, dfd: float) -> float:
+    """Upper tail P(F > x) of the F(dfn, dfd) distribution, as scipy.stats.f.sf.
+
+    Returns I_w(a, b) with a = dfd/2, b = dfn/2 and w = dfd/(dfd + dfn*x),
+    switching to 1 - I_(1-w)(b, a) above w = (a + 1)/(a + b + 2); 1 - w is
+    formed directly as dfn*x/(dfd + dfn*x) so neither tail loses digits. The
+    prefactor w^a (1-w)^b / B(a, b) is assembled from Stirling's formula, so
+    the large log-gamma terms cancel algebraically, not in rounding.
+
+    Like scipy: nan x or a df that is nan or not positive gives nan, x <= 0
+    gives 1, x = inf gives 0, and an infinite df gives nan for every other x.
+    An x so large that dfn*x overflows gives 0.
+    """
+    if math.isnan(x) or not (dfn > 0 and dfd > 0):
+        return math.nan
+    if x <= 0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    if math.isinf(dfn) or math.isinf(dfd):
+        return math.nan
+    s = dfd + dfn * x
+    if s == math.inf:
+        return 0.0
+    a, b, n = 0.5 * dfd, 0.5 * dfn, dfd + dfn
+    # log(w (a+b)/a) = log(n/s) and log((1-w)(a+b)/b) = log(x n/s), each from
+    # log1p of its exact offset from 1 where that is small
+    e_a, e_b = dfn * (1.0 - x) / s, dfd * (x - 1.0) / s
+    log_a = math.log1p(e_a) if abs(e_a) < 0.5 else math.log(n / s)
+    log_b = math.log1p(e_b) if abs(e_b) < 0.5 else math.log(x) + math.log(n / s)
+    prefactor = math.exp(a * log_a + b * log_b + 0.5 * math.log(a * b / (a + b))
+                         - _HALF_LOG_2PI + _stirling_delta(a + b)
+                         - _stirling_delta(a) - _stirling_delta(b))
+    w = dfd / s
+    if w > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - prefactor * _beta_cf(b, a, dfn * x / s) / b
+    return prefactor * _beta_cf(a, b, w) / a
+
+
 def wilks_lambda(source, p: int = None, q: int = None, n_obs: int = None) -> tuple:
     """Sequential likelihood-ratio rows: row k tests rho_k = ... = rho_m = 0.
 
@@ -219,7 +302,7 @@ def wilks_lambda(source, p: int = None, q: int = None, n_obs: int = None) -> tup
         lam = float(lam_seq[i])
         root = lam ** (1.0 / s)
         f_stat = float((1.0 - root) / root * den_df / num_df)
-        p_val = float(_sstats.f.sf(f_stat, num_df, den_df))
+        p_val = _f_sf(f_stat, num_df, den_df)
         rows.append(WilksRow(k=i + 1, lambda_stat=lam, f_approx=f_stat,
                              num_df=num_df, den_df=den_df, p_value=p_val))
     return tuple(rows)

@@ -389,22 +389,20 @@ def _stacked(run: Run, groups, X):
     return ys, design
 
 
-def _stacked_fits(run: Run, groups, X, x_names):
-    ys, design = _stacked(run, groups, X)
-    fits = [regress_mod.ols(y, design, response_name=label, predictor_names=x_names)
+def _fits(ys, design, x_names):
+    return [regress_mod.ols(y, design, response_name=label, predictor_names=x_names)
             for label, y in ys.items()]
-    return fits, design
 
 
-def _ols_table(run: Run, section, groups):
-    fits, design = _stacked_fits(run, groups, run.Z, run.z_names)
+def _ols_table(run: Run, section, ys, design):
+    """Regressions of the stacked responses `ys` on the tiled predictor design."""
+    fits = _fits(ys, design, run.z_names)
     run.table(f"ols_full_{section}.csv", regress_mod.fit_table(fits), fits[0].n_obs,
               note=f"regressions on all predictors ({section})")
-    return fits, design
+    return fits
 
 
-def _stepwise_tables(run: Run, section, groups):
-    ys, design = _stacked(run, groups, run.Z)
+def _stepwise_tables(run: Run, section, ys, design):
     fits, trace_rows = [], []
     for label, y in ys.items():
         fit, trace = regress_mod.stepwise_aic(y, design, response_name=label,
@@ -441,7 +439,8 @@ def _cca_tables(run: Run):
 def _factor_tables(run: Run, section, groups, diagnose=True):
     """Regressions on the retained factors, then the missing-factor diagnostic."""
     factors = run.factors
-    fits, design = _stacked_fits(run, groups, factors.scores, list(factors.names))
+    ys, design = _stacked(run, groups, factors.scores)
+    fits = _fits(ys, design, list(factors.names))
     n_obs = fits[0].n_obs
     run.table(f"factor_regressions_{section}.csv", regress_mod.fit_table(fits), n_obs,
               f"factors={factors.r}", f"regressions on retained factors ({section})")
@@ -461,13 +460,13 @@ def _factor_tables(run: Run, section, groups, diagnose=True):
 
 def cmd_ols(args) -> int:
     run = Run(args, VIEWS["ols"])
-    _ols_table(run, "responses", run.per_response)
+    _ols_table(run, "responses", *_stacked(run, run.per_response, run.Z))
     return EXIT_OK
 
 
 def cmd_stepwise(args) -> int:
     run = Run(args, VIEWS["stepwise"])
-    _stepwise_tables(run, "responses", run.per_response)
+    _stepwise_tables(run, "responses", *_stacked(run, run.per_response, run.Z))
     return EXIT_OK
 
 
@@ -557,8 +556,9 @@ def cmd_analyze(args) -> int:
     unstacked = [section for section in groupings if section not in sections]
     verdicts = {}
     for section, groups in (sections or {"responses": run.per_response}).items():
-        fits, design = _ols_table(run, section, groups)
-        _stepwise_tables(run, section, groups)
+        ys, design = _stacked(run, groups, run.Z)
+        fits = _ols_table(run, section, ys, design)
+        _stepwise_tables(run, section, ys, design)
         aug, _, share = fm.augment_with_pc1(fits, design)
         run.table(f"ols_pc1_{section}.csv", regress_mod.fit_table(aug), aug[0].n_obs,
                   f"pc1_share={share:.4f}",

@@ -367,49 +367,50 @@ def _decoded(fh, path):
         raise DataError(f"{path}: cannot decode text ({exc.reason})") from None
 
 
-def read_loans_csv(path) -> list:
-    """Loan-level CSV with header date,rate,grade,term (one loan per row)."""
+def _read_records(path, columns, what, make) -> list:
+    """make(row) for every row of a CSV whose header names `columns`.
+
+    A row with more cells than the header, or one `make` cannot parse, is a
+    DataError naming the file and line.
+    """
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(_decoded(fh, path), restval="")
-        required = {"date", "rate", "grade", "term"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise DataError(f"{path}: expected header with columns date,rate,grade,term")
-        for i, row in enumerate(reader, start=2):
+        if reader.fieldnames is None or not set(columns).issubset(reader.fieldnames):
+            raise DataError(f"{path}: expected header with columns {','.join(columns)}")
+        width = len(reader.fieldnames)
+        for row in reader:
+            if None in row:  # DictReader's key for the cells past the header
+                raise DataError(f"{path}:{reader.line_num}: expected {width} cells, "
+                                f"got {width + len(row[None])}")
             try:
-                records.append(LoanRecord(
-                    month=Month.parse(row["date"]),
-                    rate=float(row["rate"]),
-                    grade=row["grade"].strip(),
-                    term=int(row["term"]),
-                ))
+                records.append(make(row))
             except ValueError as exc:  # DataError included
-                raise DataError(f"{path}:{i}: {exc}") from None
+                raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     if not records:
-        raise DataError(f"{path}: no loan rows")
+        raise DataError(f"{path}: no {what} rows")
     return records
+
+
+def read_loans_csv(path) -> list:
+    """Loan-level CSV with header date,rate,grade,term (one loan per row)."""
+    return _read_records(path, ("date", "rate", "grade", "term"), "loan",
+                         lambda row: LoanRecord(
+                             month=Month.parse(row["date"]),
+                             rate=float(row["rate"]),
+                             grade=row["grade"].strip(),
+                             term=int(row["term"]),
+                         ))
 
 
 def read_yields_csv(path) -> list:
     """Yield-curve CSV with header date,maturity_months,yield."""
-    points = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(_decoded(fh, path), restval="")
-        required = {"date", "maturity_months", "yield"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise DataError(f"{path}: expected header with columns date,maturity_months,yield")
-        for i, row in enumerate(reader, start=2):
-            try:
-                points.append(YieldCurvePoint(
-                    month=Month.parse(row["date"]),
-                    maturity_months=int(row["maturity_months"]),
-                    yield_pct=float(row["yield"]),
-                ))
-            except ValueError as exc:  # DataError included
-                raise DataError(f"{path}:{i}: {exc}") from None
-    if not points:
-        raise DataError(f"{path}: no yield rows")
-    return points
+    return _read_records(path, ("date", "maturity_months", "yield"), "yield",
+                         lambda row: YieldCurvePoint(
+                             month=Month.parse(row["date"]),
+                             maturity_months=int(row["maturity_months"]),
+                             yield_pct=float(row["yield"]),
+                         ))
 
 
 def read_panel_csv(path, kind: str = KIND_MACRO) -> AlignedPanel:

@@ -1,10 +1,14 @@
 """Canonical correlation analysis: invariants, identities, and a fixed
 reference decomposition used to pin down the sequential test arithmetic."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
 
 import creditfactors as cf
+from creditfactors.cca import _f_sf
 
 # A fixed 12-by-10 system observed 63 times. The correlations, eigenvalues,
 # and test columns below form one internally consistent decomposition; the
@@ -266,3 +270,46 @@ class TestCrossLoadings:
             for k in range(sol.m):
                 r = np.corrcoef(Z[:, j], sol.u_scores[:, k])[0, 1]
                 assert L[j, k] == pytest.approx(r, abs=1e-10)
+
+
+# P(F > x) to 17 digits from a 60-digit mpmath.betainc at the exact inputs,
+# where scipy's own tail drifts (6e-5 relative at 1.1e-245) or flushes to 0.
+F_TAIL_REFERENCE = (
+    (3.0, 2.0, 7.0, 0.11456221633906809),
+    (1.25, 12.0, 2495.0, 0.24225609223929745),
+    (23.5, 78.0, 2732.0, 1.1436974033134646e-245),
+    (24.0, 78.0, 2732.0, 1.6528945376757854e-250),
+    (40.0, 60.0, 2000.0, 1.5648412063143056e-294),
+)
+
+
+class TestFTail:
+    """_f_sf, the p-value of every Wilks row, against scipy.stats.f.sf."""
+
+    def test_matches_scipy_on_seeded_draws(self):
+        rng = np.random.default_rng(20240601)
+        n = 100_000
+        x = np.exp(rng.uniform(-6.0, 4.0, n))
+        dfn = rng.integers(1, 150, n).astype(float)   # pk*qk is an integer
+        dfd = rng.uniform(1.0, 3000.0, n)             # Rao's den_df is not
+        oracle = stats.f.sf(x, dfn, dfd)
+        got = np.array([_f_sf(*args) for args in zip(x.tolist(), dfn.tolist(), dfd.tolist())])
+        err = np.abs(got - oracle)
+        assert err.max() <= 1e-12
+        # below about 1e-240 scipy itself loses digits (see F_TAIL_REFERENCE)
+        sized = oracle >= 1e-240
+        assert sized.sum() > 0.9 * n
+        assert (err[sized] / oracle[sized]).max() <= 1e-10
+
+    @pytest.mark.parametrize("x, dfn, dfd, expected", F_TAIL_REFERENCE)
+    def test_matches_high_precision_reference(self, x, dfn, dfd, expected):
+        assert _f_sf(x, dfn, dfd) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_edge_cases_match_scipy(self):
+        values = (-math.inf, -1.0, 0.0, 1.0, math.inf, math.nan)
+        dfs = (-1.0, 0.0, 3.0, math.inf, math.nan)
+        cases = [(x, dfn, dfd) for x in values for dfn in dfs for dfd in dfs
+                 if (x, dfn, dfd) != (1.0, 3.0, 3.0)]
+        got = [_f_sf(*case) for case in cases]
+        expected = [float(stats.f.sf(*case)) for case in cases]
+        np.testing.assert_array_equal(got, expected)

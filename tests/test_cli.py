@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -77,6 +79,21 @@ class TestAggregate:
                    "--yields", "yields.csv") == 3
         err = capsys.readouterr().err
         assert "2010-02" in err and "36 months" in err
+
+    @pytest.mark.parametrize("loans_row, yields_row, message", [
+        ("2010-01,10.0,A,36,oops", "2010-01,36,2.0", "loans.csv:3: expected 4 cells, got 5"),
+        ("2010-01,10.0,A,36", "2010-01,36,2.0,zz", "yields.csv:3: expected 3 cells, got 4"),
+    ])
+    def test_row_past_the_header_is_a_data_error(self, workdir, capsys, loans_row, yields_row,
+                                                 message):
+        (workdir / "loans.csv").write_text(
+            f"date,rate,grade,term\n2010-01,12.0,A,36\n{loans_row}\n")
+        (workdir / "yields.csv").write_text(
+            f"date,maturity_months,yield\n2010-01,36,2.0\n{yields_row}\n")
+        assert run("aggregate", "--loans", "loans.csv", "--yields", "yields.csv",
+                   "--out", "out") == 3
+        err = capsys.readouterr().err
+        assert message in err and len(err.strip().splitlines()) == 1
 
 
 class TestOlsParity:
@@ -410,3 +427,15 @@ class TestViews:
         for view_name, analyze_name in files.items():
             assert (workdir / "view" / view_name).read_bytes() == \
                    (workdir / "rep" / analyze_name).read_bytes(), view_name
+
+
+def test_import_loads_no_scipy():
+    """The CLI's cold start loads numpy only; scipy is a test-time oracle."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cf.__file__)))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    code = ("import sys, creditfactors, creditfactors.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

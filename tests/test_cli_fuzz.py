@@ -218,6 +218,9 @@ def test_analyze_keeps_the_exit_contract(spreads, macro):
 # a short row left None cells, which escaped as TypeError
 @example(files=(LOANS + b"2005-01,8.0,A\n", YIELDS))
 @example(files=(LOANS, YIELDS + b"2005-01,60\n"))
+# a row with cells past the header was read as if they were not there
+@example(files=(LOANS + b"2005-01,8.1,A,36,oops\n", YIELDS))
+@example(files=(LOANS, YIELDS + b"2005-01,36,2.0,zz\n"))
 def test_aggregate_keeps_the_exit_contract(files):
     loans, yields = files
     run_main(lambda p: ["aggregate", "--loans", p["loans.csv"], "--yields", p["yields.csv"],

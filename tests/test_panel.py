@@ -397,6 +397,22 @@ class TestCsv:
         with pytest.raises(cf.DataError, match="loans.csv:2"):
             cf.read_loans_csv(path)
 
+    @pytest.mark.parametrize("reader, header, row, message", [
+        (cf.read_loans_csv, "date,rate,grade,term", "2005-01,8.1,A,36", "4 cells, got 5"),
+        (cf.read_yields_csv, "date,maturity_months,yield", "2005-01,36,2.0", "3 cells, got 4"),
+    ])
+    def test_record_readers_reject_extra_cells(self, tmp_path, reader, header, row, message):
+        path = tmp_path / "in.csv"
+        path.write_text(f"{header}\n{row}\n{row},oops\n")
+        with pytest.raises(cf.DataError, match=f"in.csv:3: expected {message}$"):
+            reader(path)
+
+    def test_loans_reader_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "loans.csv"
+        path.write_text("date,rate,grade,term\n\n2010-01,ten,A,36\n")
+        with pytest.raises(cf.DataError, match="loans.csv:3"):
+            cf.read_loans_csv(path)
+
     def test_loans_reader_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "loans.csv"
         path.write_text("day,apr,grade,term\n2010-01,10,A,36\n")
