@@ -22,7 +22,7 @@ def run(label, spec):
     sol = cf.cca_fit(ds.responses, ds.proxies)
     scores = cf.FactorScores.from_solution(sol, r=2)
     fits = cf.factor_regressions(ds.responses, scores)
-    report = cf.missing_factor_diagnostic(fits, scores.scores)
+    report = cf.missing_factor_diagnostic(fits, scores.scores, ds.responses)
 
     print(f"--- {label} ---")
     print(cf.to_markdown(*cf.diagnostic_table_rows(report)))
@@ -45,7 +45,7 @@ ds = cf.generate(cf.scenario_missing_factor(seed=3))
 sol = cf.cca_fit(ds.responses, ds.proxies)
 scores = cf.FactorScores.from_solution(sol, r=2)
 fits = cf.factor_regressions(ds.responses, scores)
-augmented, pc1, share = cf.augment_with_pc1(fits, scores.scores)
+augmented, pc1, share = cf.augment_with_pc1(fits, scores.scores, ds.responses)
 
 print("first response, before and after appending the residual component:")
 header, rows = cf.fit_table([fits[0], augmented[0]])

@@ -33,6 +33,7 @@ from .regress import (
     StepwiseTrace,
     fit_table,
     ols,
+    ols_columns,
     residual_matrix,
     stepwise_aic,
 )

@@ -92,8 +92,8 @@ def cca_fit(Y, Z, ridge: float = 0.0) -> CcaSolution:
         raise DataError("both sets need at least one column")
     if T <= p + q:
         raise DataError(f"need more rows than total variables (T={T}, p+q={p + q})")
-    if ridge < 0:
-        raise DataError(f"ridge must be nonnegative, got {ridge}")
+    if not 0 <= ridge < math.inf:
+        raise DataError(f"ridge must be finite and nonnegative, got {ridge}")
 
     Ys, y_means, y_scales = _standardize(Y, "left set")
     Zs, z_means, z_scales = _standardize(Z, "right set")

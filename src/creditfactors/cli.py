@@ -144,34 +144,41 @@ def _write_spreads(s: Settings, rates, yields_path) -> int:
     return EXIT_OK
 
 
+def _adf_table(s: Settings, p: panel_mod.AlignedPanel):
+    """Unit-root tests on every column of p under the `kind` and `lags` settings.
+
+    Returns the table, its `kind=... lags=...` file note and its summary.md wording.
+    """
+    kind = s.get("kind", default=st.REGRESSION_CONSTANT_TREND,
+                 choices=set(st.REGRESSION_KINDS))
+    lags = s.get("lags", cast=int)
+    results = {n: st.adf_test(p.complete_column(n), lag_order=lags, kind=kind)
+               for n in p.names}
+    lag_note = "auto" if lags is None else str(lags)
+    return st.adf_table(results), f"kind={kind} lags={lag_note}", f"{kind}, lags {lag_note}"
+
+
+def _johansen_table(p: panel_mod.AlignedPanel, lags=2):
+    """Trace test on the jointly observed months of p: (result, table, `lags=` note)."""
+    result = st.johansen_trace(panel_mod.align([p], panel_mod.ALIGN_INTERSECT), lag_order=lags)
+    return result, st.johansen_table(result), f"lags={result.lag_order}"
+
+
 def cmd_adf(args) -> int:
     s = Settings(args)
     p = panel_mod.read_panel_csv(s.require("panel"))
-    lags = s.get("lags", cast=int)
-    kind = s.get("kind", default=st.REGRESSION_CONSTANT_TREND,
-                 choices=set(st.REGRESSION_KINDS))
-    results = {}
-    for name in p.names:
-        series = p.complete_column(name)
-        results[name] = st.adf_test(series, lag_order=lags, kind=kind)
-    header, rows = st.adf_table(results)
-    out = s.out_dir()
-    lag_note = "auto" if lags is None else str(lags)
-    _emit(os.path.join(out, "adf.csv"), header, rows,
-          _meta(p.n_obs, TRANSFORM_LEVELS, "none", f"kind={kind} lags={lag_note}"))
+    (header, rows), note, _ = _adf_table(s, p)
+    _emit(os.path.join(s.out_dir(), "adf.csv"), header, rows,
+          _meta(p.n_obs, TRANSFORM_LEVELS, "none", note))
     return EXIT_OK
 
 
 def cmd_johansen(args) -> int:
     s = Settings(args)
     p = panel_mod.read_panel_csv(s.require("panel"))
-    lags = s.get("lags", default=2, cast=int)
-    complete = panel_mod.align([p], panel_mod.ALIGN_INTERSECT)
-    result = st.johansen_trace(complete, lag_order=lags)
-    header, rows = st.johansen_table(result)
-    out = s.out_dir()
-    _emit(os.path.join(out, "johansen.csv"), header, rows,
-          _meta(result.n_obs, TRANSFORM_LEVELS, panel_mod.ALIGN_INTERSECT, f"lags={lags}"))
+    result, (header, rows), note = _johansen_table(p, s.get("lags", default=2, cast=int))
+    _emit(os.path.join(s.out_dir(), "johansen.csv"), header, rows,
+          _meta(result.n_obs, TRANSFORM_LEVELS, panel_mod.ALIGN_INTERSECT, note))
     return EXIT_OK
 
 
@@ -306,6 +313,20 @@ class Run:
     def __init__(self, args, view=None):
         self.s = Settings(args)
         self.view = view
+        self.r = self.s.get("factors", default=3, cast=int)
+        self.ridge = self.s.get("ridge", default=0.0, cast=float)
+        self.strong = self.s.get("strong", default=0.30, cast=float)
+        self.weak = self.s.get("weak", default=0.10, cast=float)
+        # checked before anything is written, so a bad setting leaves no partial bundle
+        if self.r < 1:
+            raise UsageError(f"setting 'factors': must be >= 1, got {self.r}")
+        if not 0 <= self.ridge < np.inf:
+            raise UsageError(f"setting 'ridge': must be finite and >= 0, got {self.ridge}")
+        for key, value in (("strong", self.strong), ("weak", self.weak)):
+            if not np.isfinite(value):
+                raise UsageError(f"setting {key!r}: must be finite, got {value}")
+        if not self.strong > self.weak:
+            raise UsageError(f"setting 'strong': must exceed weak ({self.strong} vs {self.weak})")
         self.out = self.s.out_dir(default="report" if view is None else ".")
         self.transform = self.s.get("transform", default=TRANSFORM_DIFF,
                                     choices={TRANSFORM_LEVELS, TRANSFORM_DIFF})
@@ -335,19 +356,11 @@ class Run:
         if self.view is not None:
             print(f"wrote {path}")
 
-    def thresholds(self):
-        return (self.s.get("strong", default=0.30, cast=float),
-                self.s.get("weak", default=0.10, cast=float))
-
     @functools.cached_property
     def factors(self) -> fm.FactorScores:
         """Leading canonical variates, with the CCA fit as `source`; fitted on first use."""
-        r = self.s.get("factors", default=3, cast=int)
-        if r < 1:
-            raise UsageError(f"factors must be >= 1, got {r}")
-        ridge = self.s.get("ridge", default=0.0, cast=float)
-        sol = cca_mod.cca_fit(self.Y, self.Z, ridge=ridge)
-        return fm.FactorScores.from_solution(sol, r=min(r, sol.m))
+        sol = cca_mod.cca_fit(self.Y, self.Z, ridge=self.ridge)
+        return fm.FactorScores.from_solution(sol, r=min(self.r, sol.m))
 
 
 def _load_spread_levels(s: Settings) -> panel_mod.AlignedPanel:
@@ -379,32 +392,27 @@ def _summary_table(p: panel_mod.AlignedPanel):
 
 
 def _stacked(run: Run, groups, X):
-    """Each group's responses stacked end to end, and X tiled to match.
+    """Group labels, each group's responses stacked end to end as one column, and X tiled.
 
     Every group must have the same size, so one tiled design serves them all.
     """
     design = np.tile(X, (len(next(iter(groups.values()))), 1))
-    ys = {label: np.concatenate([run.combined.column(n) for n in members])
-          for label, members in groups.items()}
-    return ys, design
+    Y = np.column_stack([np.concatenate([run.combined.column(n) for n in members])
+                         for members in groups.values()])
+    return list(groups), Y, design
 
 
-def _fits(ys, design, x_names):
-    return [regress_mod.ols(y, design, response_name=label, predictor_names=x_names)
-            for label, y in ys.items()]
-
-
-def _ols_table(run: Run, section, ys, design):
-    """Regressions of the stacked responses `ys` on the tiled predictor design."""
-    fits = _fits(ys, design, run.z_names)
+def _ols_table(run: Run, section, labels, Y, design):
+    """Regressions of the stacked response columns Y on the tiled predictor design."""
+    fits = regress_mod.ols_columns(Y, design, labels, run.z_names)
     run.table(f"ols_full_{section}.csv", regress_mod.fit_table(fits), fits[0].n_obs,
               note=f"regressions on all predictors ({section})")
     return fits
 
 
-def _stepwise_tables(run: Run, section, ys, design):
+def _stepwise_tables(run: Run, section, labels, Y, design):
     fits, trace_rows = [], []
-    for label, y in ys.items():
+    for label, y in zip(labels, Y.T):
         fit, trace = regress_mod.stepwise_aic(y, design, response_name=label,
                                               predictor_names=run.z_names)
         fits.append(fit)
@@ -439,21 +447,20 @@ def _cca_tables(run: Run):
 def _factor_tables(run: Run, section, groups, diagnose=True):
     """Regressions on the retained factors, then the missing-factor diagnostic."""
     factors = run.factors
-    ys, design = _stacked(run, groups, factors.scores)
-    fits = _fits(ys, design, list(factors.names))
+    labels, Y, design = _stacked(run, groups, factors.scores)
+    fits = regress_mod.ols_columns(Y, design, labels, factors.names)
     n_obs = fits[0].n_obs
     run.table(f"factor_regressions_{section}.csv", regress_mod.fit_table(fits), n_obs,
               f"factors={factors.r}", f"regressions on retained factors ({section})")
     if not diagnose:
         return None
-    strong, weak = run.thresholds()
-    report = fm.missing_factor_diagnostic(fits, design, thresholds=(strong, weak))
+    report = fm.missing_factor_diagnostic(fits, design, Y, thresholds=(run.strong, run.weak))
     share = f"pc1_share={report.pc1_variance_share:.4f}"
     run.table(f"factor_regressions_pc1_{section}.csv",
               regress_mod.fit_table(report.augmented), n_obs, share,
               f"factor regressions with the residual component added ({section})")
     run.table(f"diagnostic_{section}.csv", fm.diagnostic_table_rows(report), n_obs,
-              f"factors={factors.r} strong={strong} weak={weak} {share} "
+              f"factors={factors.r} strong={run.strong} weak={run.weak} {share} "
               f"verdict={report.verdict}", f"missing-factor diagnostic ({section})")
     return report
 
@@ -507,11 +514,6 @@ def _column_groups(names):
 def cmd_analyze(args) -> int:
     run = Run(args)
     levels = run.spread_levels
-    adf_kind = run.s.get("kind", default=st.REGRESSION_CONSTANT_TREND,
-                         choices=set(st.REGRESSION_KINDS))
-    adf_lags = run.s.get("lags", cast=int)
-    lag_note = "auto" if adf_lags is None else str(adf_lags)
-    adf_note = f"kind={adf_kind} lags={lag_note}"
 
     # 1-2. spread levels and first differences: summary stats and unit-root tests
     for p, stem, stats_of, tests_on in (
@@ -520,21 +522,18 @@ def cmd_analyze(args) -> int:
              "the first differences", "the first differences")):
         run.table(f"spread_{stem}_summary.csv", _summary_table(p), p.n_obs,
                   note=f"descriptive statistics of {stats_of}")
-        results = {n: st.adf_test(p.complete_column(n), lag_order=adf_lags, kind=adf_kind)
-                   for n in p.names}
-        run.table(f"adf_{stem}.csv", st.adf_table(results), p.n_obs, adf_note,
-                  f"unit-root tests on {tests_on}")
+        table, adf_note, unit_root_note = _adf_table(run.s, p)
+        run.table(f"adf_{stem}.csv", table, p.n_obs, adf_note, f"unit-root tests on {tests_on}")
 
     # 3. cointegration within term groups (all series if names are generic) of tractable size
     groupings = _column_groups(list(levels.names))
     johansen_runs = {}
     for label, members in groupings.get("terms", {"all": list(levels.names)}).items():
         if 2 <= len(members) <= 6:
-            sub = panel_mod.align([levels.select(members)], panel_mod.ALIGN_INTERSECT)
-            result = st.johansen_trace(sub)
+            result, table, note = _johansen_table(levels.select(members))
             johansen_runs[label] = result
-            run.table(f"johansen_{label}.csv", st.johansen_table(result), result.n_obs,
-                      f"lags={result.lag_order}", f"cointegration trace tests ({label})")
+            run.table(f"johansen_{label}.csv", table, result.n_obs, note,
+                      f"cointegration trace tests ({label})")
 
     # 4. predictor panel description
     n_obs = run.combined.n_obs
@@ -556,10 +555,10 @@ def cmd_analyze(args) -> int:
     unstacked = [section for section in groupings if section not in sections]
     verdicts = {}
     for section, groups in (sections or {"responses": run.per_response}).items():
-        ys, design = _stacked(run, groups, run.Z)
-        fits = _ols_table(run, section, ys, design)
-        _stepwise_tables(run, section, ys, design)
-        aug, _, share = fm.augment_with_pc1(fits, design)
+        labels, Y, design = _stacked(run, groups, run.Z)
+        fits = _ols_table(run, section, labels, Y, design)
+        _stepwise_tables(run, section, labels, Y, design)
+        aug, _, share = fm.augment_with_pc1(fits, design, Y)
         run.table(f"ols_pc1_{section}.csv", regress_mod.fit_table(aug), aug[0].n_obs,
                   f"pc1_share={share:.4f}",
                   f"regressions with the residual component added ({section})")
@@ -576,14 +575,13 @@ def cmd_analyze(args) -> int:
             n_obs, run.transform, panel_mod.ALIGN_INTERSECT))
         run.files.append((fname, note))
 
-    _write_summary(run, johansen_runs, verdicts, unstacked, f"{adf_kind}, lags {lag_note}")
+    _write_summary(run, johansen_runs, verdicts, unstacked, unit_root_note)
     print(f"wrote {os.path.join(run.out, 'summary.md')}")
     print(f"report bundle in {run.out} ({len(run.files) + 1} files)")
     return EXIT_OK
 
 
 def _write_summary(run: Run, johansen_runs, verdicts, unstacked, unit_root_note):
-    strong, weak = run.thresholds()
     lines = ["# Analysis report", "", "## Settings", ""]
     lines.append(f"- observations used: {run.combined.n_obs} "
                  f"({run.combined.start} to {run.combined.end})")
@@ -591,7 +589,7 @@ def _write_summary(run: Run, johansen_runs, verdicts, unstacked, unit_root_note)
     lines.append(f"- alignment: {panel_mod.ALIGN_INTERSECT}")
     lines.append(f"- retained factors: {run.factors.r}")
     lines.append(f"- unit-root regression: {unit_root_note}")
-    lines.append(f"- diagnostic thresholds: strong {strong}, weak {weak}")
+    lines.append(f"- diagnostic thresholds: strong {run.strong}, weak {run.weak}")
     if unstacked:
         lines.append(f"- left unstacked because group sizes differ: {', '.join(unstacked)}")
     lines += ["", "## Key results", ""]

@@ -15,7 +15,7 @@ import numpy as np
 from .cca import CcaSolution
 from .errors import DataError, NumericalError
 from .panel import AlignedPanel
-from .regress import INTERCEPT, RegressionFit, ols, residual_matrix
+from .regress import ols_columns, residual_matrix
 
 VERDICT_MISSING = "missing_factor"
 VERDICT_NONE = "no_missing_factor"
@@ -66,14 +66,7 @@ def _responses_of(data):
 def factor_regressions(responses, factors: FactorScores) -> tuple:
     """OLS of every response column on the retained factor scores."""
     Y, names = _responses_of(responses)
-    F = factors.scores
-    if F.shape[0] != Y.shape[0]:
-        raise DataError(f"factor scores have {F.shape[0]} rows, responses {Y.shape[0]}")
-    return tuple(
-        ols(Y[:, j], F, intercept=True, response_name=names[j],
-            predictor_names=list(factors.names))
-        for j in range(Y.shape[1])
-    )
+    return ols_columns(Y, factors.scores, names, factors.names)
 
 
 def residual_pc1(residuals) -> tuple:
@@ -110,42 +103,32 @@ def residual_pc1(residuals) -> tuple:
     return scores / scale, share
 
 
-def _rebuild_response(fit: RegressionFit, X: np.ndarray) -> np.ndarray:
-    design = np.column_stack([np.ones(fit.n_obs), X]) if fit.has_intercept else X
-    if design.shape[1] != len(fit.coefficients):
-        raise DataError(
-            f"design for {fit.response_name!r} has {design.shape[1]} columns, "
-            f"fit has {len(fit.coefficients)} coefficients")
-    return design @ fit.coefficients + fit.residuals
-
-
-def augment_with_pc1(fits, design):
+def augment_with_pc1(fits, design, responses):
     """Refit every equation with the residual PC1 appended as a predictor.
 
     design is the one slope matrix every fit shares (without the intercept
-    column). Returns (augmented fits, pc1 scores, pc1 variance share).
+    column) and responses the fitted responses, one column per fit in order
+    (a matrix or a complete AlignedPanel). All equations are refitted in one
+    ols_columns call. Returns (augmented fits, pc1 scores, pc1 variance share).
     """
     fits = list(fits)
     if len(fits) < 2:
         raise DataError("need at least two fitted responses")
+    if any(f.predictor_names != fits[0].predictor_names for f in fits):
+        raise DataError("fits do not share one design")
     X = np.asarray(design, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     R = residual_matrix(fits)  # checks that every fit has the same rows
     if X.shape[0] != R.shape[0]:
         raise DataError(f"design rows {X.shape[0]} do not match fit rows {R.shape[0]}")
+    Y = _responses_of(responses)[0]
+    if Y.shape != R.shape:
+        raise DataError(f"responses have shape {Y.shape}, fits {R.shape}")
     pc1, share = residual_pc1(R)
-    X_pc1 = np.column_stack([X, pc1])
-    augmented = []
-    for fit in fits:
-        slim = [n for n in fit.predictor_names if n != INTERCEPT]
-        augmented.append(ols(
-            _rebuild_response(fit, X), X_pc1,
-            intercept=fit.has_intercept,
-            response_name=fit.response_name,
-            predictor_names=slim + [PC1_NAME],
-        ))
-    return tuple(augmented), pc1, share
+    augmented = ols_columns(Y, np.column_stack([X, pc1]), [f.response_name for f in fits],
+                            fits[0].slope_names + (PC1_NAME,))
+    return augmented, pc1, share
 
 
 @dataclass(frozen=True)
@@ -168,19 +151,22 @@ class DiagnosticReport:
             raise DataError(f"unknown verdict {self.verdict!r}")
 
 
-def missing_factor_diagnostic(fits_before, design, thresholds=(0.30, 0.10)) -> DiagnosticReport:
+def missing_factor_diagnostic(fits_before, design, responses,
+                              thresholds=(0.30, 0.10)) -> DiagnosticReport:
     """Decide whether the residual PC1 behaves like an omitted common factor.
 
     missing_factor: every adjusted-R^2 delta is at least the strong threshold.
     no_missing_factor: the mean delta is at most the weak threshold, or gains
     above strong are confined to at most ceil(n/3) responses. Anything else is
-    inconclusive.
+    inconclusive. design and responses are as in augment_with_pc1.
     """
     strong, weak = float(thresholds[0]), float(thresholds[1])
+    if not (math.isfinite(strong) and math.isfinite(weak)):
+        raise DataError(f"thresholds must be finite, got strong={strong} weak={weak}")
     if strong <= weak:
         raise DataError(f"strong threshold must exceed weak ({strong} vs {weak})")
     fits = list(fits_before)
-    augmented, _, share = augment_with_pc1(fits, design)
+    augmented, _, share = augment_with_pc1(fits, design, responses)
     before = np.array([f.adj_r_squared for f in fits])
     after = np.array([f.adj_r_squared for f in augmented])
     deltas = after - before

@@ -1,5 +1,9 @@
 """Ordinary least squares with classical inference and AIC-driven stepwise selection.
 
+Every fit has an intercept. ols_columns fits all response columns that share
+one design against a single SVD of it; ols is its one-column view, and the
+stepwise search calls ols once per candidate model.
+
 Conventions: t-statistics are classical (homoskedastic) ratios, adjusted R^2 is
 1 - (1 - R^2)(T - 1)/(T - p - 1) for p slope predictors next to an intercept,
 and AIC is the constant-free form T*ln(RSS/T) + 2k with k counting every
@@ -7,7 +11,6 @@ estimated mean parameter (intercept included). Only AIC differences between
 models on the same response are meaningful.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +51,6 @@ class RegressionFit:
             raise DataError("residual length does not match n_obs")
 
     @property
-    def has_intercept(self) -> bool:
-        return bool(self.predictor_names) and self.predictor_names[0] == INTERCEPT
-
-    @property
     def slope_names(self) -> tuple:
         return tuple(n for n in self.predictor_names if n != INTERCEPT)
 
@@ -62,20 +61,31 @@ class RegressionFit:
             raise DataError(f"no predictor named {name!r} in this fit") from None
 
 
-def _as_design(y, X):
-    y = np.asarray(y, dtype=float).ravel()
+def _as_design(Y, X):
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2:
+        raise DataError(f"response matrix must be 2-D, got shape {Y.shape}")
     if X is None:
-        X = np.empty((y.size, 0))
+        X = np.empty((Y.shape[0], 0))
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     if X.ndim != 2:
         raise DataError(f"predictor matrix must be 2-D, got shape {X.shape}")
-    if X.shape[0] != y.size:
-        raise DataError(f"response has {y.size} rows but predictors have {X.shape[0]}")
-    if np.isnan(y).any() or np.isnan(X).any():
+    if X.shape[0] != Y.shape[0]:
+        raise DataError(f"response has {Y.shape[0]} rows but predictors have {X.shape[0]}")
+    if np.isnan(Y).any() or np.isnan(X).any():
         raise DataError("regression inputs contain missing values; align or trim first")
-    return y, X
+    return Y, X
+
+
+def _predictor_names(predictor_names, p):
+    if predictor_names is None:
+        return [f"x{j + 1}" for j in range(p)]
+    names = [str(n) for n in predictor_names]
+    if len(names) != p:
+        raise DataError(f"{len(names)} predictor names for {p} columns")
+    return names
 
 
 def _suspects(vt, s, names):
@@ -85,84 +95,81 @@ def _suspects(vt, s, names):
     return ", ".join(flagged)
 
 
-def ols(y, X=None, intercept: bool = True, response_name: str = "y",
-        predictor_names=None) -> RegressionFit:
-    """Least squares of y on X (plus an intercept unless disabled).
+def ols_columns(Y, X, response_names, predictor_names=None) -> tuple:
+    """Least squares of every column of Y on an intercept and X, one fit per column.
 
-    Solved through the SVD of the design; a reciprocal condition number below
-    RCOND_MIN raises NumericalError naming the collinear columns.
+    The design is validated and decomposed once: a reciprocal condition number
+    below RCOND_MIN raises NumericalError naming the collinear columns. Each
+    column then goes through the same vector arithmetic, so a fit does not
+    depend on which other columns share its design.
     """
-    y, X = _as_design(y, X)
+    Y, X = _as_design(Y, X)
     T, p = X.shape
-    if predictor_names is None:
-        names = [f"x{j + 1}" for j in range(p)]
-    else:
-        names = [str(n) for n in predictor_names]
-        if len(names) != p:
-            raise DataError(f"{len(names)} predictor names for {p} columns")
-    if intercept:
-        design = np.column_stack([np.ones(T), X]) if p else np.ones((T, 1))
-        all_names = (INTERCEPT,) + tuple(names)
-    else:
-        design = X
-        all_names = tuple(names)
-    k = design.shape[1]
-    if k == 0:
-        raise DataError("no predictors and no intercept")
+    response_names = list(response_names)
+    if len(response_names) != Y.shape[1]:
+        raise DataError(f"{len(response_names)} response names for {Y.shape[1]} columns")
+    names = (INTERCEPT,) + tuple(_predictor_names(predictor_names, p))
+    design = np.column_stack([np.ones(T), X]) if p else np.ones((T, 1))
+    k = p + 1
     if T <= k:
         raise DataError(f"need more observations than parameters (T={T}, parameters={k})")
 
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     if s[-1] <= RCOND_MIN * s[0]:
         raise NumericalError(
-            f"rank deficient design for {response_name!r}; collinear columns: "
-            f"{_suspects(vt, s, all_names)}")
+            f"rank deficient design for {', '.join(map(repr, response_names))}; "
+            f"collinear columns: {_suspects(vt, s, names)}")
     condition = float(s[0] / s[-1])
-    if intercept and np.all(y == y[0]):
-        # the intercept alone fits a constant response exactly; solving would
-        # leak noise-scale slopes whose t-statistics are meaningless
-        coef = np.zeros(k)
-        coef[0] = y[0]
-        resid = np.zeros(T)
-        rss = 0.0
-    else:
-        coef = vt.T @ ((u.T @ y) / s)
-        resid = y - design @ coef
-        rss = float(resid @ resid)
+    xtx_inv_diag = np.einsum("ji,ji->i", vt / s[:, None], vt / s[:, None])
 
-    if intercept:
+    fits = []
+    for j, response_name in enumerate(response_names):
+        y = np.ascontiguousarray(Y[:, j])
+        if np.all(y == y[0]):
+            # the intercept alone fits a constant response exactly; solving would
+            # leak noise-scale slopes whose t-statistics are meaningless
+            coef = np.zeros(k)
+            coef[0] = y[0]
+            resid = np.zeros(T)
+            rss = 0.0
+        else:
+            coef = vt.T @ ((u.T @ y) / s)
+            resid = y - design @ coef
+            rss = float(resid @ resid)
+
         dev = y - y.mean()
         tss = float(dev @ dev)
-        dof_total = T - 1
-    else:
-        tss = float(y @ y)
-        dof_total = T
-    r2 = 0.0 if tss == 0.0 else 1.0 - rss / tss
-    adj = 1.0 - (1.0 - r2) * dof_total / (T - k)
+        r2 = 0.0 if tss == 0.0 else 1.0 - rss / tss
+        adj = 1.0 - (1.0 - r2) * (T - 1) / (T - k)
 
-    sigma2 = rss / (T - k)
-    xtx_inv_diag = np.einsum("ji,ji->i", vt / s[:, None], vt / s[:, None])
-    se = np.sqrt(sigma2 * xtx_inv_diag)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tstats = coef / se
-    tstats = np.where(np.isnan(tstats), 0.0, tstats)
+        sigma2 = rss / (T - k)
+        se = np.sqrt(sigma2 * xtx_inv_diag)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tstats = coef / se
+        tstats = np.where(np.isnan(tstats), 0.0, tstats)
 
-    with np.errstate(divide="ignore"):
-        aic = float(T * np.log(rss / T) + 2 * k)
+        with np.errstate(divide="ignore"):
+            aic = float(T * np.log(rss / T) + 2 * k)
 
-    return RegressionFit(
-        response_name=response_name,
-        predictor_names=all_names,
-        coefficients=coef,
-        std_errors=se,
-        t_statistics=tstats,
-        residuals=resid,
-        r_squared=float(r2),
-        adj_r_squared=float(adj),
-        aic=aic,
-        n_obs=T,
-        condition_number=condition,
-    )
+        fits.append(RegressionFit(
+            response_name=response_name,
+            predictor_names=names,
+            coefficients=coef,
+            std_errors=se,
+            t_statistics=tstats,
+            residuals=resid,
+            r_squared=float(r2),
+            adj_r_squared=float(adj),
+            aic=aic,
+            n_obs=T,
+            condition_number=condition,
+        ))
+    return tuple(fits)
+
+
+def ols(y, X=None, response_name: str = "y", predictor_names=None) -> RegressionFit:
+    """Least squares of one response y on an intercept and X: ols_columns for one column."""
+    return ols_columns(np.reshape(y, (-1, 1)), X, [response_name], predictor_names)[0]
 
 
 @dataclass(frozen=True)
@@ -196,8 +203,7 @@ class StepwiseTrace:
         return self.steps[-1].aic_after if self.steps else self.initial_aic
 
 
-def stepwise_aic(y, X_full=None, direction: str = "both", response_name: str = "y",
-                 predictor_names=None):
+def stepwise_aic(y, X_full=None, response_name: str = "y", predictor_names=None):
     """Greedy AIC search from the intercept-only model.
 
     Every pass scores all single-predictor additions and removals, takes the
@@ -205,19 +211,12 @@ def stepwise_aic(y, X_full=None, direction: str = "both", response_name: str = "
     predictor earliest in column order. Returns (final fit, trace); selected
     predictors keep their original column order.
     """
-    if direction != "both":
-        raise DataError(f"unsupported direction {direction!r} (only 'both')")
-    y, X = _as_design(y, X_full)
+    Y, X = _as_design(np.reshape(y, (-1, 1)), X_full)
     p = X.shape[1]
-    if predictor_names is None:
-        names = [f"x{j + 1}" for j in range(p)]
-    else:
-        names = [str(n) for n in predictor_names]
-        if len(names) != p:
-            raise DataError(f"{len(names)} predictor names for {p} columns")
+    names = _predictor_names(predictor_names, p)
 
     def fit_for(selected):
-        return ols(y, X[:, selected], intercept=True, response_name=response_name,
+        return ols(Y, X[:, selected], response_name=response_name,
                    predictor_names=[names[j] for j in selected])
 
     selected = []

@@ -15,7 +15,7 @@ import numpy as np
 from ._linalg import canonical_pairs
 from .errors import DataError, NumericalError
 from .panel import AlignedPanel
-from .regress import ols
+from .regress import ols, ols_columns, residual_matrix
 
 REGRESSION_CONSTANT = "constant"
 REGRESSION_CONSTANT_TREND = "constant_trend"
@@ -113,8 +113,7 @@ def adf_test(series, lag_order: int = None, kind: str = REGRESSION_CONSTANT_TREN
     if kind == REGRESSION_CONSTANT_TREND:
         cols.append(np.arange(1, rows + 1, dtype=float))
         names.append("trend")
-    fit = ols(response, np.column_stack(cols), intercept=True,
-              response_name="diff", predictor_names=names)
+    fit = ols(response, np.column_stack(cols), response_name="diff", predictor_names=names)
     stat = float(fit.t_statistics[1])
     pval = _df_pvalue(stat, n - 1, kind)
     return AdfResult(statistic=stat, p_value=pval, lag_order=p,
@@ -175,14 +174,15 @@ def johansen_trace(panel, lag_order: int = 2) -> JohansenResult:
 
     dX = np.diff(X, axis=0)
     rows = n - K
-    parts = [np.ones((rows, 1))]
-    for i in range(1, K):
-        parts.append(dX[K - 1 - i:n - 1 - i])
-    Z1 = np.column_stack(parts)
+    lagged_diffs = np.hstack([np.empty((rows, 0))]
+                             + [dX[K - 1 - i:n - 1 - i] for i in range(1, K)])
 
-    # residuals R0 (differences) and RK (levels lagged K) on Z1, in one solve
+    # residuals R0 (differences) and RK (levels lagged K) of the auxiliary
+    # regressions on a constant and the lagged differences, in one fit
     W = np.column_stack([dX[K - 1:], X[:n - K]])
-    R = W - Z1 @ np.linalg.lstsq(Z1, W, rcond=None)[0]
+    names = [f"{block}_{j + 1}" for block in ("R0", "RK") for j in range(k)]
+    lag_names = [f"d{j + 1}_lag{i}" for i in range(1, K) for j in range(k)]
+    R = residual_matrix(ols_columns(W, lagged_diffs, names, lag_names))
     S = R.T @ R / rows
     # Johansen's eigenvalues, those of SKK^-1 SK0 S00^-1 S0K, are the squared
     # canonical correlations of R0 and RK

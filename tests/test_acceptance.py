@@ -164,7 +164,7 @@ def _diagnose(spec):
     sol = cf.cca_fit(ds.responses, ds.proxies)
     scores = cf.FactorScores.from_solution(sol, r=spec.n_proxied)
     fits = cf.factor_regressions(ds.responses, scores)
-    return cf.missing_factor_diagnostic(fits, scores.scores)
+    return cf.missing_factor_diagnostic(fits, scores.scores, ds.responses)
 
 
 def test_c4_diagnostic_separates_the_two_scenarios():

@@ -150,6 +150,12 @@ class TestCcaFit:
         assert sol.ridge == 1e-6
         assert np.all(np.isfinite(sol.correlations))
 
+    @pytest.mark.parametrize("ridge", [-1.0, np.nan, np.inf])
+    def test_ridge_must_be_finite_and_nonnegative(self, ridge):
+        rng = np.random.default_rng(73)
+        with pytest.raises(cf.DataError, match="ridge must be finite and nonnegative"):
+            cf.cca_fit(rng.normal(size=(40, 3)), rng.normal(size=(40, 2)), ridge=ridge)
+
     def test_nan_rejected(self):
         Y = np.ones((30, 2)) + np.arange(30)[:, None]
         Y[4, 0] = np.nan

@@ -277,6 +277,27 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["numerical error: SVD did not converge"]
 
+    @pytest.mark.parametrize("command, flags, setting", [
+        ("analyze", ["--strong", "0.1", "--weak", "0.3"], "strong"),
+        ("analyze", ["--ridge", "-1"], "ridge"),
+        ("analyze", ["--ridge", "nan"], "ridge"),
+        ("analyze", ["--ridge", "inf"], "ridge"),
+        ("analyze", ["--factors", "0"], "factors"),
+        ("analyze", ["--strong", "nan"], "strong"),
+        ("analyze", ["--weak", "nan"], "weak"),
+        ("analyze", ["--strong", "inf"], "strong"),
+        ("diagnose", ["--strong", "nan"], "strong"),
+    ])
+    def test_bad_numeric_setting_exit_2_before_writing(self, workdir, capsys, command,
+                                                       flags, setting):
+        write_spread_panel(workdir / "spreads.csv")
+        write_macro_panel(workdir / "macro.csv")
+        assert run(command, "--spreads", "spreads.csv", "--macro", "macro.csv", *flags,
+                   "--out", "rep") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"setting {setting!r}" in err[0], err
+        assert not (workdir / "rep").exists()
+
     def test_unknown_subcommand_exits_with_usage(self, workdir):
         with pytest.raises(SystemExit) as exc:
             run("frobnicate")

@@ -133,37 +133,38 @@ class TestAugmentWithPc1:
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(T, 2))
         common = rng.normal(size=T)
-        fits = []
+        fits, ys = [], []
         for j in range(n):
             y = X @ rng.normal(size=2) + 0.8 * common + 0.4 * rng.normal(size=T)
             fits.append(cf.ols(y, X, response_name=f"y{j}"))
-        return fits, X
+            ys.append(y)
+        return fits, X, np.column_stack(ys)
 
     def test_appends_named_component(self):
-        fits, X = self.setup_fits(91)
-        aug, pc1, share = cf.augment_with_pc1(fits, X)
+        fits, X, Y = self.setup_fits(91)
+        aug, pc1, share = cf.augment_with_pc1(fits, X, Y)
         for before, after in zip(fits, aug):
             assert after.predictor_names == before.predictor_names + (cf.PC1_NAME,)
             assert after.n_obs == before.n_obs
 
     def test_r_squared_never_decreases(self):
-        fits, X = self.setup_fits(92)
-        aug, _, _ = cf.augment_with_pc1(fits, X)
+        fits, X, Y = self.setup_fits(92)
+        aug, _, _ = cf.augment_with_pc1(fits, X, Y)
         for before, after in zip(fits, aug):
             assert after.r_squared >= before.r_squared - 1e-12
 
     def test_original_coefficients_survive_shared_design(self):
         # residuals are orthogonal to a shared design, so adding their
         # principal component cannot move the existing coefficients
-        fits, X = self.setup_fits(93)
-        aug, _, _ = cf.augment_with_pc1(fits, X)
+        fits, X, Y = self.setup_fits(93)
+        aug, _, _ = cf.augment_with_pc1(fits, X, Y)
         for before, after in zip(fits, aug):
             np.testing.assert_allclose(after.coefficients[:-1],
                                        before.coefficients, atol=1e-8)
 
     def test_common_shock_is_recovered(self):
-        fits, X = self.setup_fits(94)
-        aug, pc1, share = cf.augment_with_pc1(fits, X)
+        fits, X, Y = self.setup_fits(94)
+        aug, pc1, share = cf.augment_with_pc1(fits, X, Y)
         assert share > 0.5
         for after in aug:
             assert abs(after.t_statistics[-1]) > 2.0
@@ -177,7 +178,7 @@ class TestDiagnostic:
             sol = cf.cca_fit(ds.responses, ds.proxies)
             fs = cf.FactorScores.from_solution(sol, r=2)
             fits = cf.factor_regressions(ds.responses, fs)
-            report = cf.missing_factor_diagnostic(fits, fs.scores)
+            report = cf.missing_factor_diagnostic(fits, fs.scores, ds.responses)
             assert report.verdict == cf.VERDICT_MISSING
 
     def test_fully_proxied_system_cleared(self):
@@ -187,7 +188,7 @@ class TestDiagnostic:
             sol = cf.cca_fit(ds.responses, ds.proxies)
             fs = cf.FactorScores.from_solution(sol, r=2)
             fits = cf.factor_regressions(ds.responses, fs)
-            report = cf.missing_factor_diagnostic(fits, fs.scores)
+            report = cf.missing_factor_diagnostic(fits, fs.scores, ds.responses)
             assert report.verdict == cf.VERDICT_NONE
 
     def test_report_is_internally_consistent(self):
@@ -196,7 +197,7 @@ class TestDiagnostic:
         sol = cf.cca_fit(ds.responses, ds.proxies)
         fs = cf.FactorScores.from_solution(sol, r=2)
         fits = cf.factor_regressions(ds.responses, fs)
-        report = cf.missing_factor_diagnostic(fits, fs.scores)
+        report = cf.missing_factor_diagnostic(fits, fs.scores, ds.responses)
         np.testing.assert_allclose(report.deltas,
                                    np.array(report.adj_r2_after)
                                    - np.array(report.adj_r2_before), atol=1e-12)
@@ -204,7 +205,7 @@ class TestDiagnostic:
         assert 0.0 <= report.pc1_variance_share <= 1.0
         assert report.strong_threshold > report.weak_threshold
         # the report carries the augmented fits its "after" column came from
-        aug, _, share = cf.augment_with_pc1(fits, fs.scores)
+        aug, _, share = cf.augment_with_pc1(fits, fs.scores, ds.responses)
         assert report.pc1_variance_share == share
         assert tuple(f.adj_r_squared for f in report.augmented) == report.adj_r2_after
         for mine, theirs in zip(report.augmented, aug):
@@ -217,7 +218,15 @@ class TestDiagnostic:
         fs = cf.FactorScores.from_solution(sol, r=2)
         fits = cf.factor_regressions(ds.responses, fs)
         with pytest.raises(cf.DataError):
-            cf.missing_factor_diagnostic(fits, fs.scores, thresholds=(0.1, 0.3))
+            cf.missing_factor_diagnostic(fits, fs.scores, ds.responses, thresholds=(0.1, 0.3))
+
+    @pytest.mark.parametrize("thresholds", [(np.nan, 0.1), (0.3, np.nan), (np.inf, 0.1)])
+    def test_non_finite_thresholds_rejected(self, thresholds):
+        ds = cf.generate(cf.scenario_no_missing_factor(1))
+        fs = cf.FactorScores.from_solution(cf.cca_fit(ds.responses, ds.proxies), r=2)
+        fits = cf.factor_regressions(ds.responses, fs)
+        with pytest.raises(cf.DataError, match="thresholds must be finite"):
+            cf.missing_factor_diagnostic(fits, fs.scores, ds.responses, thresholds=thresholds)
 
     def test_table_rows_layout(self):
         spec = cf.scenario_missing_factor(2)
@@ -225,7 +234,7 @@ class TestDiagnostic:
         sol = cf.cca_fit(ds.responses, ds.proxies)
         fs = cf.FactorScores.from_solution(sol, r=2)
         fits = cf.factor_regressions(ds.responses, fs)
-        report = cf.missing_factor_diagnostic(fits, fs.scores)
+        report = cf.missing_factor_diagnostic(fits, fs.scores, ds.responses)
         header, rows = cf.diagnostic_table_rows(report)
         assert header[0] == ""
         assert len(rows) == len(report.responses) + 1  # trailing mean row

@@ -1,5 +1,7 @@
 """Least squares, model search, and the fit-table emitter."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,58 @@ class TestOls:
         assert fit.coefficient(cf.INTERCEPT) == fit.coefficients[0]
         with pytest.raises(cf.DataError):
             fit.coefficient("w")
+
+
+def assert_fits_equal(mine, theirs):
+    for field in dataclasses.fields(cf.RegressionFit):
+        a, b = getattr(mine, field.name), getattr(theirs, field.name)
+        if isinstance(a, np.ndarray):
+            np.testing.assert_array_equal(a, b, field.name)
+        else:
+            assert a == b, field.name
+
+
+class TestOlsColumns:
+    """One decomposition per design, and per column the numbers ols gives."""
+
+    @pytest.mark.parametrize("seed, T, p, m", [(20, 40, 3, 5), (21, 120, 6, 2),
+                                               (22, 15, 1, 4), (23, 60, 0, 3)])
+    def test_every_field_equals_per_column_ols(self, seed, T, p, m):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(T, p))
+        Y = X @ rng.normal(size=(p, m)) + rng.normal(size=(T, m))
+        Y[:, m // 2] = 1.25  # a constant response column
+        names = [f"r{j}" for j in range(m)]
+        preds = [f"z{j}" for j in range(p)]
+        fits = cf.ols_columns(Y, X, names, preds)
+        assert len(fits) == m
+        for j, fit in enumerate(fits):
+            assert_fits_equal(fit, cf.ols(Y[:, j], X, response_name=names[j],
+                                          predictor_names=preds))
+        constant = fits[m // 2]
+        assert constant.coefficients[0] == 1.25 and not constant.residuals.any()
+
+    def test_intercept_only_design(self):
+        rng = np.random.default_rng(24)
+        Y = rng.normal(size=(30, 3))
+        fits = cf.ols_columns(Y, np.empty((30, 0)), ["a", "b", "c"])
+        for j, fit in enumerate(fits):
+            assert fit.predictor_names == (cf.INTERCEPT,)
+            assert_fits_equal(fit, cf.ols(Y[:, j], response_name="abc"[j]))
+            assert fit.coefficients[0] == pytest.approx(Y[:, j].mean(), abs=1e-12)
+
+    def test_collinear_design_names_columns(self):
+        rng = np.random.default_rng(25)
+        x = rng.normal(size=40)
+        X = np.column_stack([rng.normal(size=40), x, 3 * x])
+        with pytest.raises(cf.NumericalError) as exc:
+            cf.ols_columns(rng.normal(size=(40, 2)), X, ["a", "b"], ["u", "v", "v_tripled"])
+        msg = str(exc.value)
+        assert "v, v_tripled" in msg and "u" not in msg.split("collinear columns:")[1]
+
+    def test_name_count_must_match_columns(self):
+        with pytest.raises(cf.DataError, match="2 response names for 3 columns"):
+            cf.ols_columns(np.ones((10, 3)), None, ["a", "b"])
 
 
 class TestStepwise:
