@@ -11,6 +11,7 @@ from .panel import (
     KIND_SPREAD_LEVEL,
     TERMS,
     AlignedPanel,
+    LoanBook,
     LoanRecord,
     Month,
     SeriesKey,

@@ -327,6 +327,9 @@ class Run:
                 raise UsageError(f"setting {key!r}: must be finite, got {value}")
         if not self.strong > self.weak:
             raise UsageError(f"setting 'strong': must exceed weak ({self.strong} vs {self.weak})")
+        lags = self.s.get("lags", cast=int)
+        if lags is not None and lags < 0:
+            raise UsageError(f"setting 'lags': must be >= 0, got {lags}")
         self.out = self.s.out_dir(default="report" if view is None else ".")
         self.transform = self.s.get("transform", default=TRANSFORM_DIFF,
                                     choices={TRANSFORM_LEVELS, TRANSFORM_DIFF})

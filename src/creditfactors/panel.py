@@ -5,6 +5,9 @@ over matching-maturity risk-free yields, differenced, and aligned with other
 monthly series on a single contiguous grid. All rates, yields, and spreads are
 percent per annum. Missing entries are NaN. Panels are immutable; every
 transform returns a new panel.
+
+Loan files are read CHUNK_ROWS rows at a time into a columnar LoanBook, so no
+object is built per loan and the text held in memory is bounded by the chunk.
 """
 
 import csv
@@ -19,6 +22,8 @@ from .errors import DataError
 
 GRADES = ("A", "B", "C", "D", "E", "F")
 TERMS = (36, 60)
+_BUCKETS = tuple((grade, term) for term in TERMS for grade in GRADES)  # LoanBook code -> bucket
+CHUNK_ROWS = 4096  # CSV rows held as text at a time by the record readers
 
 KIND_RATE = "rate"
 KIND_SPREAD_LEVEL = "spread_level"
@@ -85,6 +90,34 @@ class LoanRecord:
             raise DataError(f"unknown grade {self.grade!r} (expected one of {GRADES})")
         if self.term not in TERMS:
             raise DataError(f"unsupported term {self.term} (expected one of {TERMS})")
+
+
+@dataclass(frozen=True, eq=False)
+class LoanBook:
+    """Loans as read-only columns: Month.index, _BUCKETS code and rate of each loan."""
+
+    months: np.ndarray
+    buckets: np.ndarray
+    rates: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("months", np.int64), ("buckets", np.int64), ("rates", float)):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype))
+            getattr(self, name).setflags(write=False)
+        if not np.all((self.buckets >= 0) & (self.buckets < len(_BUCKETS))):
+            raise DataError(f"loan book bucket codes must lie in [0, {len(_BUCKETS)})")
+
+    @classmethod
+    def from_records(cls, records: Iterable[LoanRecord]) -> "LoanBook":
+        rows = [(r.month.index, _BUCKETS.index((r.grade, r.term)), r.rate) for r in records]
+        return cls(*(zip(*rows) if rows else ((), (), ())))
+
+    def __len__(self) -> int:
+        return len(self.rates)
+
+    def __iter__(self):
+        for m, b, r in zip(self.months.tolist(), self.buckets.tolist(), self.rates.tolist()):
+            yield LoanRecord(Month.from_index(m), r, *_BUCKETS[b])
 
 
 @dataclass(frozen=True)
@@ -163,9 +196,6 @@ class AlignedPanel:
     def month_at(self, t: int) -> Month:
         return self.start.plus(t)
 
-    def months(self) -> list:
-        return [self.start.plus(t) for t in range(self.n_obs)]
-
     @property
     def end(self) -> Month:
         return self.start.plus(self.n_obs - 1)
@@ -198,50 +228,38 @@ class AlignedPanel:
 
 def _longest_true_run(mask: np.ndarray) -> tuple:
     """(start, stop) of the longest run of True; earliest wins ties; (0, 0) if none."""
-    best = (0, 0)
-    run_start = None
-    for i, flag in enumerate(list(mask) + [False]):
-        if flag and run_start is None:
-            run_start = i
-        elif not flag and run_start is not None:
-            if i - run_start > best[1] - best[0]:
-                best = (run_start, i)
-            run_start = None
-    return best
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], np.asarray(mask, dtype=np.int8), [0]))))
+    if not edges.size:
+        return (0, 0)
+    k = 2 * int(np.argmax(edges[1::2] - edges[0::2]))  # argmax takes the first of equal runs
+    return (int(edges[k]), int(edges[k + 1]))
 
 
 # ---------------------------------------------------------------------------
 # construction and transforms
 # ---------------------------------------------------------------------------
 
-def aggregate_loans(records: Iterable[LoanRecord]) -> AlignedPanel:
+def aggregate_loans(loans) -> AlignedPanel:
     """Average loan rates into one mean-rate series per term/grade bucket.
 
-    The grid spans the earliest to the latest origination month. Buckets with
-    no loans in a month are missing (NaN), never zero; buckets with no loans
-    anywhere produce no column. Means are simple unweighted averages of the
-    individual loan rates.
+    loans is a LoanBook or an iterable of LoanRecord. The grid spans the
+    earliest to the latest origination month. Buckets with no loans in a month
+    are missing (NaN), never zero; buckets with no loans anywhere produce no
+    column. Means are unweighted averages of the loan rates, summed in input order.
     """
-    records = list(records)
-    if not records:
+    book = loans if isinstance(loans, LoanBook) else LoanBook.from_records(loans)
+    if not len(book):
         raise DataError("no loan records")
-    lo = min(r.month for r in records)
-    hi = max(r.month for r in records)
-    n_months = hi - lo + 1
-    buckets = [(term, grade) for term in TERMS for grade in GRADES]
-    col_of = {bucket: j for j, bucket in enumerate(buckets)}
-    sums = np.zeros((n_months, len(buckets)))
-    counts = np.zeros((n_months, len(buckets)))
-    for r in records:
-        j = col_of[(r.term, r.grade)]
-        t = r.month - lo
-        sums[t, j] += r.rate
-        counts[t, j] += 1
-    means = np.divide(sums, counts, out=np.full_like(sums, np.nan), where=counts > 0)
-    observed = [j for j in range(len(buckets)) if counts[:, j].sum() > 0]
-    keys = tuple(SeriesKey(f"{term}-{grade}", KIND_RATE)
-                 for j in observed for term, grade in [buckets[j]])
-    return AlignedPanel(lo, keys, means[:, observed])
+    lo = int(book.months.min())
+    shape = (int(book.months.max()) - lo + 1, len(_BUCKETS))
+    cell = (book.months - lo) * len(_BUCKETS) + book.buckets
+    # bincount adds the weights in input order, so each sum is the running sum
+    sums = np.bincount(cell, weights=book.rates, minlength=math.prod(shape)).reshape(shape)
+    counts = np.bincount(cell, minlength=math.prod(shape)).reshape(shape)
+    means = np.divide(sums, counts, out=np.full(shape, np.nan), where=counts > 0)
+    observed = np.flatnonzero(counts.any(axis=0))
+    keys = tuple(SeriesKey("{1}-{0}".format(*_BUCKETS[j]), KIND_RATE) for j in observed)
+    return AlignedPanel(Month.from_index(lo), keys, means[:, observed])
 
 
 def term_of_series(name: str) -> int:
@@ -260,23 +278,18 @@ def to_spreads(panel: AlignedPanel, curve: Iterable[YieldCurvePoint]) -> Aligned
     """
     lookup = {}
     for pt in curve:
-        key = (pt.month, pt.maturity_months)
-        if key in lookup and lookup[key] != pt.yield_pct:
+        if lookup.setdefault((pt.month, pt.maturity_months), pt.yield_pct) != pt.yield_pct:
             raise DataError(f"conflicting yields for {pt.month} at {pt.maturity_months} months")
-        lookup[key] = pt.yield_pct
     out = np.array(panel.values)
-    keys = []
     for j, key in enumerate(panel.columns):
         term = term_of_series(key.name)
-        for t in range(panel.n_obs):
-            if np.isnan(out[t, j]):
-                continue
+        for t in np.flatnonzero(~np.isnan(out[:, j])).tolist():
             y = lookup.get((panel.month_at(t), term))
             if y is None:
                 raise DataError(f"no yield for {panel.month_at(t)} at maturity {term} months")
             out[t, j] -= y
-        keys.append(SeriesKey(key.name, KIND_SPREAD_LEVEL))
-    return AlignedPanel(panel.start, tuple(keys), out)
+    keys = tuple(SeriesKey(key.name, KIND_SPREAD_LEVEL) for key in panel.columns)
+    return AlignedPanel(panel.start, keys, out)
 
 
 def first_difference(panel: AlignedPanel) -> AlignedPanel:
@@ -313,10 +326,8 @@ def interpolate_quarterly(points, name: str = "interpolated", kind: str = KIND_M
     if any(not np.isfinite(v) for _, v in pts):
         raise DataError("anchor values must be finite")
     start = months[0]
-    n_months = months[-1] - start + 1
     xs = np.array([m - start for m in months], dtype=float)
-    ys = np.array([v for _, v in pts])
-    grid = np.interp(np.arange(n_months, dtype=float), xs, ys)
+    grid = np.interp(np.arange(months[-1] - start + 1, dtype=float), xs, [v for _, v in pts])
     return AlignedPanel(start, (SeriesKey(name, kind),), grid[:, None])
 
 
@@ -337,8 +348,7 @@ def align(panels: Sequence[AlignedPanel], policy: str = ALIGN_INTERSECT) -> Alig
     if policy not in (ALIGN_INTERSECT, ALIGN_UNION):
         raise DataError(f"unknown alignment policy {policy!r}")
     lo = min(p.start for p in panels)
-    hi = max(p.end for p in panels)
-    n_months = hi - lo + 1
+    n_months = max(p.end for p in panels) - lo + 1
     keys = tuple(c for p in panels for c in p.columns)
     merged = np.full((n_months, len(keys)), np.nan)
     j = 0
@@ -348,8 +358,7 @@ def align(panels: Sequence[AlignedPanel], policy: str = ALIGN_INTERSECT) -> Alig
         j += p.n_series
     if policy == ALIGN_UNION:
         return AlignedPanel(lo, keys, merged)
-    complete = ~np.isnan(merged).any(axis=1)
-    a, b = _longest_true_run(complete)
+    a, b = _longest_true_run(~np.isnan(merged).any(axis=1))
     if b <= a:
         raise DataError("intersect alignment found no month where every column is observed")
     return AlignedPanel(lo.plus(a), keys, merged[a:b])
@@ -367,50 +376,89 @@ def _decoded(fh, path):
         raise DataError(f"{path}: cannot decode text ({exc.reason})") from None
 
 
-def _read_records(path, columns, what, make) -> list:
-    """make(row) for every row of a CSV whose header names `columns`.
+def _csv_chunks(path, columns, what):
+    """(line numbers, [cells of each of `columns`]) for every CHUNK_ROWS rows of a CSV.
 
-    A row with more cells than the header, or one `make` cannot parse, is a
-    DataError naming the file and line.
+    Other columns are ignored and a repeated name means its last one. Blank lines are
+    skipped but counted, short rows padded with "". A longer row or an undecodable
+    byte fails after the rows before it are yielded.
     """
-    records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(_decoded(fh, path), restval="")
-        if reader.fieldnames is None or not set(columns).issubset(reader.fieldnames):
+        reader = csv.reader(_decoded(fh, path))
+        header = next(reader, None)
+        if header is None or not set(columns).issubset(header):
             raise DataError(f"{path}: expected header with columns {','.join(columns)}")
-        width = len(reader.fieldnames)
-        for row in reader:
-            if None in row:  # DictReader's key for the cells past the header
-                raise DataError(f"{path}:{reader.line_num}: expected {width} cells, "
-                                f"got {width + len(row[None])}")
-            try:
-                records.append(make(row))
-            except ValueError as exc:  # DataError included
-                raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-    if not records:
-        raise DataError(f"{path}: no {what} rows")
-    return records
+        width = len(header)
+        take = [max(j for j, name in enumerate(header) if name == col) for col in columns]
+        rows, lines, fault, empty = [], [], None, True
+        try:
+            for row in reader:
+                if len(row) != width:
+                    if not row:
+                        continue
+                    if len(row) > width:
+                        raise DataError(f"{path}:{reader.line_num}: expected {width} cells, "
+                                        f"got {len(row)}")
+                    row += [""] * (width - len(row))
+                rows.append(row)
+                lines.append(reader.line_num)
+                if len(rows) == CHUNK_ROWS:
+                    yield lines, [[row[j] for row in rows] for j in take]
+                    rows, lines, empty = [], [], False
+        except DataError as exc:
+            fault = exc
+        if rows:
+            yield lines, [[row[j] for row in rows] for j in take]
+        if fault is not None:
+            raise fault
+        if empty and not rows:
+            raise DataError(f"{path}: no {what} rows")
 
 
-def read_loans_csv(path) -> list:
+def _at(path, line, make):
+    """make(); a ValueError (DataError included) is re-raised naming the file and line."""
+    try:
+        return make()
+    except ValueError as exc:
+        raise DataError(f"{path}:{line}: {exc}") from None
+
+
+def _codes(cells, table: dict, code) -> np.ndarray:
+    """code(cell) for every cell, computed once per distinct cell; -1 where it fails."""
+    for cell in set(cells).difference(table):
+        try:
+            table[cell] = code(cell)
+        except ValueError:  # DataError included
+            table[cell] = -1
+    return np.fromiter(map(table.__getitem__, cells), np.int64, len(cells))
+
+
+def read_loans_csv(path) -> LoanBook:
     """Loan-level CSV with header date,rate,grade,term (one loan per row)."""
-    return _read_records(path, ("date", "rate", "grade", "term"), "loan",
-                         lambda row: LoanRecord(
-                             month=Month.parse(row["date"]),
-                             rate=float(row["rate"]),
-                             grade=row["grade"].strip(),
-                             term=int(row["term"]),
-                         ))
+    month_of, grade_of, term_of, parts = {}, {}, {}, []
+    for lines, (dates, rates, grades, terms) in _csv_chunks(
+            path, ("date", "rate", "grade", "term"), "loan"):
+        months = _codes(dates, month_of, lambda d: Month.parse(d).index)
+        grade = _codes(grades, grade_of, lambda g: GRADES.index(g.strip()))
+        term = _codes(terms, term_of, lambda t: TERMS.index(int(t)))
+        try:
+            rate = np.fromiter(map(float, rates), float, len(rates))
+        except ValueError:  # a cell is not a number: flag every row, the loop finds it
+            rate = np.full(len(rates), np.nan)
+        bad = (months < 0) | (grade < 0) | (term < 0) | ~(np.isfinite(rate) & (rate > 0))
+        for i in np.flatnonzero(bad):  # raises at the first row that really fails
+            d, r, g, t = dates[i], rates[i], grades[i], terms[i]
+            _at(path, lines[i], lambda: LoanRecord(Month.parse(d), float(r), g.strip(), int(t)))
+        parts.append((months, term * len(GRADES) + grade, rate))  # term-major, as _BUCKETS
+    return LoanBook(*(np.concatenate(col) for col in zip(*parts)))
 
 
 def read_yields_csv(path) -> list:
     """Yield-curve CSV with header date,maturity_months,yield."""
-    return _read_records(path, ("date", "maturity_months", "yield"), "yield",
-                         lambda row: YieldCurvePoint(
-                             month=Month.parse(row["date"]),
-                             maturity_months=int(row["maturity_months"]),
-                             yield_pct=float(row["yield"]),
-                         ))
+    return [_at(path, line, lambda: YieldCurvePoint(
+                month=Month.parse(d), maturity_months=int(m), yield_pct=float(y)))
+            for lines, cols in _csv_chunks(path, ("date", "maturity_months", "yield"), "yield")
+            for line, d, m, y in zip(lines, *cols)]
 
 
 def read_panel_csv(path, kind: str = KIND_MACRO) -> AlignedPanel:
@@ -424,17 +472,14 @@ def read_panel_csv(path, kind: str = KIND_MACRO) -> AlignedPanel:
         numbered = [(i, ln) for i, ln in enumerate(_decoded(fh, path), start=1)
                     if not ln.startswith("#")]
     reader = csv.reader(ln for _, ln in numbered)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path}: empty file") from None
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file")
     if not header or header[0] != "date":
         raise DataError(f"{path}: first column must be 'date'")
-    names = header[1:]
-    if not names:
+    if len(header) < 2:
         raise DataError(f"{path}: no series columns")
-    months = []
-    rows = []
+    months, rows = [], []
     for row in reader:
         i = numbered[reader.line_num - 1][0]
         if not row:
@@ -461,8 +506,7 @@ def read_panel_csv(path, kind: str = KIND_MACRO) -> AlignedPanel:
     for a, b in zip(months, months[1:]):
         if b - a != 1:
             raise DataError(f"{path}: months must be consecutive ({a} is followed by {b})")
-    keys = tuple(SeriesKey(name, kind) for name in names)
-    return AlignedPanel(months[0], keys, np.array(rows))
+    return AlignedPanel(months[0], tuple(SeriesKey(n, kind) for n in header[1:]), np.array(rows))
 
 
 def write_panel_csv(panel: AlignedPanel, path, comment: str = None) -> None:
@@ -473,12 +517,8 @@ def write_panel_csv(panel: AlignedPanel, path, comment: str = None) -> None:
     """
     with open(path, "w", newline="") as fh:
         if comment:
-            for line in comment.splitlines():
-                fh.write(f"# {line}\n")
+            fh.writelines(f"# {line}\n" for line in comment.splitlines())
         writer = csv.writer(fh)
         writer.writerow(["date"] + list(panel.names))
-        for t in range(panel.n_obs):
-            row = [str(panel.month_at(t))]
-            for v in panel.values[t]:
-                row.append("" if np.isnan(v) else repr(float(v)))
-            writer.writerow(row)
+        writer.writerows([str(panel.month_at(t))] + ["" if math.isnan(v) else repr(v) for v in row]
+                         for t, row in enumerate(panel.values.tolist()))

@@ -96,8 +96,12 @@ def adf_test(series, lag_order: int = None, kind: str = REGRESSION_CONSTANT_TREN
     lag_order = int(lag_order)
     if lag_order < 0:
         raise DataError(f"lag_order must be nonnegative, got {lag_order}")
-    if n < lag_order + 10:
-        raise DataError(f"series too short for the test (n={n}, need >= {lag_order + 10})")
+    # at least 10 points, and more regression rows (n - 1 - lag) than parameters
+    # (constant, lagged level, the lagged differences and any trend)
+    need = max(lag_order + 10, 2 * lag_order + 4 + (kind == REGRESSION_CONSTANT_TREND))
+    if n < need:
+        raise DataError(f"series too short for the test at lag order {lag_order} "
+                        f"(n={n}, need >= {need})")
     if np.ptp(y) == 0:
         raise NumericalError("degenerate series (constant)")
 

@@ -287,6 +287,7 @@ class TestExitCodes:
         ("analyze", ["--weak", "nan"], "weak"),
         ("analyze", ["--strong", "inf"], "strong"),
         ("diagnose", ["--strong", "nan"], "strong"),
+        ("analyze", ["--lags", "-1"], "lags"),
     ])
     def test_bad_numeric_setting_exit_2_before_writing(self, workdir, capsys, command,
                                                        flags, setting):

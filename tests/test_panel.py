@@ -382,7 +382,7 @@ class TestCsv:
             for r in records:
                 fh.write(f"{r.month},{r.rate!r},{r.grade},{r.term}\n")
         back = cf.read_loans_csv(path)
-        assert back == records
+        assert list(back) == records
 
     def test_yields_reader(self, tmp_path):
         path = tmp_path / "y.csv"
@@ -462,6 +462,118 @@ class TestCsv:
         path.write_text(f"date,rate,grade,term\n2010-01,9.5,A,36\n2010-01,{rate},A,36\n")
         with pytest.raises(cf.DataError, match="loans.csv:3: loan rate must be finite"):
             cf.read_loans_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# columnar loan ingest
+# ---------------------------------------------------------------------------
+
+def write_loan_rows(path, rows, header="date,rate,grade,term"):
+    path.write_text(header + "\n" + "".join(row + "\n" for row in rows))
+    return path
+
+
+def loan_rows(rng, n, sort):
+    """Text rows of a seeded book: day-stamped dates, 2- to 6-decimal rates."""
+    offset = rng.integers(0, 60, n)
+    if sort:
+        offset = np.sort(offset)
+    rows = []
+    for t, day, rate, digits, g, term in zip(
+            offset.tolist(), rng.integers(1, 29, n).tolist(), rng.uniform(2, 30, n).tolist(),
+            rng.integers(2, 7, n).tolist(), rng.integers(0, 6, n).tolist(),
+            rng.integers(0, 2, n).tolist()):
+        rows.append(f"{month('2008-01').plus(t)}-{day:02d},{rate:.{digits}f},"
+                    f"{cf.GRADES[g]},{cf.TERMS[term]}")
+    return rows
+
+
+def running_sum_means(records):
+    """The per-record oracle: cell sums accumulated loan by loan, in file order."""
+    lo = min(r.month for r in records)
+    buckets = [(term, grade) for term in cf.TERMS for grade in cf.GRADES]
+    sums = np.zeros((max(r.month for r in records) - lo + 1, len(buckets)))
+    counts = np.zeros_like(sums)
+    for r in records:
+        sums[r.month - lo, buckets.index((r.term, r.grade))] += r.rate
+        counts[r.month - lo, buckets.index((r.term, r.grade))] += 1
+    observed = counts.any(axis=0)
+    means = np.divide(sums, counts, out=np.full_like(sums, np.nan), where=counts > 0)
+    names = tuple(f"{t}-{g}" for (t, g), seen in zip(buckets, observed) if seen)
+    return lo, names, means[:, observed]
+
+
+class TestLoanIngest:
+    @pytest.mark.parametrize("sort", [True, False], ids=["date-sorted", "shuffled"])
+    def test_chunked_read_is_bit_identical_to_per_record_sums(self, tmp_path, sort):
+        rows = loan_rows(np.random.default_rng(61), 2 * cf.panel.CHUNK_ROWS + 1234, sort)
+        book = cf.read_loans_csv(write_loan_rows(tmp_path / "loans.csv", rows))
+        records = [cf.LoanRecord(month(d), float(r), g.strip(), int(t))
+                   for d, r, g, t in (row.split(",") for row in rows)]
+        assert len(book) == len(rows) and list(book) == records
+        panel = cf.aggregate_loans(book)
+        lo, names, means = running_sum_means(records)
+        assert (panel.start, panel.names) == (lo, names)
+        assert panel.values.tobytes() == means.tobytes()
+        assert cf.aggregate_loans(records).values.tobytes() == means.tobytes()
+
+    def test_bad_row_before_a_ragged_row_in_the_same_chunk_wins(self, tmp_path):
+        path = write_loan_rows(tmp_path / "loans.csv", [
+            "2010-01,7.5,A,36", "2010-01,-1,A,36", "2010-02,8.5,B,60", "2010-03,9.5,C,36,x"])
+        with pytest.raises(cf.DataError, match="loans.csv:3: loan rate must be positive"):
+            cf.read_loans_csv(path)
+
+    def test_last_row_of_a_chunk_beats_a_ragged_row_in_the_next(self, tmp_path):
+        rows = ["2010-01,7.5,A,36"] * cf.panel.CHUNK_ROWS + ["2010-02,8.5,B,60,x"]
+        rows[-2] = "2010-01,7.5,G,36"  # physical line CHUNK_ROWS + 1, the chunk's last row
+        path = write_loan_rows(tmp_path / "loans.csv", rows)
+        with pytest.raises(cf.DataError, match=f"loans.csv:{cf.panel.CHUNK_ROWS + 1}: "
+                                               "unknown grade 'G'"):
+            cf.read_loans_csv(path)
+        rows[-2] = "2010-01,7.5,A,36"
+        write_loan_rows(path, rows)
+        with pytest.raises(cf.DataError, match=f"loans.csv:{cf.panel.CHUNK_ROWS + 2}: "
+                                               "expected 4 cells, got 5$"):
+            cf.read_loans_csv(path)
+
+    def test_row_with_several_faults_reports_the_constructors_first_check(self, tmp_path):
+        path = write_loan_rows(tmp_path / "loans.csv", ["2010-01,9,A,36", "2010-01,nan,Z,48"])
+        with pytest.raises(cf.DataError, match="loans.csv:3: loan rate must be finite, got nan$"):
+            cf.read_loans_csv(path)
+
+    def test_repeated_header_name_reads_its_last_column(self, tmp_path):
+        path = write_loan_rows(tmp_path / "loans.csv", ["2010-01,oops,A,36,7.5"],
+                               header="date,rate,grade,term,rate")
+        assert list(cf.read_loans_csv(path)) == [cf.LoanRecord(month("2010-01"), 7.5, "A", 36)]
+
+    def test_short_row_is_padded_with_empty_cells(self, tmp_path):
+        path = write_loan_rows(tmp_path / "loans.csv", ["2010-01,7.5,A,36", "2010-01,7.5,A"])
+        with pytest.raises(cf.DataError,
+                           match=r"loans.csv:3: invalid literal for int\(\) with base 10: ''$"):
+            cf.read_loans_csv(path)
+        path = write_loan_rows(tmp_path / "extra.csv", ["2010-01,7.5,A,36"],
+                               header="date,rate,grade,term,note")
+        assert len(cf.read_loans_csv(path)) == 1
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = write_loan_rows(tmp_path / "loans.csv",
+                               ["", "2010-01,7.5,A,36", "", "", "2010-02,8.0,B,60", ""])
+        assert list(cf.read_loans_csv(path)) == [
+            cf.LoanRecord(month("2010-01"), 7.5, "A", 36),
+            cf.LoanRecord(month("2010-02"), 8.0, "B", 60)]
+        with pytest.raises(cf.DataError, match="blank.csv: no loan rows$"):
+            cf.read_loans_csv(write_loan_rows(tmp_path / "blank.csv", ["", ""]))
+
+    def test_loan_book_round_trips_records(self):
+        records = random_loans(np.random.default_rng(71), 50)
+        book = cf.LoanBook.from_records(records)
+        assert len(book) == 50 and list(book) == records
+        assert not book.rates.flags.writeable
+        assert len(cf.LoanBook.from_records([])) == 0
+
+    def test_loan_book_rejects_unknown_bucket_codes(self):
+        with pytest.raises(cf.DataError, match="bucket codes"):
+            cf.LoanBook([24120], [12], [7.5])
 
 
 class TestTermOfSeries:

@@ -117,6 +117,16 @@ class TestAdf:
         with pytest.raises(cf.DataError, match="too short"):
             cf.adf_test(np.arange(8.0), lag_order=1)
 
+    @pytest.mark.parametrize("kind, longest", [(cf.REGRESSION_CONSTANT_TREND, 29),
+                                               (cf.REGRESSION_CONSTANT, 29)])
+    def test_lag_order_needs_more_rows_than_parameters(self, kind, longest):
+        # n=63: lag p leaves 62 - p rows for 2 + p parameters (3 + p with a trend)
+        x = random_walk(np.random.default_rng(4), 63)
+        assert cf.adf_test(x, lag_order=longest, kind=kind).n_obs == 62 - longest
+        for lag in (longest + 1, 40):
+            with pytest.raises(cf.DataError, match=f"too short for the test at lag order {lag} "):
+                cf.adf_test(x, lag_order=lag, kind=kind)
+
     def test_negative_lag_rejected(self):
         with pytest.raises(cf.DataError):
             cf.adf_test(np.arange(50.0), lag_order=-1)
