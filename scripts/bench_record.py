@@ -5,12 +5,13 @@
 
 Run from the repository root. Every run is one `perfbench/run.py --trace 0`
 process on one workload, `long` or `loanbook`, for the `run_seconds` of
-BENCHMARK.json unless --seconds says otherwise. With --compare, each run of
-this checkout is paired with a run of the parent checkout on the same seed,
-and the two alternate run by run (parent first in even pairs, change first in
-odd ones), so both see the same drift of the host. After the timed runs, one
-`--trace 1` run per workload and side records the per-layer metrics, and
-`scripts/bundle_digests.py` prints the four reference digests of each side.
+BENCHMARK.json, so both sides run as long as the benchmark runs them. Each run
+of this checkout is paired with a run of the parent checkout given by
+--compare on the same seed, and the two alternate run by run (parent first in
+even pairs, change first in odd ones), so both see the same drift of the host.
+After the timed runs, one `--trace 1` run per workload and side records the
+per-layer metrics, and `scripts/bundle_digests.py` prints the four reference
+digests of each side.
 
 The JSON holds, per workload, side and end-to-end metric, the median and
 quartiles of the run medians and the runs themselves; the pairs the change won;
@@ -64,17 +65,12 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="number in BENCH_<pr>.json")
     parser.add_argument("--pairs", type=int, default=10, help="timed runs per workload and side")
-    parser.add_argument("--seconds", type=float, help="perfbench --seconds (default: "
-                        "BENCHMARK.json run_seconds)")
-    parser.add_argument("--compare", metavar="PARENT_CHECKOUT",
+    parser.add_argument("--compare", metavar="PARENT_CHECKOUT", required=True,
                         help="checkout of the parent commit to alternate with")
     args = parser.parse_args(argv)
-    if args.seconds is None:
-        with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-            args.seconds = float(json.load(fh)["run_seconds"])
-    sides = {"change": ROOT}
-    if args.compare:
-        sides["parent"] = os.path.abspath(args.compare)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        seconds = float(json.load(fh)["run_seconds"])
+    sides = {"change": ROOT, "parent": os.path.abspath(args.compare)}
 
     runs = {w: {side: [] for side in sides} for w in WORKLOADS}
     seeds = [FIRST_SEED + i for i in range(args.pairs)]
@@ -83,7 +79,7 @@ def main(argv=None):
         for workload in WORKLOADS:
             for side in order:
                 runs[workload][side].append(
-                    perfbench_run(sides[side], workload, seed, args.seconds, trace=0))
+                    perfbench_run(sides[side], workload, seed, seconds, trace=0))
                 m = runs[workload][side][-1][0]
                 print(f"pair {i + 1}/{args.pairs} {workload:<8} {side:<6} "
                       f"analyze_s {m['analyze_s']:.3f} analyze_warm_s {m['analyze_warm_s']:.3f} "
@@ -96,21 +92,20 @@ def main(argv=None):
             metric = {"unit": perfbench.END_TO_END_UNITS[name]}
             for side, results in by_side.items():
                 metric[side] = summary([m[name] for m, _, _ in results])
-            if "parent" in by_side:
-                metric["change_wins"] = sum(
-                    c[0][name] < p[0][name] for c, p in zip(by_side["change"], by_side["parent"]))
+            metric["change_wins"] = sum(
+                c[0][name] < p[0][name] for c, p in zip(by_side["change"], by_side["parent"]))
             entry["end_to_end"][name] = metric
         for side, results in by_side.items():
             entry["failed"][side] = sum(f for _, f, _ in results)
             entry["correct"][side] = all(ok for _, _, ok in results)
             entry["per_layer"][side] = perfbench_run(
-                sides[side], workload, seeds[0], args.seconds, trace=1)[0]
+                sides[side], workload, seeds[0], seconds, trace=1)[0]
         workloads[workload] = entry
 
     record = {
         "pr": args.pr,
         "pairs": args.pairs,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "seeds": seeds,
         "order": "change and parent alternate run by run; parent first in even pairs",
         "environment": perfbench.environment(),

@@ -104,8 +104,13 @@ class LoanBook:
         for name, dtype in (("months", np.int64), ("buckets", np.int64), ("rates", float)):
             object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype))
             getattr(self, name).setflags(write=False)
+        shape = self.rates.shape
+        if len(shape) != 1 or not self.months.shape == self.buckets.shape == shape:
+            raise DataError("loan book months, buckets and rates must be 1-D and of one length")
         if not np.all((self.buckets >= 0) & (self.buckets < len(_BUCKETS))):
             raise DataError(f"loan book bucket codes must lie in [0, {len(_BUCKETS)})")
+        if not np.all(np.isfinite(self.rates) & (self.rates > 0)):
+            raise DataError("loan book rates must be finite and positive")
 
     @classmethod
     def from_records(cls, records: Iterable[LoanRecord]) -> "LoanBook":
@@ -196,6 +201,9 @@ class AlignedPanel:
     def month_at(self, t: int) -> Month:
         return self.start.plus(t)
 
+    def months(self) -> list:
+        return [self.start.plus(t) for t in range(self.n_obs)]
+
     @property
     def end(self) -> Month:
         return self.start.plus(self.n_obs - 1)
@@ -228,11 +236,16 @@ class AlignedPanel:
 
 def _longest_true_run(mask: np.ndarray) -> tuple:
     """(start, stop) of the longest run of True; earliest wins ties; (0, 0) if none."""
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], np.asarray(mask, dtype=np.int8), [0]))))
-    if not edges.size:
-        return (0, 0)
-    k = 2 * int(np.argmax(edges[1::2] - edges[0::2]))  # argmax takes the first of equal runs
-    return (int(edges[k]), int(edges[k + 1]))
+    best = (0, 0)
+    run_start = None
+    for i, flag in enumerate(list(mask) + [False]):
+        if flag and run_start is None:
+            run_start = i
+        elif not flag and run_start is not None:
+            if i - run_start > best[1] - best[0]:
+                best = (run_start, i)
+            run_start = None
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +291,23 @@ def to_spreads(panel: AlignedPanel, curve: Iterable[YieldCurvePoint]) -> Aligned
     """
     lookup = {}
     for pt in curve:
-        if lookup.setdefault((pt.month, pt.maturity_months), pt.yield_pct) != pt.yield_pct:
+        key = (pt.month, pt.maturity_months)
+        if key in lookup and lookup[key] != pt.yield_pct:
             raise DataError(f"conflicting yields for {pt.month} at {pt.maturity_months} months")
+        lookup[key] = pt.yield_pct
     out = np.array(panel.values)
+    keys = []
     for j, key in enumerate(panel.columns):
         term = term_of_series(key.name)
-        for t in np.flatnonzero(~np.isnan(out[:, j])).tolist():
+        for t in range(panel.n_obs):
+            if np.isnan(out[t, j]):
+                continue
             y = lookup.get((panel.month_at(t), term))
             if y is None:
                 raise DataError(f"no yield for {panel.month_at(t)} at maturity {term} months")
             out[t, j] -= y
-    keys = tuple(SeriesKey(key.name, KIND_SPREAD_LEVEL) for key in panel.columns)
-    return AlignedPanel(panel.start, keys, out)
+        keys.append(SeriesKey(key.name, KIND_SPREAD_LEVEL))
+    return AlignedPanel(panel.start, tuple(keys), out)
 
 
 def first_difference(panel: AlignedPanel) -> AlignedPanel:
@@ -326,8 +344,10 @@ def interpolate_quarterly(points, name: str = "interpolated", kind: str = KIND_M
     if any(not np.isfinite(v) for _, v in pts):
         raise DataError("anchor values must be finite")
     start = months[0]
+    n_months = months[-1] - start + 1
     xs = np.array([m - start for m in months], dtype=float)
-    grid = np.interp(np.arange(months[-1] - start + 1, dtype=float), xs, [v for _, v in pts])
+    ys = np.array([v for _, v in pts])
+    grid = np.interp(np.arange(n_months, dtype=float), xs, ys)
     return AlignedPanel(start, (SeriesKey(name, kind),), grid[:, None])
 
 
@@ -348,7 +368,8 @@ def align(panels: Sequence[AlignedPanel], policy: str = ALIGN_INTERSECT) -> Alig
     if policy not in (ALIGN_INTERSECT, ALIGN_UNION):
         raise DataError(f"unknown alignment policy {policy!r}")
     lo = min(p.start for p in panels)
-    n_months = max(p.end for p in panels) - lo + 1
+    hi = max(p.end for p in panels)
+    n_months = hi - lo + 1
     keys = tuple(c for p in panels for c in p.columns)
     merged = np.full((n_months, len(keys)), np.nan)
     j = 0
@@ -358,7 +379,8 @@ def align(panels: Sequence[AlignedPanel], policy: str = ALIGN_INTERSECT) -> Alig
         j += p.n_series
     if policy == ALIGN_UNION:
         return AlignedPanel(lo, keys, merged)
-    a, b = _longest_true_run(~np.isnan(merged).any(axis=1))
+    complete = ~np.isnan(merged).any(axis=1)
+    a, b = _longest_true_run(complete)
     if b <= a:
         raise DataError("intersect alignment found no month where every column is observed")
     return AlignedPanel(lo.plus(a), keys, merged[a:b])
@@ -472,14 +494,17 @@ def read_panel_csv(path, kind: str = KIND_MACRO) -> AlignedPanel:
         numbered = [(i, ln) for i, ln in enumerate(_decoded(fh, path), start=1)
                     if not ln.startswith("#")]
     reader = csv.reader(ln for _, ln in numbered)
-    header = next(reader, None)
-    if header is None:
-        raise DataError(f"{path}: empty file")
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
     if not header or header[0] != "date":
         raise DataError(f"{path}: first column must be 'date'")
-    if len(header) < 2:
+    names = header[1:]
+    if not names:
         raise DataError(f"{path}: no series columns")
-    months, rows = [], []
+    months = []
+    rows = []
     for row in reader:
         i = numbered[reader.line_num - 1][0]
         if not row:
@@ -506,7 +531,8 @@ def read_panel_csv(path, kind: str = KIND_MACRO) -> AlignedPanel:
     for a, b in zip(months, months[1:]):
         if b - a != 1:
             raise DataError(f"{path}: months must be consecutive ({a} is followed by {b})")
-    return AlignedPanel(months[0], tuple(SeriesKey(n, kind) for n in header[1:]), np.array(rows))
+    keys = tuple(SeriesKey(name, kind) for name in names)
+    return AlignedPanel(months[0], keys, np.array(rows))
 
 
 def write_panel_csv(panel: AlignedPanel, path, comment: str = None) -> None:
@@ -517,7 +543,8 @@ def write_panel_csv(panel: AlignedPanel, path, comment: str = None) -> None:
     """
     with open(path, "w", newline="") as fh:
         if comment:
-            fh.writelines(f"# {line}\n" for line in comment.splitlines())
+            for line in comment.splitlines():
+                fh.write(f"# {line}\n")
         writer = csv.writer(fh)
         writer.writerow(["date"] + list(panel.names))
         writer.writerows([str(panel.month_at(t))] + ["" if math.isnan(v) else repr(v) for v in row]

@@ -575,6 +575,20 @@ class TestLoanIngest:
         with pytest.raises(cf.DataError, match="bucket codes"):
             cf.LoanBook([24120], [12], [7.5])
 
+    @pytest.mark.parametrize("months, buckets, rates", [
+        ([24120, 24121], [0], [7.5, 8.0]),
+        ([24120], [0], [7.5, 8.0]),
+        ([[24120]], [[0]], [[7.5]]),
+        (24120, 0, 7.5)])
+    def test_loan_book_rejects_columns_of_unequal_shape(self, months, buckets, rates):
+        with pytest.raises(cf.DataError, match="1-D and of one length"):
+            cf.LoanBook(months, buckets, rates)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+    def test_loan_book_rejects_rates_a_loan_record_rejects(self, rate):
+        with pytest.raises(cf.DataError, match="finite and positive"):
+            cf.LoanBook([24120, 24121], [0, 1], [7.5, rate])
+
 
 class TestTermOfSeries:
     def test_parses_term(self):

@@ -118,11 +118,11 @@ class TestAdf:
             cf.adf_test(np.arange(8.0), lag_order=1)
 
     @pytest.mark.parametrize("kind, longest", [(cf.REGRESSION_CONSTANT_TREND, 29),
-                                               (cf.REGRESSION_CONSTANT, 29)])
+                                               (cf.REGRESSION_CONSTANT, 30)])
     def test_lag_order_needs_more_rows_than_parameters(self, kind, longest):
-        # n=63: lag p leaves 62 - p rows for 2 + p parameters (3 + p with a trend)
-        x = random_walk(np.random.default_rng(4), 63)
-        assert cf.adf_test(x, lag_order=longest, kind=kind).n_obs == 62 - longest
+        # n=64: lag p leaves 63 - p rows for 2 + p parameters (3 + p with a trend)
+        x = random_walk(np.random.default_rng(4), 64)
+        assert cf.adf_test(x, lag_order=longest, kind=kind).n_obs == 63 - longest
         for lag in (longest + 1, 40):
             with pytest.raises(cf.DataError, match=f"too short for the test at lag order {lag} "):
                 cf.adf_test(x, lag_order=lag, kind=kind)
