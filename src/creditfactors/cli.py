@@ -5,6 +5,10 @@ regressions, canonical correlation analysis, and the missing-factor diagnostic
 into file-based pipelines. Settings come from flags or from a plain-text
 config file of `key = value` lines; flags win. Exit codes: 0 success, 2 usage
 error, 3 data error, 4 numerical error.
+
+Commands render their files in memory and hand them to `_commit`, the one writer,
+once all rendered, so a failing command leaves no `--out`. `ols`, `stepwise`, `cca`,
+`factor-regress` and `diagnose` are VIEWS: one `analyze` stage, some files renamed.
 """
 
 import argparse
@@ -23,7 +27,7 @@ from . import regress as regress_mod
 from . import stattests as st
 from . import synthgen
 from .errors import DataError, NumericalError
-from .tables import write_csv
+from .tables import to_csv_text
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -101,20 +105,21 @@ class Settings:
             raise UsageError(f"missing required setting {key!r} (flag --{key} or config)")
         return value
 
-    def out_dir(self, default="."):
-        out = self.get("out", default=default)
-        os.makedirs(out, exist_ok=True)
-        return out
-
 
 def _meta(n_obs, transform, align_policy, extra=""):
     line = f"n_obs={n_obs} transform={transform} align={align_policy}"
     return f"{line} {extra}".strip()
 
 
-def _emit(path, header, rows, comment):
-    write_csv(path, header, rows, comment=comment)
-    print(f"wrote {path}")
+def _commit(out, files) -> int:
+    """The one writer: create directory `out`, write and echo each (file name, text)."""
+    os.makedirs(out, exist_ok=True)
+    for fname, text in files:
+        path = os.path.join(out, fname)
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        print(f"wrote {path}")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +142,8 @@ def cmd_spreads(args) -> int:
 
 def _write_spreads(s: Settings, rates, yields_path) -> int:
     spreads = panel_mod.to_spreads(rates, panel_mod.read_yields_csv(yields_path))
-    path = os.path.join(s.out_dir(), "spreads.csv")
-    panel_mod.write_panel_csv(spreads, path,
-                              comment=_meta(spreads.n_obs, TRANSFORM_LEVELS, "union"))
-    print(f"wrote {path}")
-    return EXIT_OK
+    text = panel_mod.panel_csv_text(spreads, _meta(spreads.n_obs, TRANSFORM_LEVELS, "union"))
+    return _commit(s.get("out", default="."), [("spreads.csv", text)])
 
 
 def _adf_table(s: Settings, p: panel_mod.AlignedPanel):
@@ -158,8 +160,9 @@ def _adf_table(s: Settings, p: panel_mod.AlignedPanel):
     return st.adf_table(results), f"kind={kind} lags={lag_note}", f"{kind}, lags {lag_note}"
 
 
-def _johansen_table(p: panel_mod.AlignedPanel, lags=2):
-    """Trace test on the jointly observed months of p: (result, table, `lags=` note)."""
+def _johansen_table(s: Settings, p: panel_mod.AlignedPanel):
+    """Trace test on p's joint months at the `lags` setting (default 2): (result, table, note)."""
+    lags = s.get("lags", default=2, cast=int)
     result = st.johansen_trace(panel_mod.align([p], panel_mod.ALIGN_INTERSECT), lag_order=lags)
     return result, st.johansen_table(result), f"lags={result.lag_order}"
 
@@ -167,19 +170,17 @@ def _johansen_table(p: panel_mod.AlignedPanel, lags=2):
 def cmd_adf(args) -> int:
     s = Settings(args)
     p = panel_mod.read_panel_csv(s.require("panel"))
-    (header, rows), note, _ = _adf_table(s, p)
-    _emit(os.path.join(s.out_dir(), "adf.csv"), header, rows,
-          _meta(p.n_obs, TRANSFORM_LEVELS, "none", note))
-    return EXIT_OK
+    table, note, _ = _adf_table(s, p)
+    meta = _meta(p.n_obs, TRANSFORM_LEVELS, "none", note)
+    return _commit(s.get("out", default="."), [("adf.csv", to_csv_text(*table, meta))])
 
 
 def cmd_johansen(args) -> int:
     s = Settings(args)
     p = panel_mod.read_panel_csv(s.require("panel"))
-    result, (header, rows), note = _johansen_table(p, s.get("lags", default=2, cast=int))
-    _emit(os.path.join(s.out_dir(), "johansen.csv"), header, rows,
-          _meta(result.n_obs, TRANSFORM_LEVELS, panel_mod.ALIGN_INTERSECT, note))
-    return EXIT_OK
+    result, table, note = _johansen_table(s, p)
+    meta = _meta(result.n_obs, TRANSFORM_LEVELS, panel_mod.ALIGN_INTERSECT, note)
+    return _commit(s.get("out", default="."), [("johansen.csv", to_csv_text(*table, meta))])
 
 
 def cmd_simulate(args) -> int:
@@ -190,7 +191,6 @@ def cmd_simulate(args) -> int:
     if seed is not None:
         spec = dataclasses.replace(spec, seed=seed)
     ds = synthgen.generate(spec)
-    out = s.out_dir()
 
     def as_panel(matrix, prefix, kind=panel_mod.KIND_MACRO):
         keys = tuple(panel_mod.SeriesKey(f"{prefix}{j + 1}", kind)
@@ -206,10 +206,7 @@ def cmd_simulate(args) -> int:
     }
     if spec.n_missing:
         written["truth_missing_factors.csv"] = as_panel(ds.missing_factors, "M")
-    for fname, p in written.items():
-        path = os.path.join(out, fname)
-        panel_mod.write_panel_csv(p, path, comment=note)
-        print(f"wrote {path}")
+    files = [(fname, panel_mod.panel_csv_text(p, note)) for fname, p in written.items()]
     echo = {
         "intercepts": spec.intercepts.tolist(),
         "proxied_loadings": spec.proxied_loadings.tolist(),
@@ -220,12 +217,8 @@ def cmd_simulate(args) -> int:
         "n_periods": spec.n_periods,
         "seed": spec.seed,
     }
-    echo_path = os.path.join(out, "spec_echo.json")
-    with open(echo_path, "w") as fh:
-        json.dump(echo, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {echo_path}")
-    return EXIT_OK
+    files.append(("spec_echo.json", json.dumps(echo, indent=2, sort_keys=True) + "\n"))
+    return _commit(s.get("out", default="."), files)
 
 
 _PRESETS = {
@@ -287,37 +280,19 @@ def _spec_from_json(raw: dict) -> synthgen.FactorModelSpec:
 # analysis: one run context, the report stages, and the commands built on them
 # ---------------------------------------------------------------------------
 
-# Each single-stage command is a view of `analyze`: it runs a subset of the
-# stages on the per-response grouping and writes the listed analyze tables
-# under its own file names.
-VIEWS = {
-    "ols": {"ols_full_responses.csv": "ols.csv"},
-    "stepwise": {"ols_stepwise_responses.csv": "stepwise.csv",
-                 "ols_stepwise_trace_responses.csv": "stepwise_trace.csv"},
-    "cca": {name: name for name in ("cca_eigen.csv", "cca_wilks.csv",
-                                    "cca_redundancy.csv", "cca_cross_loadings.csv")},
-    "factor-regress": {"factor_regressions_responses.csv": "factor_regressions.csv"},
-    "diagnose": {"diagnostic_responses.csv": "diagnostic.csv"},
-}
-
-
 class Run:
-    """Settings, aligned data, fitted factors and written tables of one run.
+    """Settings, aligned data, fitted factors and rendered tables of one run.
 
-    Responses and predictors are aligned on the intersect grid. With a view
-    (a VIEWS entry) only the view's tables are written, each echoed as it is;
-    without one every table is written and listed, with its note, in
-    summary.md.
+    Responses and predictors are aligned on the intersect grid. Stages render
+    their tables into `files` and write nothing; the command commits the files.
     """
 
-    def __init__(self, args, view=None):
+    def __init__(self, args):
         self.s = Settings(args)
-        self.view = view
         self.r = self.s.get("factors", default=3, cast=int)
         self.ridge = self.s.get("ridge", default=0.0, cast=float)
         self.strong = self.s.get("strong", default=0.30, cast=float)
         self.weak = self.s.get("weak", default=0.10, cast=float)
-        # checked before anything is written, so a bad setting leaves no partial bundle
         if self.r < 1:
             raise UsageError(f"setting 'factors': must be >= 1, got {self.r}")
         if not 0 <= self.ridge < np.inf:
@@ -330,7 +305,6 @@ class Run:
         lags = self.s.get("lags", cast=int)
         if lags is not None and lags < 0:
             raise UsageError(f"setting 'lags': must be >= 0, got {lags}")
-        self.out = self.s.out_dir(default="report" if view is None else ".")
         self.transform = self.s.get("transform", default=TRANSFORM_DIFF,
                                     choices={TRANSFORM_LEVELS, TRANSFORM_DIFF})
         self.spread_levels = _load_spread_levels(self.s)
@@ -343,21 +317,12 @@ class Run:
         self.Y = np.column_stack([self.combined.column(n) for n in self.y_names])
         self.Z = np.column_stack([self.combined.column(n) for n in self.z_names])
         self.per_response = {n: [n] for n in self.y_names}
-        self.files = []  # (file name, summary note), in writing order
+        self.files = []  # (file name, text, summary note), in rendering order
 
     def table(self, fname, content, n_obs, extra="", note=""):
-        """Write one (header, rows) table unless the view leaves it out."""
-        if self.view is not None:
-            if fname not in self.view:
-                return
-            fname = self.view[fname]
-        path = os.path.join(self.out, fname)
-        header, rows = content
-        write_csv(path, header, rows,
-                  comment=_meta(n_obs, self.transform, panel_mod.ALIGN_INTERSECT, extra))
-        self.files.append((fname, note))
-        if self.view is not None:
-            print(f"wrote {path}")
+        """Render one (header, rows) table under the run's comment line."""
+        comment = _meta(n_obs, self.transform, panel_mod.ALIGN_INTERSECT, extra)
+        self.files.append((fname, to_csv_text(*content, comment=comment), note))
 
     @functools.cached_property
     def factors(self) -> fm.FactorScores:
@@ -447,55 +412,59 @@ def _cca_tables(run: Run):
               note="predictor correlations with the leading variates")
 
 
-def _factor_tables(run: Run, section, groups, diagnose=True):
-    """Regressions on the retained factors, then the missing-factor diagnostic."""
+def _factor_tables(run: Run, section, groups):
+    """Regressions on the retained factors: (fits, factor design, stacked responses)."""
     factors = run.factors
     labels, Y, design = _stacked(run, groups, factors.scores)
     fits = regress_mod.ols_columns(Y, design, labels, factors.names)
-    n_obs = fits[0].n_obs
-    run.table(f"factor_regressions_{section}.csv", regress_mod.fit_table(fits), n_obs,
+    run.table(f"factor_regressions_{section}.csv", regress_mod.fit_table(fits), fits[0].n_obs,
               f"factors={factors.r}", f"regressions on retained factors ({section})")
-    if not diagnose:
-        return None
+    return fits, design, Y
+
+
+def _diagnostic_tables(run: Run, section, groups):
+    """_factor_tables, then the missing-factor diagnostic on its fits; returns the report."""
+    fits, design, Y = _factor_tables(run, section, groups)
     report = fm.missing_factor_diagnostic(fits, design, Y, thresholds=(run.strong, run.weak))
-    share = f"pc1_share={report.pc1_variance_share:.4f}"
+    n_obs, share = fits[0].n_obs, f"pc1_share={report.pc1_variance_share:.4f}"
     run.table(f"factor_regressions_pc1_{section}.csv",
               regress_mod.fit_table(report.augmented), n_obs, share,
               f"factor regressions with the residual component added ({section})")
     run.table(f"diagnostic_{section}.csv", fm.diagnostic_table_rows(report), n_obs,
-              f"factors={factors.r} strong={run.strong} weak={run.weak} {share} "
+              f"factors={run.factors.r} strong={run.strong} weak={run.weak} {share} "
               f"verdict={report.verdict}", f"missing-factor diagnostic ({section})")
     return report
 
 
-def cmd_ols(args) -> int:
-    run = Run(args, VIEWS["ols"])
-    _ols_table(run, "responses", *_stacked(run, run.per_response, run.Z))
-    return EXIT_OK
+def _on_responses(stage):
+    """stage(run, "responses", labels, Y, design) on the predictors, one group per response."""
+    return lambda run: stage(run, "responses", *_stacked(run, run.per_response, run.Z))
 
 
-def cmd_stepwise(args) -> int:
-    run = Run(args, VIEWS["stepwise"])
-    _stepwise_tables(run, "responses", *_stacked(run, run.per_response, run.Z))
-    return EXIT_OK
+# Each single-stage command is a view of `analyze`: (stage, {analyze file: view file}).
+# The stage runs on the per-response grouping and the view keeps the listed files.
+VIEWS = {
+    "ols": (_on_responses(_ols_table), {"ols_full_responses.csv": "ols.csv"}),
+    "stepwise": (_on_responses(_stepwise_tables),
+                 {"ols_stepwise_responses.csv": "stepwise.csv",
+                  "ols_stepwise_trace_responses.csv": "stepwise_trace.csv"}),
+    "cca": (_cca_tables, {f"cca_{t}.csv": f"cca_{t}.csv"
+                          for t in ("eigen", "wilks", "redundancy", "cross_loadings")}),
+    "factor-regress": (lambda run: _factor_tables(run, "responses", run.per_response),
+                       {"factor_regressions_responses.csv": "factor_regressions.csv"}),
+    "diagnose": (lambda run: _diagnostic_tables(run, "responses", run.per_response),
+                 {"diagnostic_responses.csv": "diagnostic.csv"}),
+}
 
 
-def cmd_cca(args) -> int:
-    run = Run(args, VIEWS["cca"])
-    _cca_tables(run)
-    return EXIT_OK
-
-
-def cmd_factor_regress(args) -> int:
-    run = Run(args, VIEWS["factor-regress"])
-    _factor_tables(run, "responses", run.per_response, diagnose=False)
-    return EXIT_OK
-
-
-def cmd_diagnose(args) -> int:
-    run = Run(args, VIEWS["diagnose"])
-    report = _factor_tables(run, "responses", run.per_response)
-    print(f"verdict: {report.verdict}")
+def cmd_view(args) -> int:
+    stage, names = VIEWS[args.command]
+    run = Run(args)
+    result = stage(run)
+    _commit(run.s.get("out", default="."),
+            [(names[fname], text) for fname, text, _ in run.files if fname in names])
+    if isinstance(result, fm.DiagnosticReport):
+        print(f"verdict: {result.verdict}")
     return EXIT_OK
 
 
@@ -533,7 +502,7 @@ def cmd_analyze(args) -> int:
     johansen_runs = {}
     for label, members in groupings.get("terms", {"all": list(levels.names)}).items():
         if 2 <= len(members) <= 6:
-            result, table, note = _johansen_table(levels.select(members))
+            result, table, note = _johansen_table(run.s, levels.select(members))
             johansen_runs[label] = result
             run.table(f"johansen_{label}.csv", table, result.n_obs, note,
                       f"cointegration trace tests ({label})")
@@ -565,26 +534,26 @@ def cmd_analyze(args) -> int:
         run.table(f"ols_pc1_{section}.csv", regress_mod.fit_table(aug), aug[0].n_obs,
                   f"pc1_share={share:.4f}",
                   f"regressions with the residual component added ({section})")
-        verdicts[section] = _factor_tables(run, section, groups)
+        verdicts[section] = _diagnostic_tables(run, section, groups)
 
     # 7. panels used downstream, re-readable by the panel reader
     fkeys = tuple(panel_mod.SeriesKey(n, panel_mod.KIND_MACRO) for n in run.factors.names)
+    comment = _meta(n_obs, run.transform, panel_mod.ALIGN_INTERSECT)
     for fname, p, note in (
             ("aligned_panel.csv", run.combined, "the aligned data all regressions used"),
             ("factor_scores.csv",
              panel_mod.AlignedPanel(run.combined.start, fkeys, run.factors.scores),
              "retained factor score series")):
-        panel_mod.write_panel_csv(p, os.path.join(run.out, fname), comment=_meta(
-            n_obs, run.transform, panel_mod.ALIGN_INTERSECT))
-        run.files.append((fname, note))
+        run.files.append((fname, panel_mod.panel_csv_text(p, comment), note))
 
-    _write_summary(run, johansen_runs, verdicts, unstacked, unit_root_note)
-    print(f"wrote {os.path.join(run.out, 'summary.md')}")
-    print(f"report bundle in {run.out} ({len(run.files) + 1} files)")
+    summary = _summary_md(run, johansen_runs, verdicts, unstacked, unit_root_note)
+    out = run.s.get("out", default="report")
+    _commit(out, [(fname, text) for fname, text, _ in run.files] + [("summary.md", summary)])
+    print(f"report bundle in {out} ({len(run.files) + 1} files)")
     return EXIT_OK
 
 
-def _write_summary(run: Run, johansen_runs, verdicts, unstacked, unit_root_note):
+def _summary_md(run: Run, johansen_runs, verdicts, unstacked, unit_root_note) -> str:
     lines = ["# Analysis report", "", "## Settings", ""]
     lines.append(f"- observations used: {run.combined.n_obs} "
                  f"({run.combined.start} to {run.combined.end})")
@@ -607,10 +576,9 @@ def _write_summary(run: Run, johansen_runs, verdicts, unstacked, unit_root_note)
                      f"(mean delta {report.mean_delta:.3f}, "
                      f"PC1 share {report.pc1_variance_share:.3f})")
     lines += ["", "## Files", ""]
-    lines += [f"- `{fname}`: {note}" for fname, note in run.files]
+    lines += [f"- `{fname}`: {note}" for fname, _, note in run.files]
     lines.append("")
-    with open(os.path.join(run.out, "summary.md"), "w") as fh:
-        fh.write("\n".join(lines))
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -644,13 +612,13 @@ def build_parser() -> argparse.ArgumentParser:
     add("johansen", cmd_johansen, "cointegration trace test on a panel",
         ["panel", "lags"])
     inputs = ["spreads", "loans", "yields", "macro", "transform"]
-    add("ols", cmd_ols, "regress every response on all predictors", inputs)
-    add("stepwise", cmd_stepwise, "AIC stepwise selection per response", inputs)
-    add("cca", cmd_cca, "canonical correlations between responses and predictors",
+    add("ols", cmd_view, "regress every response on all predictors", inputs)
+    add("stepwise", cmd_view, "AIC stepwise selection per response", inputs)
+    add("cca", cmd_view, "canonical correlations between responses and predictors",
         inputs + ["factors", "ridge"])
-    add("factor-regress", cmd_factor_regress, "regress responses on retained factors",
+    add("factor-regress", cmd_view, "regress responses on retained factors",
         inputs + ["factors", "ridge"])
-    add("diagnose", cmd_diagnose, "missing-factor diagnostic from factor regressions",
+    add("diagnose", cmd_view, "missing-factor diagnostic from factor regressions",
         inputs + ["factors", "ridge", "strong", "weak"])
     add("analyze", cmd_analyze, "full report bundle",
         inputs + ["factors", "ridge", "strong", "weak", "lags", "kind"])

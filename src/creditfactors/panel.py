@@ -11,6 +11,7 @@ object is built per loan and the text held in memory is bounded by the chunk.
 """
 
 import csv
+import io
 import math
 import re
 from dataclasses import dataclass
@@ -398,16 +399,27 @@ def _decoded(fh, path):
         raise DataError(f"{path}: cannot decode text ({exc.reason})") from None
 
 
+def _rows(reader, path, line_of=lambda n: n):
+    """The rows of a csv.reader; a malformed row is a DataError naming line_of(line_num)."""
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise DataError(f"{path}:{line_of(reader.line_num)}: {exc}") from None
+
+
 def _csv_chunks(path, columns, what):
     """(line numbers, [cells of each of `columns`]) for every CHUNK_ROWS rows of a CSV.
 
     Other columns are ignored and a repeated name means its last one. Blank lines are
-    skipped but counted, short rows padded with "". A longer row or an undecodable
-    byte fails after the rows before it are yielded.
+    skipped but counted, short rows padded with "". A longer or malformed row, or an
+    undecodable byte, fails after the rows before it are yielded.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(_decoded(fh, path))
-        header = next(reader, None)
+        header = next(_rows(reader, path), None)
         if header is None or not set(columns).issubset(header):
             raise DataError(f"{path}: expected header with columns {','.join(columns)}")
         width = len(header)
@@ -429,6 +441,8 @@ def _csv_chunks(path, columns, what):
                     rows, lines, empty = [], [], False
         except DataError as exc:
             fault = exc
+        except csv.Error as exc:  # a cell past csv.field_size_limit, say
+            fault = DataError(f"{path}:{reader.line_num}: {exc}")
         if rows:
             yield lines, [[row[j] for row in rows] for j in take]
         if fault is not None:
@@ -494,10 +508,10 @@ def read_panel_csv(path, kind: str = KIND_MACRO) -> AlignedPanel:
         numbered = [(i, ln) for i, ln in enumerate(_decoded(fh, path), start=1)
                     if not ln.startswith("#")]
     reader = csv.reader(ln for _, ln in numbered)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path}: empty file") from None
+    rows_of = _rows(reader, path, lambda n: numbered[n - 1][0])
+    header = next(rows_of, None)
+    if header is None:
+        raise DataError(f"{path}: empty file")
     if not header or header[0] != "date":
         raise DataError(f"{path}: first column must be 'date'")
     names = header[1:]
@@ -505,13 +519,13 @@ def read_panel_csv(path, kind: str = KIND_MACRO) -> AlignedPanel:
         raise DataError(f"{path}: no series columns")
     months = []
     rows = []
-    for row in reader:
+    for row in rows_of:
         i = numbered[reader.line_num - 1][0]
         if not row:
             continue
         if len(row) != len(header):
             raise DataError(f"{path}:{i}: expected {len(header)} cells, got {len(row)}")
-        months.append(Month.parse(row[0]))
+        months.append(_at(path, i, lambda: Month.parse(row[0])))
         vals = []
         for cell in row[1:]:
             cell = cell.strip()
@@ -535,17 +549,22 @@ def read_panel_csv(path, kind: str = KIND_MACRO) -> AlignedPanel:
     return AlignedPanel(months[0], keys, np.array(rows))
 
 
-def write_panel_csv(panel: AlignedPanel, path, comment: str = None) -> None:
-    """Write a panel in the CSV layout read_panel_csv accepts. Missing -> empty cell.
+def panel_csv_text(panel: AlignedPanel, comment: str = None) -> str:
+    """A panel in the CSV layout read_panel_csv accepts. Missing -> empty cell.
 
     Values use the shortest decimal form that parses back to the same float,
     so a write/read cycle is lossless.
     """
+    buf = io.StringIO()
+    buf.writelines(f"# {line}\n" for line in (comment.splitlines() if comment else ()))
+    writer = csv.writer(buf)
+    writer.writerow(["date"] + list(panel.names))
+    writer.writerows([str(panel.month_at(t))] + ["" if math.isnan(v) else repr(v) for v in row]
+                     for t, row in enumerate(panel.values.tolist()))
+    return buf.getvalue()
+
+
+def write_panel_csv(panel: AlignedPanel, path, comment: str = None) -> None:
+    """Write panel_csv_text(panel, comment) to path."""
     with open(path, "w", newline="") as fh:
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["date"] + list(panel.names))
-        writer.writerows([str(panel.month_at(t))] + ["" if math.isnan(v) else repr(v) for v in row]
-                         for t, row in enumerate(panel.values.tolist()))
+        fh.write(panel_csv_text(panel, comment))

@@ -171,6 +171,10 @@ def johansen_trace(panel, lag_order: int = 2) -> JohansenResult:
         raise DataError(f"lag_order must be >= 1, got {lag_order}")
     if n < 5 * k:
         raise DataError(f"too few observations (n={n}, need >= {5 * k})")
+    # more auxiliary-regression rows (n - K) than parameters (constant, K - 1 lagged differences)
+    need = K + 2 + (K - 1) * k
+    if n < need:
+        raise DataError(f"series too short for the test at lag order {K} (n={n}, need >= {need})")
     centered = X - X.mean(axis=0)
     sv = np.linalg.svd(centered, compute_uv=False)
     if sv[-1] <= 1e-10 * sv[0]:

@@ -23,6 +23,10 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
+BIG_CELL = "9" * 200_000  # longer than csv.field_size_limit()
+FIELD_LIMIT = "field larger than field limit (131072)"
+
+
 def write_spread_panel(path, T=40, n=4, seed=101):
     rng = np.random.default_rng(seed)
     names = ["36-A", "36-B", "60-A", "60-B"][:n]
@@ -94,6 +98,24 @@ class TestAggregate:
                    "--out", "out") == 3
         err = capsys.readouterr().err
         assert message in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("loans_rows, yields_rows, message", [
+        ([f"2010-01,{BIG_CELL},A,36"], [], f"loans.csv:3: {FIELD_LIMIT}"),
+        # a bad row before the malformed one is still the one reported
+        (["2010-01,-1.0,A,36", f"2010-01,{BIG_CELL},A,36"], [],
+         "loans.csv:3: loan rate must be positive, got -1.0"),
+        ([], [f"2010-01,36,{BIG_CELL}"], f"yields.csv:3: {FIELD_LIMIT}"),
+    ], ids=["loans", "loans-earlier-bad-row", "yields"])
+    def test_cell_past_the_csv_field_limit_is_a_data_error(self, workdir, capsys, loans_rows,
+                                                           yields_rows, message):
+        (workdir / "loans.csv").write_text(
+            "\n".join(["date,rate,grade,term", "2010-01,12.0,A,36", *loans_rows, ""]))
+        (workdir / "yields.csv").write_text(
+            "\n".join(["date,maturity_months,yield", "2010-01,36,2.0", *yields_rows, ""]))
+        assert run("aggregate", "--loans", "loans.csv", "--yields", "yields.csv",
+                   "--out", "out") == 3
+        assert capsys.readouterr().err.strip().splitlines() == [f"data error: {message}"]
+        assert not (workdir / "out").exists()
 
 
 class TestOlsParity:
@@ -299,6 +321,47 @@ class TestExitCodes:
         assert len(err) == 1 and f"setting {setting!r}" in err[0], err
         assert not (workdir / "rep").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("date,S1\n2010-13,1.0\n2011-01,2.0\n", "p.csv:2: month out of range: 13"),
+        ("# note\ndate,S1\n2010-01,1.0\n2010-1,2.0\n",
+         "p.csv:4: unparseable date '2010-1' (expected YYYY-MM or YYYY-MM-DD)"),
+        (f"date,S1\n2010-01,{BIG_CELL}\n", f"p.csv:2: {FIELD_LIMIT}"),
+    ], ids=["month-13", "date-after-comment", "field-limit"])
+    def test_bad_panel_row_names_file_and_line(self, workdir, capsys, text, message):
+        (workdir / "p.csv").write_text(text)
+        assert run("adf", "--panel", "p.csv", "--out", "out") == 3
+        assert capsys.readouterr().err.strip().splitlines() == [f"data error: {message}"]
+        assert not (workdir / "out").exists()
+
+    def test_late_data_error_leaves_no_out(self, workdir, capsys):
+        # the ADF stage fails after the summary tables have rendered
+        (workdir / "spec.json").write_text(
+            json.dumps({"preset": "default", "seed": 0, "n_periods": 63}))
+        assert run("simulate", "--spec", "spec.json", "--out", "sim") == 0
+        capsys.readouterr()
+        assert run("analyze", "--spreads", "sim/responses.csv", "--macro", "sim/proxies.csv",
+                   "--lags", "40", "--out", "rep") == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "at lag order 40" in err[0], err
+        assert not (workdir / "rep").exists()
+
+    def test_late_numerical_error_leaves_no_out(self, workdir, capsys, monkeypatch):
+        write_spread_panel(workdir / "spreads.csv")
+        write_macro_panel(workdir / "macro.csv")
+
+        def degenerate(*args, **kwargs):
+            raise cf.NumericalError("residuals are constant")
+
+        monkeypatch.setattr("creditfactors.factor_model.missing_factor_diagnostic", degenerate)
+        data = ["--spreads", "spreads.csv", "--macro", "macro.csv"]
+        for command in ("analyze", "diagnose"):
+            assert run(command, *data, "--out", command) == 4
+            assert not (workdir / command).exists()
+        assert capsys.readouterr().err.count("numerical error: residuals are constant") == 2
+        # factor-regress never runs the diagnostic
+        assert run("factor-regress", *data, "--out", "fr") == 0
+        assert os.listdir(workdir / "fr") == ["factor_regressions.csv"]
+
     def test_unknown_subcommand_exits_with_usage(self, workdir):
         with pytest.raises(SystemExit) as exc:
             run("frobnicate")
@@ -383,6 +446,17 @@ class TestAnalyze:
         assert "johansen_36-month.csv" in produced
         summary = (workdir / "rep" / "summary.md").read_text()
         assert f"- left unstacked because group sizes differ: {unstacked}\n" in summary
+
+    def test_lags_setting_reaches_every_lagged_test(self, workdir):
+        write_spread_panel(workdir / "spreads.csv")
+        write_macro_panel(workdir / "macro.csv")
+        data = ["--spreads", "spreads.csv", "--macro", "macro.csv"]
+        for flags, adf, johansen in (([], "auto", "2"), (["--lags", "3"], "3", "3")):
+            assert run("analyze", *data, *flags, "--out", "rep") == 0
+            for name, lags in (("adf_levels.csv", adf), ("johansen_36-month.csv", johansen),
+                               ("johansen_60-month.csv", johansen)):
+                comment = (workdir / "rep" / name).read_text().splitlines()[0].split()
+                assert f"lags={lags}" in comment, (flags, name, comment)
 
     def test_loans_route_matches_spreads_route(self, workdir):
         # the pipeline must not care whether spreads arrive built or raw

@@ -3,9 +3,9 @@
 Each test writes generated files (panel, loan, yield, config or spec) into a
 fresh directory and calls cli.main in-process. Whatever the input, main must
 return 0 (success), 2 (usage), 3 (data) or 4 (numerical), and no exception may
-escape it. Inputs start from a valid file and take a few random defects: bad
-dates, ragged rows, non-numeric or non-finite cells, unknown keys, truncation,
-stray bytes.
+escape it; a failing exit says why on stderr and leaves no --out directory.
+Inputs start from a valid file and take a few random defects: bad dates, ragged
+rows, non-numeric or non-finite cells, unknown keys, truncation, stray bytes.
 """
 
 import contextlib
@@ -43,9 +43,11 @@ def run_main(argv_of, files):
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main(argv_of(paths))
+        out_left = os.path.exists(paths["out"])
     assert code in EXIT_CODES, stderr.getvalue()
     if code != cli.EXIT_OK:
         assert stderr.getvalue().strip(), "a failing exit must say why"
+        assert not out_left, f"exit {code} left --out behind: {stderr.getvalue()}"
     return code
 
 

@@ -252,6 +252,16 @@ class TestJohansen:
         with pytest.raises(cf.NumericalError, match="collinear"):
             cf.johansen_trace(X)
 
+    def test_lag_order_needs_more_rows_than_parameters(self):
+        # n=60, k=2: lag order 19 leaves 41 rows for 37 parameters, 21 leaves 39 for 41;
+        # a lag order past n once escaped as numpy's "negative dimensions" ValueError
+        rng = np.random.default_rng(3)
+        X = np.column_stack([random_walk(rng, 60), random_walk(rng, 60)])
+        assert cf.johansen_trace(X, lag_order=19).n_obs == 41
+        for lag_order in (21, 99999):
+            with pytest.raises(cf.DataError, match=f"at lag order {lag_order} \\(n=60"):
+                cf.johansen_trace(X, lag_order=lag_order)
+
     def test_too_many_series_rejected(self):
         rng = np.random.default_rng(49)
         X = rng.normal(size=(100, 7)).cumsum(axis=0)
