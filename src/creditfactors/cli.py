@@ -7,7 +7,7 @@ config file of `key = value` lines; flags win. Exit codes: 0 success, 2 usage
 error, 3 data error, 4 numerical error.
 
 Commands render their files in memory and hand them to `_commit`, the one writer,
-once all rendered, so a failing command leaves no `--out`. `ols`, `stepwise`, `cca`,
+once all rendered, so a failing command writes nothing. `ols`, `stepwise`, `cca`,
 `factor-regress` and `diagnose` are VIEWS: one `analyze` stage, some files renamed.
 """
 
@@ -160,10 +160,9 @@ def _adf_table(s: Settings, p: panel_mod.AlignedPanel):
     return st.adf_table(results), f"kind={kind} lags={lag_note}", f"{kind}, lags {lag_note}"
 
 
-def _johansen_table(s: Settings, p: panel_mod.AlignedPanel):
-    """Trace test on p's joint months at the `lags` setting (default 2): (result, table, note)."""
-    lags = s.get("lags", default=2, cast=int)
-    result = st.johansen_trace(panel_mod.align([p], panel_mod.ALIGN_INTERSECT), lag_order=lags)
+def _johansen_table(p: panel_mod.AlignedPanel, lag_order):
+    """Trace test on p's joint months at VAR order lag_order: (result, table, note)."""
+    result = st.johansen_trace(panel_mod.align([p], panel_mod.ALIGN_INTERSECT), lag_order)
     return result, st.johansen_table(result), f"lags={result.lag_order}"
 
 
@@ -178,7 +177,7 @@ def cmd_adf(args) -> int:
 def cmd_johansen(args) -> int:
     s = Settings(args)
     p = panel_mod.read_panel_csv(s.require("panel"))
-    result, table, note = _johansen_table(s, p)
+    result, table, note = _johansen_table(p, s.get("lags", default=2, cast=int))
     meta = _meta(result.n_obs, TRANSFORM_LEVELS, panel_mod.ALIGN_INTERSECT, note)
     return _commit(s.get("out", default="."), [("johansen.csv", to_csv_text(*table, meta))])
 
@@ -302,9 +301,9 @@ class Run:
                 raise UsageError(f"setting {key!r}: must be finite, got {value}")
         if not self.strong > self.weak:
             raise UsageError(f"setting 'strong': must exceed weak ({self.strong} vs {self.weak})")
-        lags = self.s.get("lags", cast=int)
-        if lags is not None and lags < 0:
-            raise UsageError(f"setting 'lags': must be >= 0, got {lags}")
+        self.lags = self.s.get("lags", cast=int)
+        if self.lags is not None and self.lags < 0:
+            raise UsageError(f"setting 'lags': must be >= 0, got {self.lags}")
         self.transform = self.s.get("transform", default=TRANSFORM_DIFF,
                                     choices={TRANSFORM_LEVELS, TRANSFORM_DIFF})
         self.spread_levels = _load_spread_levels(self.s)
@@ -500,9 +499,10 @@ def cmd_analyze(args) -> int:
     # 3. cointegration within term groups (all series if names are generic) of tractable size
     groupings = _column_groups(list(levels.names))
     johansen_runs = {}
+    order = 2 if run.lags is None else run.lags + 1  # VAR order: ADF's lagged differences + 1
     for label, members in groupings.get("terms", {"all": list(levels.names)}).items():
         if 2 <= len(members) <= 6:
-            result, table, note = _johansen_table(run.s, levels.select(members))
+            result, table, note = _johansen_table(levels.select(members), order)
             johansen_runs[label] = result
             run.table(f"johansen_{label}.csv", table, result.n_obs, note,
                       f"cointegration trace tests ({label})")

@@ -399,17 +399,6 @@ def _decoded(fh, path):
         raise DataError(f"{path}: cannot decode text ({exc.reason})") from None
 
 
-def _rows(reader, path, line_of=lambda n: n):
-    """The rows of a csv.reader; a malformed row is a DataError naming line_of(line_num)."""
-    while True:
-        try:
-            yield next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            raise DataError(f"{path}:{line_of(reader.line_num)}: {exc}") from None
-
-
 def _csv_chunks(path, columns, what):
     """(line numbers, [cells of each of `columns`]) for every CHUNK_ROWS rows of a CSV.
 
@@ -419,7 +408,10 @@ def _csv_chunks(path, columns, what):
     """
     with open(path, newline="") as fh:
         reader = csv.reader(_decoded(fh, path))
-        header = next(_rows(reader, path), None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:  # a cell past csv.field_size_limit, say
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
         if header is None or not set(columns).issubset(header):
             raise DataError(f"{path}: expected header with columns {','.join(columns)}")
         width = len(header)
@@ -508,38 +500,40 @@ def read_panel_csv(path, kind: str = KIND_MACRO) -> AlignedPanel:
         numbered = [(i, ln) for i, ln in enumerate(_decoded(fh, path), start=1)
                     if not ln.startswith("#")]
     reader = csv.reader(ln for _, ln in numbered)
-    rows_of = _rows(reader, path, lambda n: numbered[n - 1][0])
-    header = next(rows_of, None)
-    if header is None:
-        raise DataError(f"{path}: empty file")
-    if not header or header[0] != "date":
-        raise DataError(f"{path}: first column must be 'date'")
-    names = header[1:]
-    if not names:
-        raise DataError(f"{path}: no series columns")
     months = []
     rows = []
-    for row in rows_of:
-        i = numbered[reader.line_num - 1][0]
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DataError(f"{path}:{i}: expected {len(header)} cells, got {len(row)}")
-        months.append(_at(path, i, lambda: Month.parse(row[0])))
-        vals = []
-        for cell in row[1:]:
-            cell = cell.strip()
-            if cell == "":
-                vals.append(np.nan)
-            else:
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(f"{path}:{i}: unparseable number {cell!r}") from None
-                if not math.isfinite(value):
-                    raise DataError(f"{path}:{i}: non-finite number {cell!r}")
-                vals.append(value)
-        rows.append(vals)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        if not header or header[0] != "date":
+            raise DataError(f"{path}: first column must be 'date'")
+        names = header[1:]
+        if not names:
+            raise DataError(f"{path}: no series columns")
+        for row in reader:
+            i = numbered[reader.line_num - 1][0]
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}:{i}: expected {len(header)} cells, got {len(row)}")
+            months.append(_at(path, i, lambda: Month.parse(row[0])))
+            vals = []
+            for cell in row[1:]:
+                cell = cell.strip()
+                if cell == "":
+                    vals.append(np.nan)
+                else:
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise DataError(f"{path}:{i}: unparseable number {cell!r}") from None
+                    if not math.isfinite(value):
+                        raise DataError(f"{path}:{i}: non-finite number {cell!r}")
+                    vals.append(value)
+            rows.append(vals)
+    except csv.Error as exc:  # a cell past csv.field_size_limit, say
+        raise DataError(f"{path}:{numbered[reader.line_num - 1][0]}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     for a, b in zip(months, months[1:]):

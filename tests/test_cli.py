@@ -451,7 +451,9 @@ class TestAnalyze:
         write_spread_panel(workdir / "spreads.csv")
         write_macro_panel(workdir / "macro.csv")
         data = ["--spreads", "spreads.csv", "--macro", "macro.csv"]
-        for flags, adf, johansen in (([], "auto", "2"), (["--lags", "3"], "3", "3")):
+        # Johansen's VAR order is one more than ADF's count of lagged differences
+        for flags, adf, johansen in (([], "auto", "2"), (["--lags", "3"], "3", "4"),
+                                     (["--lags", "0"], "0", "1")):
             assert run("analyze", *data, *flags, "--out", "rep") == 0
             for name, lags in (("adf_levels.csv", adf), ("johansen_36-month.csv", johansen),
                                ("johansen_60-month.csv", johansen)):
