@@ -9,6 +9,7 @@ BENCHMARK.json, so both sides run as long as the benchmark runs them. Each run
 of this checkout is paired with a run of the parent checkout given by
 --compare on the same seed, and the two alternate run by run (parent first in
 even pairs, change first in odd ones), so both see the same drift of the host.
+Pair i runs on seed 100 * N + 1 + i, so each change records on fresh seeds.
 After the timed runs, one `--trace 1` run per workload and side records the
 per-layer metrics, and `scripts/bundle_digests.py` prints the four reference
 digests of each side.
@@ -32,7 +33,6 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import run as perfbench  # noqa: E402  (perfbench/run.py; pins BLAS threads to 1)
 
 WORKLOADS = ("long", "loanbook")
-FIRST_SEED = 601
 
 
 def perfbench_run(checkout, workload, seed, seconds, trace):
@@ -73,7 +73,8 @@ def main(argv=None):
     sides = {"change": ROOT, "parent": os.path.abspath(args.compare)}
 
     runs = {w: {side: [] for side in sides} for w in WORKLOADS}
-    seeds = [FIRST_SEED + i for i in range(args.pairs)]
+    # a claim must also hold on seeds not used while the change was written
+    seeds = [100 * args.pr + 1 + i for i in range(args.pairs)]
     for i, seed in enumerate(seeds):
         order = list(sides) if i % 2 else list(sides)[::-1]
         for workload in WORKLOADS:

@@ -1,8 +1,10 @@
 """Ordinary least squares with classical inference and AIC-driven stepwise selection.
 
 Every fit has an intercept. ols_columns fits all response columns that share
-one design against a single SVD of it; ols is its one-column view, and the
-stepwise search calls ols once per candidate model.
+one design against a single SVD of it, and ols is its one-column view. The
+stepwise search scores every candidate model from one centred cross-product
+matrix per response and calls ols only for the candidates that can still win,
+so its fits and AIC values are ols's own.
 
 Conventions: t-statistics are classical (homoskedastic) ratios, adjusted R^2 is
 1 - (1 - R^2)(T - 1)/(T - p - 1) for p slope predictors next to an intercept,
@@ -21,6 +23,8 @@ INTERCEPT = "(Intercept)"
 
 # a design whose reciprocal condition number falls below this is treated as rank deficient
 RCOND_MIN = 1e-10
+# stepwise refits with ols every move whose fast AIC may be this close to a winner
+AIC_WINDOW = 1e-6
 
 
 @dataclass(frozen=True)
@@ -203,47 +207,128 @@ class StepwiseTrace:
         return self.steps[-1].aic_after if self.steps else self.initial_aic
 
 
+def _subset_scorer(y, X):
+    """Fast AIC of y on an intercept and column subsets of X, with an error bound.
+
+    The data are centred once and their cross-products scaled to a unit
+    diagonal: A = D^-1 Xc'Xc D^-1 and b = D^-1 Xc'yc, with D the centred
+    column norms, and yy = yc'yc. For a subset S with k = |S| + 1 parameters,
+    one eigendecomposition of A_SS gives its eigenvalue ratio kappa and
+    RSS = yy - b_S' A_SS^-1 b_S, and AIC = T ln(RSS/T) + 2k as in ols.
+
+    Returns score(subsets) -> (aic, bound) for an (n, m) integer array of
+    column subsets. bound is a first-order bound on |aic - ols AIC|,
+
+        8 T eps (yy/RSS) (k kappa + rho sqrt(k kappa)):
+
+    - the solve: a backward error of order k eps in A_SS moves b'A^-1 b by
+      at most ||A^-1 b||^2 k eps <= k kappa eps yy, since a unit diagonal
+      has lambda_max >= 1;
+    - the data: centring, and ols's SVD of the raw design, perturb each
+      centred column by about eps rho of its norm, where rho is the larger
+      of ||y||/||yc|| and ||[1 X_S]||_F / min_S ||xc_j||, the excess of the
+      raw magnitudes over the centred spread. RSS moves by at most
+      2 ||r|| ||dy - dX beta|| <= 4 eps rho sqrt(k kappa yy RSS);
+    - AIC moves by T times the relative RSS error, yy/RSS >= 1 is the
+      cancellation in yy - b'A^-1 b, and the factor 8 covers the constants.
+
+    The bound is infinite where A_SS is not positive definite, RSS <= 0,
+    yy = 0 (a constant response) or the data are not finite.
+    """
+    T = len(y)
+    yc = y - y.mean()
+    Xc = X - X.mean(axis=0)
+    norms = np.sqrt(np.einsum("ij,ij->j", Xc, Xc))
+    yy = yc @ yc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        A = (Xc.T @ Xc) / np.outer(norms, norms)
+        b = (Xc.T @ yc) / norms
+        rho_y = np.sqrt((y @ y) / yy)
+    unusable = ~(np.isfinite(A).all(axis=0) & np.isfinite(b) & (norms > 0))
+    A[unusable, :] = A[:, unusable] = 0.0
+    b[unusable] = 0.0
+    raw_sq = np.einsum("ij,ij->j", X, X)
+    scale = 8 * T * np.finfo(float).eps
+
+    def score(subsets):
+        n, m = subsets.shape
+        k = m + 1
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if m:
+                w, V = np.linalg.eigh(A[subsets[:, :, None], subsets[:, None, :]])
+                kappa = w[:, -1] / w[:, 0]
+                rss = yy - np.sum(np.einsum("nij,ni->nj", V, b[subsets]) ** 2 / w, axis=1)
+                rho = np.maximum(rho_y, np.sqrt(T + raw_sq[subsets].sum(axis=1))
+                                 / norms[subsets].min(axis=1))
+                definite = w[:, 0] > 0
+            else:
+                kappa, rss, rho, definite = 1.0, np.full(n, yy), rho_y, True
+            aic = T * np.log(rss / T) + 2 * k
+            bound = scale * (yy / rss) * (k * kappa + rho * np.sqrt(k * kappa))
+        ok = definite & (rss > 0) & (yy > 0) & np.isfinite(bound)
+        return aic, np.where(ok, bound, np.inf)
+
+    return score
+
+
 def stepwise_aic(y, X_full=None, response_name: str = "y", predictor_names=None):
     """Greedy AIC search from the intercept-only model.
 
-    Every pass scores all single-predictor additions and removals, takes the
-    best strict improvement, and stops when none exists. Ties go to the
-    predictor earliest in column order. Returns (final fit, trace); selected
-    predictors keep their original column order.
+    Every pass considers all single-predictor additions and removals, takes
+    the best improvement of more than 1e-10, and stops when none exists.
+    Ties go to the predictor earliest in column order. Returns (final fit,
+    trace); selected predictors keep their original column order.
+
+    _subset_scorer scores every move of a pass, and ols refits only the
+    moves that can still win, so the fit and every AIC of the trace are the
+    ones an ols fit of every move would give. A move whose error bound
+    reaches AIC_WINDOW is unresolved and always refitted. The rest are
+    refitted in ascending fast AIC until one lies at or above the current
+    AIC plus the window, or more than the window above the best refitted
+    AIC: its ols AIC can then beat neither. A move that ols rejects is
+    skipped and the scan goes on. An add that would leave no more rows than
+    parameters is skipped, as ols would reject it.
     """
     Y, X = _as_design(np.reshape(y, (-1, 1)), X_full)
-    p = X.shape[1]
+    T, p = X.shape
     names = _predictor_names(predictor_names, p)
 
     def fit_for(selected):
-        return ols(Y, X[:, selected], response_name=response_name,
-                   predictor_names=[names[j] for j in selected])
+        try:
+            return ols(Y, X[:, selected], response_name=response_name,
+                       predictor_names=[names[j] for j in selected])
+        except (DataError, NumericalError):
+            return None  # unusable move (collinear)
 
     selected = []
-    current = fit_for(selected)
+    current = ols(Y, response_name=response_name)
     initial_aic = current.aic
+    score = _subset_scorer(Y[:, 0], X)
     steps = []
     while True:
-        best = None  # (aic, action, column)
-        for j in range(p):
-            if j in selected:
-                candidate = [i for i in selected if i != j]
-                action = "drop"
-            else:
-                candidate = sorted(selected + [j])
-                action = "add"
-            try:
-                fit = fit_for(candidate)
-            except (DataError, NumericalError):
-                continue  # unusable move (too many parameters or collinear)
-            if fit.aic >= current.aic - 1e-10:
-                continue
-            if best is None or fit.aic < best[0]:
-                best = (fit.aic, action, j, candidate, fit)
-        if best is None:
+        moves = {j: [i for i in selected if i != j] if j in selected else sorted(selected + [j])
+                 for j in range(p) if j in selected or len(selected) + 2 < T}
+        fast, bound = {}, {}
+        for group in ([j for j in moves if j not in selected], selected):
+            if group:
+                aic, err = score(np.array([moves[j] for j in group], dtype=np.intp))
+                fast.update(zip(group, aic))
+                bound.update(zip(group, err))
+        exact = {j: fit_for(moves[j]) for j in moves if not bound[j] < AIC_WINDOW}
+        for j in sorted(set(moves) - set(exact), key=lambda j: (fast[j], j)):
+            best = min((f.aic for f in exact.values() if f is not None), default=np.inf)
+            if fast[j] >= current.aic + AIC_WINDOW or fast[j] > best + AIC_WINDOW:
+                break
+            exact[j] = fit_for(moves[j])
+        wins = [j for j in sorted(exact)
+                if exact[j] is not None and exact[j].aic < current.aic - 1e-10]
+        if not wins:
             break
-        _, action, j, selected, current = best
-        steps.append(StepwiseStep(action=action, predictor=names[j], aic_after=current.aic))
+        j = min(wins, key=lambda j: exact[j].aic)  # the earliest column on ties
+        current = exact[j]
+        steps.append(StepwiseStep(action="drop" if j in selected else "add",
+                                  predictor=names[j], aic_after=current.aic))
+        selected = moves[j]
     return current, StepwiseTrace(initial_aic=initial_aic, steps=tuple(steps))
 
 

@@ -1,0 +1,243 @@
+"""The stepwise search against an exhaustive oracle that fits every move with ols.
+
+`stepwise_aic` scores moves from centred cross-products and refits with ols
+only the moves that can still win. The oracle below is the search without the
+scorer: every add and drop of every pass is an ols fit. On a seeded corpus the
+two must give the same trace and bit-identical fits, and the scorer's error
+bound must hold wherever it calls a move resolved.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+import creditfactors as cf
+from creditfactors import regress, synthgen
+
+
+def exhaustive_stepwise(y, X_full=None, response_name="y", predictor_names=None,
+                        on_pass=None):
+    """Greedy AIC search that fits every single-predictor add and drop with ols.
+
+    on_pass, when given, is called once per pass with the selected columns and
+    {column: (candidate columns, ols fit or None where ols rejects it)}.
+    """
+    Y, X = regress._as_design(np.reshape(y, (-1, 1)), X_full)
+    p = X.shape[1]
+    names = regress._predictor_names(predictor_names, p)
+
+    def fit_for(selected):
+        return cf.ols(Y, X[:, selected], response_name=response_name,
+                      predictor_names=[names[j] for j in selected])
+
+    selected = []
+    current = fit_for(selected)
+    initial_aic = current.aic
+    steps = []
+    while True:
+        best = None
+        moves = {}
+        for j in range(p):
+            if j in selected:
+                candidate = [i for i in selected if i != j]
+                action = "drop"
+            else:
+                candidate = sorted(selected + [j])
+                action = "add"
+            try:
+                fit = fit_for(candidate)
+            except (cf.DataError, cf.NumericalError):
+                moves[j] = (candidate, None)
+                continue  # unusable move (too many parameters or collinear)
+            moves[j] = (candidate, fit)
+            if fit.aic >= current.aic - 1e-10:
+                continue
+            if best is None or fit.aic < best[0]:
+                best = (fit.aic, action, j, candidate, fit)
+        if on_pass is not None:
+            on_pass(list(selected), moves)
+        if best is None:
+            break
+        _, action, j, selected, current = best
+        steps.append(cf.StepwiseStep(action=action, predictor=names[j], aic_after=current.aic))
+    return current, cf.StepwiseTrace(initial_aic=initial_aic, steps=tuple(steps))
+
+
+def desk_cases():
+    """Desk-spec responses on their ten proxies, T=63 and T=1200, seeds 0-9."""
+    for T in (63, 1200):
+        for seed in range(10):
+            ds = synthgen.generate(synthgen.default_spec(seed=seed, n_periods=T))
+            for r in range(ds.responses.shape[1]):
+                yield f"desk T={T} seed={seed} r={r}", ds.responses[:, r], ds.proxies
+
+
+def adversarial_case(i):
+    """One seeded design with T in 15-200 and 2-9 predictors.
+
+    Cases cycle through plain, near-collinear (one column copies another up
+    to noise 1e-3 to 1e-9) and duplicated columns; half rescale the columns
+    by 1e-3 to 1e3 and half put the response at a level up to 1e4.
+    """
+    rng = np.random.default_rng([8, i])
+    T = int(rng.integers(15, 201))
+    p = int(rng.integers(2, 10))
+    X = rng.standard_normal((T, p))
+    a, b = rng.choice(p, size=2, replace=False)
+    kind = ("plain", "near-collinear", "duplicated")[i % 3]
+    if kind == "near-collinear":
+        X[:, b] = X[:, a] + 10.0 ** -rng.uniform(3, 9) * rng.standard_normal(T)
+    elif kind == "duplicated":
+        X[:, b] = X[:, a]
+    beta = rng.standard_normal(p) * (rng.random(p) < 0.5)
+    y = X @ beta + 10.0 ** rng.uniform(-1.5, 0.5) * rng.standard_normal(T)
+    if rng.random() < 0.5:
+        X = X * 10.0 ** rng.uniform(-3, 3, size=p)
+    if rng.random() < 0.5:
+        y = y + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0, 4)
+    return f"adversarial {i} ({kind}, T={T}, p={p})", y, X
+
+
+def constant_cases():
+    rng = np.random.default_rng(81)
+    for level in (0.0, 3.25, -1e4):
+        yield f"constant {level}", np.full(40, level), rng.standard_normal((40, 4))
+
+
+def short_cases():
+    """Series so short that the late adds leave no more rows than parameters."""
+    for i in range(20):
+        rng = np.random.default_rng([82, i])
+        T = int(rng.integers(4, 12))
+        X = rng.standard_normal((T, 9))
+        y = X @ rng.standard_normal(9) + 1e-3 * rng.standard_normal(T)
+        yield f"short {i} (T={T})", y, X
+
+
+def corpus():
+    yield from desk_cases()
+    for i in range(300):
+        yield adversarial_case(i)
+    yield from constant_cases()
+    yield from short_cases()
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_runs():
+    """(label, y, X, oracle fit, oracle trace, moves) for every corpus case.
+
+    moves lists (candidate columns, ols AIC, ols RSS) of every move the
+    oracle fitted in any pass.
+    """
+    runs = []
+    for label, y, X in corpus():
+        moves = []
+
+        def record(_, fits):
+            moves.extend((c, f.aic, float(f.residuals @ f.residuals))
+                         for c, f in fits.values() if f is not None)
+
+        fit, trace = exhaustive_stepwise(y, X, on_pass=record)
+        runs.append((label, y, X, fit, trace, moves))
+    return tuple(runs)
+
+
+def assert_bitwise_equal_fits(mine, theirs, label):
+    assert mine.predictor_names == theirs.predictor_names, label
+    for field in ("coefficients", "std_errors", "t_statistics", "residuals"):
+        a, b = getattr(mine, field), getattr(theirs, field)
+        assert a.tobytes() == b.tobytes(), f"{label}: {field}"
+    for field in ("response_name", "r_squared", "adj_r_squared", "aic", "n_obs",
+                  "condition_number"):
+        assert getattr(mine, field) == getattr(theirs, field), f"{label}: {field}"
+
+
+def test_corpus_matches_the_exhaustive_oracle():
+    runs = oracle_runs()
+    assert len(runs) == 240 + 300 + 3 + 20
+    moved = 0
+    for label, y, X, ofit, otrace, _ in runs:
+        fit, trace = cf.stepwise_aic(y, X)
+        assert trace == otrace, label
+        assert_bitwise_equal_fits(fit, ofit, label)
+        moved += bool(trace.steps)
+    # the corpus must exercise the search, not only its empty case
+    assert moved > 400
+
+
+def test_fast_aic_error_stays_within_its_bound():
+    """|fast AIC - ols AIC| <= bound on every resolved move the oracle fits.
+
+    The leading term of the bound is T eps cond(G_S) yy/RSS: a relative
+    error eps cond(G_S) in the Gram solve's b'A^-1 b is a relative error
+    eps cond(G_S) yy/RSS in RSS = yy - b'A^-1 b, and AIC = T ln(RSS/T) moves
+    by T times that. The scorer's bound must be at least that term and hold
+    on every resolved move.
+    """
+    resolved = unresolved = 0
+    worst = 0.0
+    for label, y, X, _, _, moves in oracle_runs():
+        score = regress._subset_scorer(y, X)
+        T = len(y)
+        yc = y - y.mean()
+        Xc = X - X.mean(axis=0)
+        G = Xc.T @ Xc
+        corr = G / np.sqrt(np.outer(np.diag(G), np.diag(G)))
+        for size in {len(c) for c, _, _ in moves}:
+            group = [m for m in moves if len(m[0]) == size]
+            subsets = np.array([c for c, _, _ in group], dtype=np.intp).reshape(len(group), size)
+            aic, bound = score(subsets)
+            ok = bound < regress.AIC_WINDOW
+            resolved += int(ok.sum())
+            unresolved += int((~ok).sum())
+            if not ok.any():
+                continue
+            ols_aic, rss = np.array([(a, r) for _, a, r in group])[ok].T
+            sub = subsets[ok]
+            cond = np.linalg.cond(corr[sub[:, :, None], sub[:, None, :]]) if size else 1.0
+            leading = T * np.finfo(float).eps * cond * (yc @ yc) / rss
+            assert (bound[ok] >= leading).all(), label
+            err = np.abs(aic[ok] - ols_aic)
+            assert (err <= bound[ok]).all(), f"{label}: {err} > {bound[ok]}"
+            worst = max(worst, float((err / bound[ok]).max()))
+    assert resolved > 0.8 * (resolved + unresolved)
+    print(f"{resolved} resolved moves, {unresolved} unresolved; "
+          f"largest error is {worst:.2e} of its bound")
+
+
+def large_level_design(level, spread):
+    """x1 carries the signal at `level` with a tiny `spread`; x2 is a noisy copy of it."""
+    rng = np.random.default_rng(83)
+    T = 40
+    z = rng.standard_normal(T)
+    X = np.column_stack([level + spread * z, z + 0.5 * rng.standard_normal(T),
+                         rng.standard_normal(T)])
+    y = z + 0.7 * rng.standard_normal(T)
+    return y, X
+
+
+@pytest.mark.parametrize("level, spread, resolved", [(1e6, 1e-5, False), (1e4, 5e-3, True)])
+def test_search_falls_through_a_move_ols_rejects(level, spread, resolved):
+    """ols's rank guard on the raw design rejects x1; the search must go on to x2.
+
+    At level 1e6 and spread 1e-5 the raw magnitude is so far above the spread
+    that the scorer calls x1 unresolved. At level 1e4 and spread 5e-3 it
+    resolves x1 and ranks it first, because the scaled centred Gram sees a
+    perfectly conditioned column; a search that refitted only the moves near
+    the fast best would find no usable move and stop at the intercept-only
+    model.
+    """
+    y, X = large_level_design(level, spread)
+    with pytest.raises(cf.NumericalError):
+        cf.ols(y, X[:, [0]])
+    aic, bound = regress._subset_scorer(y, X)(np.array([[0], [1], [2]], dtype=np.intp))
+    assert (bound[0] < regress.AIC_WINDOW) == resolved
+    assert (bound[1:] < regress.AIC_WINDOW).all() and aic[1] < aic[2]
+    if resolved:
+        assert aic[0] < aic[1]
+    ofit, otrace = exhaustive_stepwise(y, X)
+    assert otrace.steps[0] == cf.StepwiseStep("add", "x2", otrace.steps[0].aic_after)
+    fit, trace = cf.stepwise_aic(y, X)
+    assert trace == otrace
+    assert_bitwise_equal_fits(fit, ofit, "fall-through")
