@@ -63,7 +63,7 @@ print()
 # ---------------------------------------------------------------------------
 # 3. First differences. One observation is lost at the front.
 diffs = cf.first_difference(spreads)
-print(f"differenced: {diffs.n_obs} months, kind {diffs.columns[0].kind!r}")
+print(f"differenced: {diffs.n_obs} months from {diffs.start}")
 
 # ---------------------------------------------------------------------------
 # 4. A quarterly macro series, interpolated to monthly and aligned with the
@@ -71,7 +71,7 @@ print(f"differenced: {diffs.n_obs} months, kind {diffs.columns[0].kind!r}")
 points = [(cf.Month(2014, 1).plus(3 * q), 50.0 + 2.0 * q) for q in range(9)]
 macro = cf.interpolate_quarterly(points, name="activity_index")
 
-combined = cf.align([diffs, macro], policy=cf.ALIGN_INTERSECT)
+combined = cf.align([diffs, macro])
 print(f"aligned: {combined.n_series} series x {combined.n_obs} months, "
       f"complete={combined.is_complete()}")
 print()

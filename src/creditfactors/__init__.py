@@ -2,19 +2,12 @@
 
 from .errors import DataError, NumericalError
 from .panel import (
-    ALIGN_INTERSECT,
-    ALIGN_UNION,
     GRADES,
-    KIND_MACRO,
-    KIND_RATE,
-    KIND_SPREAD_DIFF,
-    KIND_SPREAD_LEVEL,
     TERMS,
     AlignedPanel,
     LoanBook,
     LoanRecord,
     Month,
-    SeriesKey,
     YieldCurvePoint,
     aggregate_loans,
     align,

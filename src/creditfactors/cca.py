@@ -61,8 +61,8 @@ def _validate_block(M, label):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise DataError(f"{label} must be 2-D, got shape {M.shape}")
-    if np.isnan(M).any():
-        raise DataError(f"{label} contains missing values; align(intersect) first")
+    if not np.isfinite(M).all():
+        raise DataError(f"{label} contains missing or infinite values; align first")
     return M
 
 

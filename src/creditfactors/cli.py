@@ -37,11 +37,27 @@ EXIT_NUMERICAL = 4
 TRANSFORM_LEVELS = "levels"
 TRANSFORM_DIFF = "diff"
 
-CONFIG_KEYS = {
-    "loans", "yields", "spreads", "macro", "panel", "spec",
-    "transform", "factors", "lags", "kind",
-    "strong", "weak", "ridge", "seed", "out",
+# Help text of each setting's flag. Flag and config values are both plain strings,
+# parsed and checked by Settings.get, so a bad value fails the same way from either.
+_FLAGS = {
+    "loans": "loan-level CSV (date,rate,grade,term)",
+    "yields": "yield-curve CSV (date,maturity_months,yield)",
+    "panel": "panel CSV input",
+    "spreads": "spread panel CSV input",
+    "macro": "predictor panel CSV input",
+    "spec": "model spec JSON for simulation",
+    "transform": "response transform before analysis: levels or diff (default diff)",
+    "factors": "retained factor count (default 3)",
+    "lags": "lagged differences in the unit-root tests (default: rule of thumb); "
+            "Johansen runs at VAR order lags + 1 (default 2)",
+    "kind": "deterministic terms in the unit-root regression: constant or constant_trend "
+            "(default constant_trend)",
+    "strong": "strong adjusted-R2 delta threshold (default 0.30)",
+    "weak": "weak mean-delta threshold (default 0.10)",
+    "ridge": "diagonal ridge for the CCA whitening (default 0)",
+    "seed": "random seed override",
 }
+CONFIG_KEYS = set(_FLAGS) | {"out"}
 
 _SIM_START = panel_mod.Month(2000, 1)
 
@@ -106,6 +122,14 @@ class Settings:
         return value
 
 
+def _lags(s: Settings):
+    """The `lags` setting: None when unset, else a count of lagged differences >= 0."""
+    lags = s.get("lags", cast=int)
+    if lags is not None and lags < 0:
+        raise UsageError(f"setting 'lags': must be >= 0, got {lags}")
+    return lags
+
+
 def _meta(n_obs, transform, align_policy, extra=""):
     line = f"n_obs={n_obs} transform={transform} align={align_policy}"
     return f"{line} {extra}".strip()
@@ -136,7 +160,7 @@ def cmd_aggregate(args) -> int:
 
 def cmd_spreads(args) -> int:
     s = Settings(args)
-    rates = panel_mod.read_panel_csv(s.require("panel"), kind=panel_mod.KIND_RATE)
+    rates = panel_mod.read_panel_csv(s.require("panel"))
     return _write_spreads(s, rates, s.require("yields"))
 
 
@@ -153,16 +177,17 @@ def _adf_table(s: Settings, p: panel_mod.AlignedPanel):
     """
     kind = s.get("kind", default=st.REGRESSION_CONSTANT_TREND,
                  choices=set(st.REGRESSION_KINDS))
-    lags = s.get("lags", cast=int)
+    lags = _lags(s)
     results = {n: st.adf_test(p.complete_column(n), lag_order=lags, kind=kind)
                for n in p.names}
     lag_note = "auto" if lags is None else str(lags)
     return st.adf_table(results), f"kind={kind} lags={lag_note}", f"{kind}, lags {lag_note}"
 
 
-def _johansen_table(p: panel_mod.AlignedPanel, lag_order):
-    """Trace test on p's joint months at VAR order lag_order: (result, table, note)."""
-    result = st.johansen_trace(panel_mod.align([p], panel_mod.ALIGN_INTERSECT), lag_order)
+def _johansen_table(p: panel_mod.AlignedPanel, lags):
+    """Trace test on p's joint months at VAR order lags + 1: (result, table, note)."""
+    order = 2 if lags is None else lags + 1  # lags counts lagged differences, as ADF does
+    result = st.johansen_trace(panel_mod.align([p]), order)
     return result, st.johansen_table(result), f"lags={result.lag_order}"
 
 
@@ -177,8 +202,8 @@ def cmd_adf(args) -> int:
 def cmd_johansen(args) -> int:
     s = Settings(args)
     p = panel_mod.read_panel_csv(s.require("panel"))
-    result, table, note = _johansen_table(p, s.get("lags", default=2, cast=int))
-    meta = _meta(result.n_obs, TRANSFORM_LEVELS, panel_mod.ALIGN_INTERSECT, note)
+    result, table, note = _johansen_table(p, _lags(s))
+    meta = _meta(result.n_obs, TRANSFORM_LEVELS, "intersect", note)
     return _commit(s.get("out", default="."), [("johansen.csv", to_csv_text(*table, meta))])
 
 
@@ -191,14 +216,13 @@ def cmd_simulate(args) -> int:
         spec = dataclasses.replace(spec, seed=seed)
     ds = synthgen.generate(spec)
 
-    def as_panel(matrix, prefix, kind=panel_mod.KIND_MACRO):
-        keys = tuple(panel_mod.SeriesKey(f"{prefix}{j + 1}", kind)
-                     for j in range(matrix.shape[1]))
-        return panel_mod.AlignedPanel(_SIM_START, keys, matrix)
+    def as_panel(matrix, prefix):
+        names = tuple(f"{prefix}{j + 1}" for j in range(matrix.shape[1]))
+        return panel_mod.AlignedPanel(_SIM_START, names, matrix)
 
     note = _meta(spec.n_periods, TRANSFORM_LEVELS, "none", f"seed={spec.seed}")
     written = {
-        "responses.csv": as_panel(ds.responses, "Y", panel_mod.KIND_SPREAD_LEVEL),
+        "responses.csv": as_panel(ds.responses, "Y"),
         "proxies.csv": as_panel(ds.proxies, "Z"),
         "truth_proxied_factors.csv": as_panel(ds.proxied_factors, "F"),
         "truth_idiosyncratic.csv": as_panel(ds.idiosyncratic, "U"),
@@ -301,16 +325,14 @@ class Run:
                 raise UsageError(f"setting {key!r}: must be finite, got {value}")
         if not self.strong > self.weak:
             raise UsageError(f"setting 'strong': must exceed weak ({self.strong} vs {self.weak})")
-        self.lags = self.s.get("lags", cast=int)
-        if self.lags is not None and self.lags < 0:
-            raise UsageError(f"setting 'lags': must be >= 0, got {self.lags}")
+        self.lags = _lags(self.s)
         self.transform = self.s.get("transform", default=TRANSFORM_DIFF,
                                     choices={TRANSFORM_LEVELS, TRANSFORM_DIFF})
         self.spread_levels = _load_spread_levels(self.s)
-        macro = panel_mod.read_panel_csv(self.s.require("macro"), kind=panel_mod.KIND_MACRO)
+        macro = panel_mod.read_panel_csv(self.s.require("macro"))
         y_panel = (panel_mod.first_difference(self.spread_levels)
                    if self.transform == TRANSFORM_DIFF else self.spread_levels)
-        self.combined = panel_mod.align([y_panel, macro], panel_mod.ALIGN_INTERSECT)
+        self.combined = panel_mod.align([y_panel, macro])
         self.y_names = list(y_panel.names)
         self.z_names = list(macro.names)
         self.Y = np.column_stack([self.combined.column(n) for n in self.y_names])
@@ -320,7 +342,7 @@ class Run:
 
     def table(self, fname, content, n_obs, extra="", note=""):
         """Render one (header, rows) table under the run's comment line."""
-        comment = _meta(n_obs, self.transform, panel_mod.ALIGN_INTERSECT, extra)
+        comment = _meta(n_obs, self.transform, "intersect", extra)
         self.files.append((fname, to_csv_text(*content, comment=comment), note))
 
     @functools.cached_property
@@ -333,7 +355,7 @@ class Run:
 def _load_spread_levels(s: Settings) -> panel_mod.AlignedPanel:
     spreads_path = s.get("spreads")
     if spreads_path is not None:
-        return panel_mod.read_panel_csv(spreads_path, kind=panel_mod.KIND_SPREAD_LEVEL)
+        return panel_mod.read_panel_csv(spreads_path)
     loans_path = s.get("loans")
     yields_path = s.get("yields")
     if loans_path is None or yields_path is None:
@@ -499,10 +521,9 @@ def cmd_analyze(args) -> int:
     # 3. cointegration within term groups (all series if names are generic) of tractable size
     groupings = _column_groups(list(levels.names))
     johansen_runs = {}
-    order = 2 if run.lags is None else run.lags + 1  # VAR order: ADF's lagged differences + 1
     for label, members in groupings.get("terms", {"all": list(levels.names)}).items():
         if 2 <= len(members) <= 6:
-            result, table, note = _johansen_table(levels.select(members), order)
+            result, table, note = _johansen_table(levels.select(members), run.lags)
             johansen_runs[label] = result
             run.table(f"johansen_{label}.csv", table, result.n_obs, note,
                       f"cointegration trace tests ({label})")
@@ -537,18 +558,21 @@ def cmd_analyze(args) -> int:
         verdicts[section] = _diagnostic_tables(run, section, groups)
 
     # 7. panels used downstream, re-readable by the panel reader
-    fkeys = tuple(panel_mod.SeriesKey(n, panel_mod.KIND_MACRO) for n in run.factors.names)
-    comment = _meta(n_obs, run.transform, panel_mod.ALIGN_INTERSECT)
+    comment = _meta(n_obs, run.transform, "intersect")
     for fname, p, note in (
             ("aligned_panel.csv", run.combined, "the aligned data all regressions used"),
             ("factor_scores.csv",
-             panel_mod.AlignedPanel(run.combined.start, fkeys, run.factors.scores),
+             panel_mod.AlignedPanel(run.combined.start, run.factors.names, run.factors.scores),
              "retained factor score series")):
         run.files.append((fname, panel_mod.panel_csv_text(p, comment), note))
 
     summary = _summary_md(run, johansen_runs, verdicts, unstacked, unit_root_note)
+    files = [(fname, text) for fname, text, _ in run.files] + [("summary.md", summary)]
     out = run.s.get("out", default="report")
-    _commit(out, [(fname, text) for fname, text, _ in run.files] + [("summary.md", summary)])
+    stale = sorted(set(os.listdir(out)) - set(dict(files))) if os.path.isdir(out) else []
+    if stale:  # a bundle never shares its directory with files it does not list
+        raise UsageError(f"{out} holds {stale[0]!r}, which this bundle does not write")
+    _commit(out, files)
     print(f"report bundle in {out} ({len(run.files) + 1} files)")
     return EXIT_OK
 
@@ -558,7 +582,7 @@ def _summary_md(run: Run, johansen_runs, verdicts, unstacked, unit_root_note) ->
     lines.append(f"- observations used: {run.combined.n_obs} "
                  f"({run.combined.start} to {run.combined.end})")
     lines.append(f"- transform: {run.transform}")
-    lines.append(f"- alignment: {panel_mod.ALIGN_INTERSECT}")
+    lines.append("- alignment: intersect")
     lines.append(f"- retained factors: {run.factors.r}")
     lines.append(f"- unit-root regression: {unit_root_note}")
     lines.append(f"- diagnostic thresholds: strong {run.strong}, weak {run.weak}")
@@ -596,8 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="settings file with 'key = value' lines")
         p.add_argument("--out", help="output directory")
         for flag in flags:
-            kwargs = _FLAGS[flag]
-            p.add_argument(f"--{flag}", **kwargs)
+            p.add_argument(f"--{flag}", help=_FLAGS[flag])
         p.set_defaults(func=func)
         return p
 
@@ -626,25 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
         ["spec", "seed"])
     return parser
 
-
-_FLAGS = {
-    "loans": dict(help="loan-level CSV (date,rate,grade,term)"),
-    "yields": dict(help="yield-curve CSV (date,maturity_months,yield)"),
-    "panel": dict(help="panel CSV input"),
-    "spreads": dict(help="spread panel CSV input"),
-    "macro": dict(help="predictor panel CSV input"),
-    "spec": dict(help="model spec JSON for simulation"),
-    "transform": dict(choices=[TRANSFORM_LEVELS, TRANSFORM_DIFF],
-                      help="response transform before analysis (default diff)"),
-    "factors": dict(type=int, help="retained factor count (default 3)"),
-    "lags": dict(type=int, help="lag order (default: rule of thumb / 2)"),
-    "kind": dict(choices=list(st.REGRESSION_KINDS),
-                 help="deterministic terms in the unit-root regression"),
-    "strong": dict(type=float, help="strong adjusted-R2 delta threshold (default 0.30)"),
-    "weak": dict(type=float, help="weak mean-delta threshold (default 0.10)"),
-    "ridge": dict(type=float, help="diagonal ridge for the CCA whitening (default 0)"),
-    "seed": dict(type=int, help="random seed override"),
-}
 
 
 def main(argv=None) -> int:

@@ -26,15 +26,6 @@ TERMS = (36, 60)
 _BUCKETS = tuple((grade, term) for term in TERMS for grade in GRADES)  # LoanBook code -> bucket
 CHUNK_ROWS = 4096  # CSV rows held as text at a time by the record readers
 
-KIND_RATE = "rate"
-KIND_SPREAD_LEVEL = "spread_level"
-KIND_SPREAD_DIFF = "spread_diff"
-KIND_MACRO = "macro"
-KINDS = (KIND_RATE, KIND_SPREAD_LEVEL, KIND_SPREAD_DIFF, KIND_MACRO)
-
-ALIGN_INTERSECT = "intersect"
-ALIGN_UNION = "union"
-
 
 @dataclass(frozen=True, order=True)
 class Month:
@@ -127,20 +118,6 @@ class LoanBook:
 
 
 @dataclass(frozen=True)
-class SeriesKey:
-    """Name and kind of one panel column."""
-
-    name: str
-    kind: str = KIND_MACRO
-
-    def __post_init__(self):
-        if not self.name:
-            raise DataError("series name must be nonempty")
-        if self.kind not in KINDS:
-            raise DataError(f"unknown series kind {self.kind!r} (expected one of {KINDS})")
-
-
-@dataclass(frozen=True)
 class YieldCurvePoint:
     """Risk-free yield for one month and maturity, percent per annum."""
 
@@ -155,17 +132,28 @@ class YieldCurvePoint:
             raise DataError(f"maturity must be positive, got {self.maturity_months}")
 
 
+def _series_names(names) -> tuple:
+    """names as a tuple; a name that is empty, not a string, or repeated is a DataError."""
+    names = tuple(names)
+    if not all(isinstance(n, str) and n for n in names):
+        raise DataError(f"series names must be nonempty strings, got {list(names)}")
+    if len(set(names)) != len(names):
+        dupes = sorted({n for n in names if names.count(n) > 1})
+        raise DataError(f"duplicate series names: {dupes}")
+    return names
+
+
 @dataclass(frozen=True)
 class AlignedPanel:
     """Named series on one contiguous monthly grid.
 
-    values is a T x n float64 matrix; row t belongs to month start.plus(t) and
-    NaN marks a missing observation. The matrix is stored read-only.
+    names holds one nonempty, distinct string per column. values is a T x n
+    float64 matrix; row t belongs to month start.plus(t) and NaN marks a
+    missing observation. The matrix is stored read-only.
     """
 
     start: Month
-    columns: tuple
-
+    names: tuple
     values: np.ndarray
 
     def __post_init__(self):
@@ -174,18 +162,12 @@ class AlignedPanel:
             raise DataError(f"panel values must be 2-D, got shape {vals.shape}")
         if vals.shape[0] < 1:
             raise DataError("panel must have at least one row")
-        cols = tuple(self.columns)
-        if vals.shape[1] != len(cols):
-            raise DataError(
-                f"{len(cols)} column keys but {vals.shape[1]} value columns"
-            )
-        names = [c.name for c in cols]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise DataError(f"duplicate series names: {dupes}")
+        names = _series_names(self.names)
+        if vals.shape[1] != len(names):
+            raise DataError(f"{len(names)} series names but {vals.shape[1]} value columns")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "columns", cols)
+        object.__setattr__(self, "names", names)
 
     @property
     def n_obs(self) -> int:
@@ -194,10 +176,6 @@ class AlignedPanel:
     @property
     def n_series(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def names(self) -> tuple:
-        return tuple(c.name for c in self.columns)
 
     def month_at(self, t: int) -> Month:
         return self.start.plus(t)
@@ -221,7 +199,7 @@ class AlignedPanel:
     def select(self, names: Sequence[str]) -> "AlignedPanel":
         """Sub-panel with the given columns, in the given order, same grid."""
         idx = [self._index(name) for name in names]
-        return AlignedPanel(self.start, tuple(self.columns[j] for j in idx), self.values[:, idx])
+        return AlignedPanel(self.start, tuple(self.names[j] for j in idx), self.values[:, idx])
 
     def is_complete(self) -> bool:
         return not np.isnan(self.values).any()
@@ -237,16 +215,11 @@ class AlignedPanel:
 
 def _longest_true_run(mask: np.ndarray) -> tuple:
     """(start, stop) of the longest run of True; earliest wins ties; (0, 0) if none."""
-    best = (0, 0)
-    run_start = None
-    for i, flag in enumerate(list(mask) + [False]):
-        if flag and run_start is None:
-            run_start = i
-        elif not flag and run_start is not None:
-            if i - run_start > best[1] - best[0]:
-                best = (run_start, i)
-            run_start = None
-    return best
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False])).astype(np.int8)))
+    if not len(edges):
+        return (0, 0)
+    k = int(np.argmax(edges[1::2] - edges[::2]))  # argmax takes the first of equal runs
+    return int(edges[2 * k]), int(edges[2 * k + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +245,8 @@ def aggregate_loans(loans) -> AlignedPanel:
     counts = np.bincount(cell, minlength=math.prod(shape)).reshape(shape)
     means = np.divide(sums, counts, out=np.full(shape, np.nan), where=counts > 0)
     observed = np.flatnonzero(counts.any(axis=0))
-    keys = tuple(SeriesKey("{1}-{0}".format(*_BUCKETS[j]), KIND_RATE) for j in observed)
-    return AlignedPanel(Month.from_index(lo), keys, means[:, observed])
+    names = tuple("{1}-{0}".format(*_BUCKETS[j]) for j in observed)
+    return AlignedPanel(Month.from_index(lo), names, means[:, observed])
 
 
 def term_of_series(name: str) -> int:
@@ -297,9 +270,8 @@ def to_spreads(panel: AlignedPanel, curve: Iterable[YieldCurvePoint]) -> Aligned
             raise DataError(f"conflicting yields for {pt.month} at {pt.maturity_months} months")
         lookup[key] = pt.yield_pct
     out = np.array(panel.values)
-    keys = []
-    for j, key in enumerate(panel.columns):
-        term = term_of_series(key.name)
+    for j, name in enumerate(panel.names):
+        term = term_of_series(name)
         for t in range(panel.n_obs):
             if np.isnan(out[t, j]):
                 continue
@@ -307,8 +279,7 @@ def to_spreads(panel: AlignedPanel, curve: Iterable[YieldCurvePoint]) -> Aligned
             if y is None:
                 raise DataError(f"no yield for {panel.month_at(t)} at maturity {term} months")
             out[t, j] -= y
-        keys.append(SeriesKey(key.name, KIND_SPREAD_LEVEL))
-    return AlignedPanel(panel.start, tuple(keys), out)
+    return AlignedPanel(panel.start, panel.names, out)
 
 
 def first_difference(panel: AlignedPanel) -> AlignedPanel:
@@ -320,15 +291,13 @@ def first_difference(panel: AlignedPanel) -> AlignedPanel:
     if panel.n_obs < 2:
         raise DataError("cannot difference a panel with fewer than two rows")
     diff = panel.values[1:] - panel.values[:-1]
-    for j, key in enumerate(panel.columns):
+    for j, name in enumerate(panel.names):
         if not np.any(~np.isnan(diff[:, j])):
-            raise DataError(f"series {key.name!r} has fewer than two consecutive observations")
-    kind_map = {KIND_SPREAD_LEVEL: KIND_SPREAD_DIFF}
-    keys = tuple(SeriesKey(c.name, kind_map.get(c.kind, c.kind)) for c in panel.columns)
-    return AlignedPanel(panel.start.plus(1), keys, diff)
+            raise DataError(f"series {name!r} has fewer than two consecutive observations")
+    return AlignedPanel(panel.start.plus(1), panel.names, diff)
 
 
-def interpolate_quarterly(points, name: str = "interpolated", kind: str = KIND_MACRO) -> AlignedPanel:
+def interpolate_quarterly(points, name: str = "interpolated") -> AlignedPanel:
     """Linear interpolation of sparse (typically quarterly) anchors to months.
 
     points is a sequence of (Month, value) pairs with strictly increasing
@@ -349,16 +318,13 @@ def interpolate_quarterly(points, name: str = "interpolated", kind: str = KIND_M
     xs = np.array([m - start for m in months], dtype=float)
     ys = np.array([v for _, v in pts])
     grid = np.interp(np.arange(n_months, dtype=float), xs, ys)
-    return AlignedPanel(start, (SeriesKey(name, kind),), grid[:, None])
+    return AlignedPanel(start, (name,), grid[:, None])
 
 
-def align(panels: Sequence[AlignedPanel], policy: str = ALIGN_INTERSECT) -> AlignedPanel:
-    """Merge panels onto one grid.
+def align(panels: Sequence[AlignedPanel]) -> AlignedPanel:
+    """Merge panels onto their intersect grid.
 
-    union: the grid spans every input's months; cells outside an input's own
-    span (or missing inside it) stay NaN.
-
-    intersect: the longest contiguous run of months on which every column of
+    The grid is the longest contiguous run of months on which every column of
     every input is observed (the earliest run on ties); errors when no fully
     observed month exists. The result is therefore complete and a contiguous
     sub-grid of each input's span.
@@ -366,25 +332,20 @@ def align(panels: Sequence[AlignedPanel], policy: str = ALIGN_INTERSECT) -> Alig
     panels = list(panels)
     if not panels:
         raise DataError("no panels to align")
-    if policy not in (ALIGN_INTERSECT, ALIGN_UNION):
-        raise DataError(f"unknown alignment policy {policy!r}")
     lo = min(p.start for p in panels)
-    hi = max(p.end for p in panels)
-    n_months = hi - lo + 1
-    keys = tuple(c for p in panels for c in p.columns)
-    merged = np.full((n_months, len(keys)), np.nan)
+    n_months = max(p.end for p in panels) - lo + 1
+    names = tuple(n for p in panels for n in p.names)
+    merged = np.full((n_months, len(names)), np.nan)
     j = 0
     for p in panels:
         off = p.start - lo
         merged[off:off + p.n_obs, j:j + p.n_series] = p.values
         j += p.n_series
-    if policy == ALIGN_UNION:
-        return AlignedPanel(lo, keys, merged)
     complete = ~np.isnan(merged).any(axis=1)
     a, b = _longest_true_run(complete)
     if b <= a:
         raise DataError("intersect alignment found no month where every column is observed")
-    return AlignedPanel(lo.plus(a), keys, merged[a:b])
+    return AlignedPanel(lo.plus(a), names, merged[a:b])
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +450,7 @@ def read_yields_csv(path) -> list:
             for line, d, m, y in zip(lines, *cols)]
 
 
-def read_panel_csv(path, kind: str = KIND_MACRO) -> AlignedPanel:
+def read_panel_csv(path) -> AlignedPanel:
     """Panel CSV: first column 'date' as YYYY-MM, one series per remaining column.
 
     Empty cells are missing; non-finite numbers (nan, inf) are rejected.
@@ -508,9 +469,9 @@ def read_panel_csv(path, kind: str = KIND_MACRO) -> AlignedPanel:
             raise DataError(f"{path}: empty file")
         if not header or header[0] != "date":
             raise DataError(f"{path}: first column must be 'date'")
-        names = header[1:]
-        if not names:
+        if len(header) < 2:
             raise DataError(f"{path}: no series columns")
+        names = _at(path, numbered[reader.line_num - 1][0], lambda: _series_names(header[1:]))
         for row in reader:
             i = numbered[reader.line_num - 1][0]
             if not row:
@@ -539,8 +500,7 @@ def read_panel_csv(path, kind: str = KIND_MACRO) -> AlignedPanel:
     for a, b in zip(months, months[1:]):
         if b - a != 1:
             raise DataError(f"{path}: months must be consecutive ({a} is followed by {b})")
-    keys = tuple(SeriesKey(name, kind) for name in names)
-    return AlignedPanel(months[0], keys, np.array(rows))
+    return AlignedPanel(months[0], names, np.array(rows))
 
 
 def panel_csv_text(panel: AlignedPanel, comment: str = None) -> str:

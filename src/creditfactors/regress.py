@@ -78,8 +78,8 @@ def _as_design(Y, X):
         raise DataError(f"predictor matrix must be 2-D, got shape {X.shape}")
     if X.shape[0] != Y.shape[0]:
         raise DataError(f"response has {Y.shape[0]} rows but predictors have {X.shape[0]}")
-    if np.isnan(Y).any() or np.isnan(X).any():
-        raise DataError("regression inputs contain missing values; align or trim first")
+    if not (np.isfinite(Y).all() and np.isfinite(X).all()):
+        raise DataError("regression inputs contain NaN or infinite values; align or trim first")
     return Y, X
 
 

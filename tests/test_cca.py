@@ -162,6 +162,14 @@ class TestCcaFit:
         with pytest.raises(cf.DataError):
             cf.cca_fit(Y, np.ones((30, 1)) * np.arange(30)[:, None])
 
+    @pytest.mark.parametrize("block", ["Y", "Z"])
+    def test_infinite_cell_rejected(self, block):
+        rng = np.random.default_rng(74)
+        Y, Z = rng.normal(size=(40, 3)), rng.normal(size=(40, 2))
+        (Y if block == "Y" else Z)[3, 1] = -np.inf
+        with pytest.raises(cf.DataError, match="infinite"):
+            cf.cca_fit(Y, Z)
+
 
 class TestEigenTable:
     def test_identity_links_eigenvalue_and_correlation(self):

@@ -31,25 +31,22 @@ def write_spread_panel(path, T=40, n=4, seed=101):
     rng = np.random.default_rng(seed)
     names = ["36-A", "36-B", "60-A", "60-B"][:n]
     vals = rng.normal(0, 1, size=(T, n)).cumsum(axis=0) * 0.2 + 5.0
-    keys = tuple(cf.SeriesKey(nm, cf.KIND_SPREAD_LEVEL) for nm in names)
-    panel = cf.AlignedPanel(cf.Month(2010, 1), keys, vals)
+    panel = cf.AlignedPanel(cf.Month(2010, 1), names, vals)
     cf.write_panel_csv(panel, path)
     return panel
 
 
 def write_named_spreads(path, names, T=40, seed=77):
     rng = np.random.default_rng(seed)
-    keys = tuple(cf.SeriesKey(nm, cf.KIND_SPREAD_LEVEL) for nm in names)
     vals = rng.normal(size=(T, len(names))).cumsum(axis=0) * 0.2 + 5.0
-    cf.write_panel_csv(cf.AlignedPanel(cf.Month(2010, 1), keys, vals), path)
+    cf.write_panel_csv(cf.AlignedPanel(cf.Month(2010, 1), names, vals), path)
 
 
 def write_macro_panel(path, T=40, q=3, seed=202):
     rng = np.random.default_rng(seed)
     names = ["UNRATE", "CPI", "SLOPE"][:q]
     vals = rng.normal(size=(T, q)).cumsum(axis=0) * 0.1
-    keys = tuple(cf.SeriesKey(nm, cf.KIND_MACRO) for nm in names)
-    panel = cf.AlignedPanel(cf.Month(2010, 1), keys, vals)
+    panel = cf.AlignedPanel(cf.Month(2010, 1), names, vals)
     cf.write_panel_csv(panel, path)
     return panel
 
@@ -67,8 +64,7 @@ class TestAggregate:
             "2010-01,60,3.0\n")
         assert run("aggregate", "--loans", "loans.csv", "--yields", "yields.csv",
                    "--out", "out") == 0
-        panel = cf.read_panel_csv(workdir / "out" / "spreads.csv",
-                                  kind=cf.KIND_SPREAD_LEVEL)
+        panel = cf.read_panel_csv(workdir / "out" / "spreads.csv")
         assert panel.names == ("36-A", "60-B")
         assert panel.n_obs == 1
         assert panel.column("36-A")[0] == pytest.approx(11.0 - 2.0)
@@ -125,10 +121,9 @@ class TestOlsParity:
         assert run("ols", "--spreads", "spreads.csv", "--macro", "macro.csv",
                    "--out", "out") == 0
 
-        diffs = cf.first_difference(
-            cf.read_panel_csv(workdir / "spreads.csv", kind=cf.KIND_SPREAD_LEVEL))
-        macro_back = cf.read_panel_csv(workdir / "macro.csv", kind=cf.KIND_MACRO)
-        combined = cf.align([diffs, macro_back], cf.ALIGN_INTERSECT)
+        diffs = cf.first_difference(cf.read_panel_csv(workdir / "spreads.csv"))
+        macro_back = cf.read_panel_csv(workdir / "macro.csv")
+        combined = cf.align([diffs, macro_back])
         z_names = list(macro_back.names)
         X = np.column_stack([combined.column(nm) for nm in z_names])
         fits = [cf.ols(combined.column(nm), X, response_name=nm,
@@ -151,8 +146,7 @@ class TestSimulate:
                       "spec_echo.json"]:
             assert (workdir / "a" / fname).read_bytes() == \
                    (workdir / "b" / fname).read_bytes()
-        responses = cf.read_panel_csv(workdir / "a" / "responses.csv",
-                                      kind=cf.KIND_SPREAD_LEVEL)
+        responses = cf.read_panel_csv(workdir / "a" / "responses.csv")
         spec = cf.scenario_missing_factor(5, n_periods=60)
         ds = cf.generate(spec)
         np.testing.assert_allclose(responses.values, ds.responses, atol=1e-9)
@@ -261,10 +255,8 @@ class TestExitCodes:
     def test_numerical_failure_exit_4(self, workdir):
         write_spread_panel(workdir / "spreads.csv")
         T = 40
-        keys = (cf.SeriesKey("FLAT", cf.KIND_MACRO),
-                cf.SeriesKey("TREND", cf.KIND_MACRO))
         vals = np.column_stack([np.full(T, 3.0), np.arange(T, dtype=float)])
-        cf.write_panel_csv(cf.AlignedPanel(cf.Month(2010, 1), keys, vals),
+        cf.write_panel_csv(cf.AlignedPanel(cf.Month(2010, 1), ("FLAT", "TREND"), vals),
                            workdir / "macro.csv")
         assert run("cca", "--spreads", "spreads.csv", "--macro", "macro.csv",
                    "--out", "out") == 4
@@ -326,12 +318,35 @@ class TestExitCodes:
         ("# note\ndate,S1\n2010-01,1.0\n2010-1,2.0\n",
          "p.csv:4: unparseable date '2010-1' (expected YYYY-MM or YYYY-MM-DD)"),
         (f"date,S1\n2010-01,{BIG_CELL}\n", f"p.csv:2: {FIELD_LIMIT}"),
-    ], ids=["month-13", "date-after-comment", "field-limit"])
+        ("date,,S2\n2010-01,1.0,2.0\n",
+         "p.csv:1: series names must be nonempty strings, got ['', 'S2']"),
+        ("# note\n# more\ndate,S1,S1\n2010-01,1.0,2.0\n",
+         "p.csv:3: duplicate series names: ['S1']"),
+    ], ids=["month-13", "date-after-comment", "field-limit", "empty-name", "duplicate-name"])
     def test_bad_panel_row_names_file_and_line(self, workdir, capsys, text, message):
         (workdir / "p.csv").write_text(text)
         assert run("adf", "--panel", "p.csv", "--out", "out") == 3
         assert capsys.readouterr().err.strip().splitlines() == [f"data error: {message}"]
         assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("setting, value, message", [
+        ("factors", "three", "setting 'factors': cannot parse 'three'"),
+        ("lags", "x", "setting 'lags': cannot parse 'x'"),
+        ("ridge", "abc", "setting 'ridge': cannot parse 'abc'"),
+        ("kind", "bogus",
+         "setting 'kind': 'bogus' is not one of ['constant', 'constant_trend']"),
+        ("transform", "bogus", "setting 'transform': 'bogus' is not one of ['diff', 'levels']"),
+    ])
+    def test_bad_value_fails_alike_from_flag_and_config(self, workdir, capsys, setting,
+                                                        value, message):
+        write_spread_panel(workdir / "spreads.csv")
+        write_macro_panel(workdir / "macro.csv")
+        (workdir / "run.cfg").write_text(f"{setting} = {value}\n")
+        data = ["--spreads", "spreads.csv", "--macro", "macro.csv", "--out", "rep"]
+        for source in ([f"--{setting}", value], ["--config", "run.cfg"]):
+            assert run("analyze", *data, *source) == 2
+            assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
+            assert not (workdir / "rep").exists()
 
     def test_late_data_error_leaves_no_out(self, workdir, capsys):
         # the ADF stage fails after the summary tables have rendered
@@ -417,10 +432,8 @@ class TestAnalyze:
 
     def test_generic_names_fall_back_to_per_response(self, workdir):
         rng = np.random.default_rng(77)
-        keys = tuple(cf.SeriesKey(nm, cf.KIND_SPREAD_LEVEL)
-                     for nm in ["alpha", "beta", "gamma"])
         vals = rng.normal(size=(40, 3)).cumsum(axis=0) * 0.2
-        cf.write_panel_csv(cf.AlignedPanel(cf.Month(2010, 1), keys, vals),
+        cf.write_panel_csv(cf.AlignedPanel(cf.Month(2010, 1), ("alpha", "beta", "gamma"), vals),
                            workdir / "spreads.csv")
         write_macro_panel(workdir / "macro.csv")
         assert run("analyze", "--spreads", "spreads.csv", "--macro", "macro.csv",
@@ -459,6 +472,28 @@ class TestAnalyze:
                                ("johansen_60-month.csv", johansen)):
                 comment = (workdir / "rep" / name).read_text().splitlines()[0].split()
                 assert f"lags={lags}" in comment, (flags, name, comment)
+
+    def test_johansen_command_reads_lags_as_analyze_does(self, workdir):
+        write_spread_panel(workdir / "spreads.csv")
+        for flags, order in (([], "2"), (["--lags", "0"], "1"), (["--lags", "3"], "4")):
+            assert run("johansen", "--panel", "spreads.csv", *flags, "--out", "j") == 0
+            comment = (workdir / "j" / "johansen.csv").read_text().splitlines()[0].split()
+            assert f"lags={order}" in comment, (flags, comment)
+
+    def test_out_holding_another_bundle_is_refused(self, workdir, capsys):
+        write_spread_panel(workdir / "spreads.csv")
+        write_macro_panel(workdir / "macro.csv")
+        write_named_spreads(workdir / "generic.csv", ["alpha", "beta", "gamma"])
+        assert run("analyze", "--spreads", "spreads.csv", "--macro", "macro.csv",
+                   "--out", "rep") == 0
+        before = {f.name: f.read_bytes() for f in (workdir / "rep").iterdir()}
+        capsys.readouterr()
+        # generic names write per-response files, so the grade and term files would stay
+        assert run("analyze", "--spreads", "generic.csv", "--macro", "macro.csv",
+                   "--out", "rep") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "usage error: rep holds 'diagnostic_grades.csv', which this bundle does not write"]
+        assert {f.name: f.read_bytes() for f in (workdir / "rep").iterdir()} == before
 
     def test_loans_route_matches_spreads_route(self, workdir):
         # the pipeline must not care whether spreads arrive built or raw

@@ -62,8 +62,8 @@ class TestFactorRegressions:
         rng = np.random.default_rng(84)
         Y, Z, sol = fitted_system(rng, T=60)
         fs = cf.FactorScores.from_solution(sol, r=2)
-        keys = tuple(cf.SeriesKey(f"s{j}", cf.KIND_SPREAD_DIFF) for j in range(4))
-        panel = cf.AlignedPanel(cf.Month(2006, 1), keys, Y)
+        names = tuple(f"s{j}" for j in range(4))
+        panel = cf.AlignedPanel(cf.Month(2006, 1), names, Y)
         fits = cf.factor_regressions(panel, fs)
         assert [f.response_name for f in fits] == ["s0", "s1", "s2", "s3"]
 
@@ -73,8 +73,8 @@ class TestFactorRegressions:
         fs = cf.FactorScores.from_solution(sol, r=2)
         vals = np.array(Y)
         vals[0, 0] = np.nan
-        keys = tuple(cf.SeriesKey(f"s{j}", cf.KIND_SPREAD_DIFF) for j in range(4))
-        panel = cf.AlignedPanel(cf.Month(2006, 1), keys, vals)
+        names = tuple(f"s{j}" for j in range(4))
+        panel = cf.AlignedPanel(cf.Month(2006, 1), names, vals)
         with pytest.raises(cf.DataError):
             cf.factor_regressions(panel, fs)
 

@@ -171,11 +171,10 @@ class TestToSpreads:
                 rebuilt[t, j] += lookup[(spreads.month_at(t), term)]
         np.testing.assert_allclose(rebuilt, panel.values, atol=1e-12)
 
-    def test_kind_becomes_spread_level(self):
+    def test_single_loan_spread_keeps_its_name(self):
         records = [cf.LoanRecord(month("2010-01"), 10.0, "A", 36)]
         panel = cf.aggregate_loans(records)
         spreads = cf.to_spreads(panel, [cf.YieldCurvePoint(month("2010-01"), 36, 2.0)])
-        assert spreads.columns[0].kind == cf.KIND_SPREAD_LEVEL
         assert spreads.column("36-A")[0] == pytest.approx(8.0)
 
     def test_missing_curve_point_names_month_and_term(self):
@@ -202,8 +201,7 @@ class TestFirstDifference:
         rng = np.random.default_rng(5)
         vals = rng.normal(size=(30, 4))
         vals[3, 1] = np.nan
-        keys = tuple(cf.SeriesKey(f"s{j}", cf.KIND_SPREAD_LEVEL) for j in range(4))
-        panel = cf.AlignedPanel(month("2011-01"), keys, vals)
+        panel = cf.AlignedPanel(month("2011-01"), tuple(f"s{j}" for j in range(4)), vals)
         diff = cf.first_difference(panel)
         assert diff.start == month("2011-02")
         assert diff.n_obs == panel.n_obs - 1
@@ -212,18 +210,15 @@ class TestFirstDifference:
         # one missing level knocks out the two differences that touch it
         assert np.isnan(diff.column("s1")[2]) and np.isnan(diff.column("s1")[3])
 
-    def test_kind_becomes_spread_diff(self):
-        keys = (cf.SeriesKey("36-A", cf.KIND_SPREAD_LEVEL),)
-        panel = cf.AlignedPanel(month("2011-01"), keys, np.array([[1.0], [2.0]]))
+    def test_two_row_difference_keeps_its_name(self):
+        panel = cf.AlignedPanel(month("2011-01"), ("36-A",), np.array([[1.0], [2.0]]))
         diff = cf.first_difference(panel)
-        assert diff.columns[0].kind == cf.KIND_SPREAD_DIFF
         assert diff.column("36-A")[0] == pytest.approx(1.0)
 
     def test_isolated_observations_rejected(self):
-        keys = (cf.SeriesKey("s", cf.KIND_MACRO),)
         vals = np.array([[1.0], [np.nan], [2.0]])
         with pytest.raises(cf.DataError, match="consecutive"):
-            cf.first_difference(cf.AlignedPanel(month("2011-01"), keys, vals))
+            cf.first_difference(cf.AlignedPanel(month("2011-01"), ("s",), vals))
 
 
 class TestInterpolateQuarterly:
@@ -251,29 +246,19 @@ class TestInterpolateQuarterly:
 # alignment
 # ---------------------------------------------------------------------------
 
-def single(name, start, values, kind=cf.KIND_MACRO):
+def single(name, start, values):
     arr = np.asarray(values, dtype=float)[:, None]
-    return cf.AlignedPanel(month(start), (cf.SeriesKey(name, kind),), arr)
+    return cf.AlignedPanel(month(start), (name,), arr)
 
 
 class TestAlign:
-    def test_union_spans_every_input(self):
-        a = single("a", "2010-01", [1, 2, 3])
-        b = single("b", "2010-03", [10, 11])
-        merged = cf.align([a, b], cf.ALIGN_UNION)
-        assert merged.start == month("2010-01")
-        assert merged.end == month("2010-04")
-        np.testing.assert_allclose(merged.column("a"), [1, 2, 3, np.nan], equal_nan=True)
-        np.testing.assert_allclose(merged.column("b"), [np.nan, np.nan, 10, 11],
-                                   equal_nan=True)
-
     def test_intersect_picks_longest_complete_run(self):
         # complete runs: [2010-02..2010-03] and [2010-06..2010-09]; the longer wins
         vals_a = [1, 1, 1, np.nan, 1, 1, 1, 1, 1]
         vals_b = [np.nan, 2, 2, 2, 2, 2, 2, 2, 2]
         a = single("a", "2010-01", vals_a)
         b = single("b", "2010-01", vals_b)
-        merged = cf.align([a, b], cf.ALIGN_INTERSECT)
+        merged = cf.align([a, b])
         assert merged.start == month("2010-05")
         assert merged.end == month("2010-09")
         assert merged.is_complete()
@@ -281,7 +266,7 @@ class TestAlign:
     def test_intersect_tie_prefers_earliest(self):
         vals = [1.0, 1.0, np.nan, 2.0, 2.0]
         p = single("x", "2010-01", vals)
-        merged = cf.align([p], cf.ALIGN_INTERSECT)
+        merged = cf.align([p])
         assert merged.start == month("2010-01")
         assert merged.n_obs == 2
 
@@ -292,10 +277,7 @@ class TestAlign:
             vals = rng.normal(size=(n, 3))
             mask = rng.random((n, 3)) < 0.25
             vals[mask] = np.nan
-            p = cf.AlignedPanel(
-                month("2005-01"),
-                tuple(cf.SeriesKey(f"c{j}", cf.KIND_MACRO) for j in range(3)),
-                vals)
+            p = cf.AlignedPanel(month("2005-01"), ("c0", "c1", "c2"), vals)
             complete = ~np.isnan(vals).any(axis=1)
             # brute-force longest run of complete rows, earliest on ties
             best_len, best_start, run = 0, 0, 0
@@ -305,9 +287,9 @@ class TestAlign:
                     best_len, best_start = run, i - run + 1
             if best_len == 0:
                 with pytest.raises(cf.DataError):
-                    cf.align([p], cf.ALIGN_INTERSECT)
+                    cf.align([p])
                 continue
-            merged = cf.align([p], cf.ALIGN_INTERSECT)
+            merged = cf.align([p])
             assert merged.n_obs == best_len
             assert merged.start == month("2005-01").plus(best_start)
 
@@ -315,13 +297,13 @@ class TestAlign:
         a = single("a", "2010-01", [1.0, np.nan])
         b = single("b", "2010-01", [np.nan, 2.0])
         with pytest.raises(cf.DataError, match="no month"):
-            cf.align([a, b], cf.ALIGN_INTERSECT)
+            cf.align([a, b])
 
     def test_duplicate_names_rejected(self):
         a = single("x", "2010-01", [1.0])
         b = single("x", "2010-01", [2.0])
-        with pytest.raises(cf.DataError):
-            cf.align([a, b], cf.ALIGN_UNION)
+        with pytest.raises(cf.DataError, match="duplicate"):
+            cf.align([a, b])
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +317,7 @@ class TestAlignedPanel:
             p.values[0, 0] = 5.0
 
     def test_select_preserves_order_given(self):
-        keys = tuple(cf.SeriesKey(n, cf.KIND_MACRO) for n in ["a", "b", "c"])
-        p = cf.AlignedPanel(month("2010-01"), keys, np.eye(3))
+        p = cf.AlignedPanel(month("2010-01"), ("a", "b", "c"), np.eye(3))
         sub = p.select(["c", "a"])
         assert sub.names == ("c", "a")
         np.testing.assert_array_equal(sub.values, np.eye(3)[:, [2, 0]])
@@ -362,14 +343,12 @@ class TestCsv:
         vals = rng.normal(size=(24, 3)) * 10
         vals[5, 0] = np.nan
         vals[0, 2] = np.nan
-        keys = tuple(cf.SeriesKey(n, cf.KIND_SPREAD_LEVEL) for n in ["36-A", "36-B", "60-A"])
-        p = cf.AlignedPanel(month("2012-07"), keys, vals)
+        p = cf.AlignedPanel(month("2012-07"), ("36-A", "36-B", "60-A"), vals)
         path = tmp_path / "p.csv"
         cf.write_panel_csv(p, path, comment="n_obs=24 transform=levels align=union")
-        back = cf.read_panel_csv(path, kind=cf.KIND_SPREAD_LEVEL)
+        back = cf.read_panel_csv(path)
         assert back.start == p.start
         assert back.names == p.names
-        assert back.columns == p.columns
         # the writer emits round-trippable decimals, so equality is exact
         np.testing.assert_array_equal(back.values, p.values)
 

@@ -110,6 +110,17 @@ class TestOls:
         with pytest.raises(cf.DataError):
             cf.ols(y, np.ones((3, 1)))
 
+    @pytest.mark.parametrize("cell", ["y", "X"])
+    def test_infinite_cell_rejected(self, cell):
+        y, X = np.arange(10.0), np.random.default_rng(7).normal(size=(10, 2))
+        if cell == "y":
+            y[3] = np.inf
+        else:
+            X[3, 1] = np.inf
+        for call in (cf.ols, cf.stepwise_aic):
+            with pytest.raises(cf.DataError, match="infinite"):
+                call(y, X)
+
     def test_too_few_rows_rejected(self):
         with pytest.raises(cf.DataError):
             cf.ols(np.array([1.0, 2.0]), np.eye(2))

@@ -206,8 +206,7 @@ class TestJohansen:
     def test_accepts_aligned_panel(self):
         rng = np.random.default_rng(47)
         vals = np.column_stack([random_walk(rng, 100) for _ in range(2)])
-        keys = tuple(cf.SeriesKey(n, cf.KIND_SPREAD_LEVEL) for n in ["a", "b"])
-        panel = cf.AlignedPanel(cf.Month(2005, 1), keys, vals)
+        panel = cf.AlignedPanel(cf.Month(2005, 1), ("a", "b"), vals)
         res = cf.johansen_trace(panel)
         assert res.n_obs == 100 - res.lag_order
 
