@@ -16,8 +16,10 @@ digests of each side.
 
 The JSON holds, per workload, side and end-to-end metric, the median and
 quartiles of the run medians and the runs themselves; the pairs the change won;
-the failed-run counts; the BLAS thread count and the machine; the per-layer
-metrics; and the digests. perfbench is only imported and run, never modified.
+the failed-run counts; the BLAS thread count and the machine; whether the
+children may write bytecode, and whether each side's src/creditfactors/__pycache__
+existed before the runs; the per-layer metrics; and the digests. perfbench is
+only imported and run, never modified.
 """
 
 import argparse
@@ -72,6 +74,13 @@ def main(argv=None):
         seconds = float(json.load(fh)["run_seconds"])
     sides = {"change": ROOT, "parent": os.path.abspath(args.compare)}
 
+    environment = perfbench.environment()
+    # every perfbench child inherits this; when set, no bytecode is written, so each
+    # cold process compiles src/ again unless __pycache__ was already there
+    environment["PYTHONDONTWRITEBYTECODE"] = os.environ.get("PYTHONDONTWRITEBYTECODE")
+    environment["src_pycache_before_runs"] = {
+        side: os.path.isdir(os.path.join(path, "src", "creditfactors", "__pycache__"))
+        for side, path in sides.items()}
     runs = {w: {side: [] for side in sides} for w in WORKLOADS}
     # a claim must also hold on seeds not used while the change was written
     seeds = [100 * args.pr + 1 + i for i in range(args.pairs)]
@@ -109,7 +118,7 @@ def main(argv=None):
         "seconds": seconds,
         "seeds": seeds,
         "order": "change and parent alternate run by run; parent first in even pairs",
-        "environment": perfbench.environment(),
+        "environment": environment,
         "workloads": workloads,
         "digests": {side: digests(path) for side, path in sides.items()},
     }

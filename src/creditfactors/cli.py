@@ -166,7 +166,7 @@ def cmd_spreads(args) -> int:
 
 def _write_spreads(s: Settings, rates, yields_path) -> int:
     spreads = panel_mod.to_spreads(rates, panel_mod.read_yields_csv(yields_path))
-    text = panel_mod.panel_csv_text(spreads, _meta(spreads.n_obs, TRANSFORM_LEVELS, "union"))
+    text = panel_mod.panel_csv_text(spreads, _meta(spreads.n_obs, TRANSFORM_LEVELS, "none"))
     return _commit(s.get("out", default="."), [("spreads.csv", text)])
 
 

@@ -12,6 +12,7 @@ object is built per loan and the text held in memory is bounded by the chunk.
 
 import csv
 import io
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ GRADES = ("A", "B", "C", "D", "E", "F")
 TERMS = (36, 60)
 _BUCKETS = tuple((grade, term) for term in TERMS for grade in GRADES)  # LoanBook code -> bucket
 CHUNK_ROWS = 4096  # CSV rows held as text at a time by the record readers
+_MONTHS = tuple(f"-{m:02d}" for m in range(1, 13))  # the month part of str(Month)
 
 
 @dataclass(frozen=True, order=True)
@@ -265,20 +267,22 @@ def to_spreads(panel: AlignedPanel, curve: Iterable[YieldCurvePoint]) -> Aligned
     """
     lookup = {}
     for pt in curve:
-        key = (pt.month, pt.maturity_months)
+        key = (pt.month.index, pt.maturity_months)
         if key in lookup and lookup[key] != pt.yield_pct:
             raise DataError(f"conflicting yields for {pt.month} at {pt.maturity_months} months")
         lookup[key] = pt.yield_pct
-    out = np.array(panel.values)
+    months = range(panel.start.index, panel.start.index + panel.n_obs)
+    out, yields = np.array(panel.values), {}  # yields: one column per term
     for j, name in enumerate(panel.names):
         term = term_of_series(name)
-        for t in range(panel.n_obs):
-            if np.isnan(out[t, j]):
-                continue
-            y = lookup.get((panel.month_at(t), term))
-            if y is None:
-                raise DataError(f"no yield for {panel.month_at(t)} at maturity {term} months")
-            out[t, j] -= y
+        if term not in yields:
+            yields[term] = np.array([lookup.get((i, term), np.nan) for i in months])
+        observed = ~np.isnan(out[:, j])
+        missing = np.flatnonzero(observed & np.isnan(yields[term]))
+        if len(missing):
+            raise DataError(f"no yield for {panel.month_at(int(missing[0]))} at maturity {term} "
+                            "months")
+        np.subtract(out[:, j], yields[term], out=out[:, j], where=observed)
     return AlignedPanel(panel.start, panel.names, out)
 
 
@@ -450,6 +454,24 @@ def read_yields_csv(path) -> list:
             for line, d, m, y in zip(lines, *cols)]
 
 
+def _month_labels(start: int, n: int) -> list:
+    """str(Month) of the n months from Month.index start on."""
+    years = map("{:04d}".format, range(start // 12, (start + n - 1) // 12 + 1))
+    return [year + month for year in years for month in _MONTHS][start % 12:start % 12 + n]
+
+
+def _cell_value(cell: str) -> float:
+    """A panel cell as a float, NaN if empty; a DataError if it is not a finite number."""
+    cell = cell.strip()
+    try:
+        value = float(cell) if cell else np.nan
+    except ValueError:
+        raise DataError(f"unparseable number {cell!r}") from None
+    if cell and not math.isfinite(value):
+        raise DataError(f"non-finite number {cell!r}")
+    return value
+
+
 def read_panel_csv(path) -> AlignedPanel:
     """Panel CSV: first column 'date' as YYYY-MM, one series per remaining column.
 
@@ -458,11 +480,10 @@ def read_panel_csv(path) -> AlignedPanel:
     the line of the file. Months must be consecutive.
     """
     with open(path, newline="") as fh:
-        numbered = [(i, ln) for i, ln in enumerate(_decoded(fh, path), start=1)
-                    if not ln.startswith("#")]
-    reader = csv.reader(ln for _, ln in numbered)
-    months = []
-    rows = []
+        lines = list(_decoded(fh, path))  # a byte that does not decode fails first
+    skip = next((i for i, ln in enumerate(lines) if not ln.startswith("#")), len(lines))
+    reader = csv.reader(lines[skip:])
+    rows, at, fault = [], [], None
     try:
         header = next(reader, None)
         if header is None:
@@ -471,36 +492,47 @@ def read_panel_csv(path) -> AlignedPanel:
             raise DataError(f"{path}: first column must be 'date'")
         if len(header) < 2:
             raise DataError(f"{path}: no series columns")
-        names = _at(path, numbered[reader.line_num - 1][0], lambda: _series_names(header[1:]))
-        for row in reader:
-            i = numbered[reader.line_num - 1][0]
-            if not row:
-                continue
+        names = _at(path, skip + reader.line_num, lambda: _series_names(header[1:]))
+        for row in filter(None, reader):  # blank lines are skipped but counted
             if len(row) != len(header):
-                raise DataError(f"{path}:{i}: expected {len(header)} cells, got {len(row)}")
-            months.append(_at(path, i, lambda: Month.parse(row[0])))
-            vals = []
-            for cell in row[1:]:
-                cell = cell.strip()
-                if cell == "":
-                    vals.append(np.nan)
-                else:
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise DataError(f"{path}:{i}: unparseable number {cell!r}") from None
-                    if not math.isfinite(value):
-                        raise DataError(f"{path}:{i}: non-finite number {cell!r}")
-                    vals.append(value)
-            rows.append(vals)
+                fault = DataError(f"{path}:{skip + reader.line_num}: expected {len(header)} "
+                                  f"cells, got {len(row)}")
+                break
+            rows.append(row)
+            at.append(skip + reader.line_num)
     except csv.Error as exc:  # a cell past csv.field_size_limit, say
-        raise DataError(f"{path}:{numbered[reader.line_num - 1][0]}: {exc}") from None
-    if not rows:
+        fault = DataError(f"{path}:{skip + reader.line_num}: {exc}")
+    del lines, reader  # the rows hold every cell now; free the text before converting them
+    # in bulk when every date is on the YYYY-MM grid of the first and every cell is
+    # empty or a finite number; any other file is read row by row below
+    if fault is None and rows:
+        cells = list(itertools.chain.from_iterable(rows))
+        dates = cells[::len(header)]
+        del cells[::len(header)]
+        try:
+            try:
+                values = np.fromiter(map(float, cells), float, len(cells))
+            except ValueError:  # an empty cell reads as nan; a bad one fails again
+                values = np.fromiter(map(float, map({"": "nan"}.get, cells, cells)), float,
+                                     len(cells))
+            start, last = Month.parse(dates[0]), Month.parse(dates[-1])  # no year past 9999
+            holes = np.flatnonzero(np.isnan(values)).tolist()  # each must be an empty cell
+            if (last - start == len(dates) - 1 and dates == _month_labels(start.index, len(dates))
+                    and not np.isinf(values).any() and not any(map(cells.__getitem__, holes))):
+                return AlignedPanel(start, names, values.reshape(len(rows), -1))
+        except ValueError:  # DataError included
+            pass
+    # row by row: the first bad row raises; if none does, the file is valid all the same
+    parsed = [_at(path, line, lambda: (Month.parse(row[0]), [_cell_value(c) for c in row[1:]]))
+              for line, row in zip(at, rows)]
+    if fault is not None:
+        raise fault
+    if not parsed:
         raise DataError(f"{path}: no data rows")
-    for a, b in zip(months, months[1:]):
+    for (a, _), (b, _) in zip(parsed, parsed[1:]):
         if b - a != 1:
             raise DataError(f"{path}: months must be consecutive ({a} is followed by {b})")
-    return AlignedPanel(months[0], names, np.array(rows))
+    return AlignedPanel(parsed[0][0], names, np.array([v for _, v in parsed]))
 
 
 def panel_csv_text(panel: AlignedPanel, comment: str = None) -> str:
@@ -511,10 +543,11 @@ def panel_csv_text(panel: AlignedPanel, comment: str = None) -> str:
     """
     buf = io.StringIO()
     buf.writelines(f"# {line}\n" for line in (comment.splitlines() if comment else ()))
-    writer = csv.writer(buf)
-    writer.writerow(["date"] + list(panel.names))
-    writer.writerows([str(panel.month_at(t))] + ["" if math.isnan(v) else repr(v) for v in row]
-                     for t, row in enumerate(panel.values.tolist()))
+    csv.writer(buf).writerow(["date", *panel.names])
+    for label, row, hole in zip(_month_labels(panel.start.index, panel.n_obs),
+                                panel.values.tolist(), np.isnan(panel.values).any(axis=1)):
+        cells = ["" if math.isnan(v) else repr(v) for v in row] if hole else map(repr, row)
+        buf.write(f"{label},{','.join(cells)}\r\n")
     return buf.getvalue()
 
 

@@ -64,7 +64,10 @@ class TestAggregate:
             "2010-01,60,3.0\n")
         assert run("aggregate", "--loans", "loans.csv", "--yields", "yields.csv",
                    "--out", "out") == 0
-        panel = cf.read_panel_csv(workdir / "out" / "spreads.csv")
+        spreads = workdir / "out" / "spreads.csv"
+        # aggregate aligns nothing; its note says so, as adf's and simulate's do
+        assert spreads.read_text().splitlines()[0] == "# n_obs=1 transform=levels align=none"
+        panel = cf.read_panel_csv(spreads)
         assert panel.names == ("36-A", "60-B")
         assert panel.n_obs == 1
         assert panel.column("36-A")[0] == pytest.approx(11.0 - 2.0)

@@ -183,6 +183,34 @@ class TestToSpreads:
         with pytest.raises(cf.DataError, match=r"2010-03.*60 months"):
             cf.to_spreads(panel, [cf.YieldCurvePoint(month("2010-03"), 36, 2.0)])
 
+    def test_subtraction_is_bit_identical_cell_by_cell(self):
+        rng = np.random.default_rng(10)
+        panel = cf.aggregate_loans(random_loans(rng, 2000))
+        curve = curve_for(panel)
+        lookup = {(p.month, p.maturity_months): p.yield_pct for p in curve}
+        expected = np.array(panel.values)
+        for j, name in enumerate(panel.names):
+            for t in np.flatnonzero(~np.isnan(expected[:, j])):
+                expected[t, j] -= lookup[(panel.month_at(int(t)), cf.term_of_series(name))]
+        assert np.isnan(panel.values).any()
+        assert cf.to_spreads(panel, curve).values.tobytes() == expected.tobytes()
+
+    def test_first_missing_yield_is_found_column_by_column(self):
+        """Columns are searched in order, each from its first month; missing rates need none."""
+        vals = np.full((4, 2), 9.0)
+        vals[0, 0] = np.nan
+        panel = cf.AlignedPanel(month("2010-01"), ("60-A", "36-A"), vals)
+        gaps = {("2010-01", 60), ("2010-03", 60), ("2010-04", 60), ("2010-02", 36)}
+        curve = [cf.YieldCurvePoint(panel.month_at(t), term, 2.0)
+                 for t in range(4) for term in (36, 60)
+                 if (str(panel.month_at(t)), term) not in gaps]
+        with pytest.raises(cf.DataError, match=r"^no yield for 2010-03 at maturity 60 months$"):
+            cf.to_spreads(panel, curve)
+        curve.append(cf.YieldCurvePoint(month("2010-03"), 60, 2.0))
+        curve.append(cf.YieldCurvePoint(month("2010-04"), 60, 2.0))
+        with pytest.raises(cf.DataError, match=r"^no yield for 2010-02 at maturity 36 months$"):
+            cf.to_spreads(panel, curve)
+
     def test_conflicting_curve_points_rejected(self):
         records = [cf.LoanRecord(month("2010-03"), 10.0, "A", 36)]
         panel = cf.aggregate_loans(records)
@@ -409,6 +437,21 @@ class TestCsv:
         path.write_text("# a note\n# another\ndate,x\n2010-01,1.5\n")
         p = cf.read_panel_csv(path)
         assert p.column("x")[0] == 1.5
+
+    def test_name_with_a_hash_continuation_line_round_trips(self, tmp_path):
+        """Only the lines before the header are comments: a quoted name may hold '\\n#'."""
+        p = cf.AlignedPanel(month("2010-01"), ("a\n#b", "c"), [[1.0, 2.0], [3.0, np.nan]])
+        path = tmp_path / "p.csv"
+        cf.write_panel_csv(p, path, comment="n_obs=2")
+        back = cf.read_panel_csv(path)
+        assert back.names == p.names
+        assert back.values.tobytes() == p.values.tobytes()
+
+    def test_panel_reader_reads_a_hash_line_after_the_header_as_a_row(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("# note\ndate,x\n2010-01,1.0\n# not a comment,2.0\n")
+        with pytest.raises(cf.DataError, match="p.csv:4: unparseable date '# not a comment'"):
+            cf.read_panel_csv(path)
 
     def test_panel_reader_rejects_bad_cell(self, tmp_path):
         path = tmp_path / "p.csv"

@@ -1,0 +1,272 @@
+"""The bulk panel reader and writer against the row-by-row code they replaced.
+
+`read_panel_csv` parses every cell of a file at once and checks its dates
+against the month grid of the first; `panel_csv_text` joins the float reprs of
+a row. The row-by-row versions below are the oracles. On seeded valid panels
+the two writers must give the same text and the two readers bit-identical
+panels; on seeded malformed files the two readers must fail with the same
+`DataError` message, or both succeed alike.
+
+The oracle reader drops a line that starts with '#' anywhere in the file; the
+reader under test skips only the lines before the header, so that a quoted
+header name whose continuation starts with '#' survives a round trip. Files
+with a '#' line after the header are therefore left out of the corpus.
+"""
+
+import csv
+import io
+import math
+import re
+
+import numpy as np
+import pytest
+
+import creditfactors as cf
+from creditfactors import panel
+from creditfactors.panel import AlignedPanel, DataError, Month, _at, _decoded, _series_names
+from test_cli_fuzz import BAD_BYTES, BAD_CELLS, BAD_DATES
+
+
+def oracle_read_panel_csv(path) -> AlignedPanel:
+    """Panel CSV: first column 'date' as YYYY-MM, one series per remaining column.
+
+    Empty cells are missing; non-finite numbers (nan, inf) are rejected.
+    Leading '#' lines are metadata comments and are skipped; errors still name
+    the line of the file. Months must be consecutive.
+    """
+    with open(path, newline="") as fh:
+        numbered = [(i, ln) for i, ln in enumerate(_decoded(fh, path), start=1)
+                    if not ln.startswith("#")]
+    reader = csv.reader(ln for _, ln in numbered)
+    months = []
+    rows = []
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        if not header or header[0] != "date":
+            raise DataError(f"{path}: first column must be 'date'")
+        if len(header) < 2:
+            raise DataError(f"{path}: no series columns")
+        names = _at(path, numbered[reader.line_num - 1][0], lambda: _series_names(header[1:]))
+        for row in reader:
+            i = numbered[reader.line_num - 1][0]
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}:{i}: expected {len(header)} cells, got {len(row)}")
+            months.append(_at(path, i, lambda: Month.parse(row[0])))
+            vals = []
+            for cell in row[1:]:
+                cell = cell.strip()
+                if cell == "":
+                    vals.append(np.nan)
+                else:
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise DataError(f"{path}:{i}: unparseable number {cell!r}") from None
+                    if not math.isfinite(value):
+                        raise DataError(f"{path}:{i}: non-finite number {cell!r}")
+                    vals.append(value)
+            rows.append(vals)
+    except csv.Error as exc:  # a cell past csv.field_size_limit, say
+        raise DataError(f"{path}:{numbered[reader.line_num - 1][0]}: {exc}") from None
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    for a, b in zip(months, months[1:]):
+        if b - a != 1:
+            raise DataError(f"{path}: months must be consecutive ({a} is followed by {b})")
+    return AlignedPanel(months[0], names, np.array(rows))
+
+
+def oracle_panel_csv_text(panel: AlignedPanel, comment: str = None) -> str:
+    """A panel in the CSV layout read_panel_csv accepts. Missing -> empty cell.
+
+    Values use the shortest decimal form that parses back to the same float,
+    so a write/read cycle is lossless.
+    """
+    buf = io.StringIO()
+    buf.writelines(f"# {line}\n" for line in (comment.splitlines() if comment else ()))
+    writer = csv.writer(buf)
+    writer.writerow(["date"] + list(panel.names))
+    writer.writerows([str(panel.month_at(t))] + ["" if math.isnan(v) else repr(v) for v in row]
+                     for t, row in enumerate(panel.values.tolist()))
+    return buf.getvalue()
+
+
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                  1e-300, -1e-300, 1.7976931348623157e308, 0.1, 1 / 3, 1e16, -123456789.125]
+PLAIN_NAMES = ["36-A", "60-F", "x", "UNRATE", "Z1", "spread level", "é", "1"]
+ODD_NAMES = ["a,b", 'q"uote', '"', "new\nline", "cr\r\nlf", "\rcr", " lead", "trail ", ",",
+             "#hash", "semi;colon"]
+START_MONTHS = [Month(2005, 1), Month(1999, 12), Month(0, 1), Month(9996, 8), Month(1, 6)]
+
+
+def random_panel(seed) -> AlignedPanel:
+    """A panel of 1-40 rows and 1-6 columns with holes, all-NaN rows and extreme values."""
+    rng = np.random.default_rng([10, seed])
+    T, n = int(rng.integers(1, 41)), int(rng.integers(1, 7))
+    values = rng.standard_normal((T, n)) * 10.0 ** rng.uniform(-6, 6, size=(T, n))
+    special = rng.random((T, n)) < 0.15
+    values[special] = rng.choice(SPECIAL_VALUES, size=int(special.sum()))
+    values[rng.random((T, n)) < rng.choice([0.0, 0.1, 0.5])] = np.nan
+    if rng.random() < 0.3:
+        values[rng.integers(T)] = np.nan
+    pool = PLAIN_NAMES + (ODD_NAMES if rng.random() < 0.5 else [])
+    names = tuple(rng.choice(pool, size=n, replace=False).tolist())
+    if rng.random() < 0.5:
+        start = START_MONTHS[int(rng.integers(len(START_MONTHS)))]
+    else:
+        start = Month.from_index(int(rng.integers(1990 * 12, 2030 * 12)))
+    return AlignedPanel(start, names, values)
+
+
+def variant(text, rng) -> str:
+    """The text with line ends, dates, cell spacing and blank lines varied as a user might."""
+    if rng.random() < 0.3:
+        text = text.replace("\r\n", "\n")
+    elif rng.random() < 0.3:
+        text = text.replace("\n", "\r\n").replace("\r\r\n", "\r\n")
+    lines = text.split("\n")
+    first = next(i for i, ln in enumerate(lines) if ln.startswith("date"))
+    if rng.random() < 0.2:
+        lines[first + 1:] = [ln.replace(",", "-15,", 1) if ln[:1].isdigit() else ln
+                             for ln in lines[first + 1:]]
+    if rng.random() < 0.2:
+        lines[first + 1:] = [ln.replace(",", " , ") for ln in lines[first + 1:]]
+    if rng.random() < 0.2:
+        lines.insert(int(rng.integers(first + 1, len(lines) + 1)), "")
+    return "\n".join(lines)
+
+
+def has_mid_file_comment(data: bytes) -> bool:
+    lines = data.decode("utf-8", "replace").splitlines()
+    body = next((i for i, ln in enumerate(lines) if not ln.startswith("#")), len(lines))
+    return any(ln.startswith("#") for ln in lines[body:])
+
+
+def outcome(read, path):
+    """('ok', start, names, value bytes) or ('error', message) of one reader on path."""
+    try:
+        p = read(path)
+    except DataError as exc:
+        return ("error", str(exc))
+    return ("ok", p.start, p.names, p.values.shape, p.values.tobytes())
+
+
+def valid_cases():
+    for seed in range(400):
+        p = random_panel(seed)
+        comment = [None, "n_obs=3 transform=levels align=none", "a\nb c"][seed % 3]
+        yield seed, p, comment
+
+
+def test_writer_matches_the_oracle_and_reads_back_bit_identical(tmp_path, monkeypatch):
+    path = tmp_path / "p.csv"
+    row_by_row, parse = [], panel._cell_value  # the cells the row-by-row path parsed
+
+    def spy(cell):
+        row_by_row.append(cell)
+        return parse(cell)
+
+    monkeypatch.setattr(panel, "_cell_value", spy)
+    slow = 0
+    for seed, p, comment in valid_cases():
+        text = panel.panel_csv_text(p, comment)
+        assert text == oracle_panel_csv_text(p, comment), seed
+        path.write_bytes(text.encode())
+        back = cf.read_panel_csv(path)
+        assert back.start == p.start and back.names == p.names, seed
+        assert back.values.tobytes() == p.values.tobytes(), seed
+        assert not row_by_row, seed  # a written panel is always read in bulk
+        if has_mid_file_comment(text.encode()):
+            continue
+        data = variant(text, np.random.default_rng([11, seed])).encode()
+        path.write_bytes(data)
+        mine, theirs = outcome(cf.read_panel_csv, path), outcome(oracle_read_panel_csv, path)
+        assert mine == theirs, (seed, data[:300])
+        slow += bool(row_by_row)
+        row_by_row.clear()
+    assert slow > 100  # the variants must exercise the row-by-row path too
+
+
+def serialize(rows, header_quoted, crlf) -> bytes:
+    """Rows as CSV bytes: a quoted header (csv.writer) or raw joins, LF or CRLF ends."""
+    end = "\r\n" if crlf else "\n"
+    out = []
+    for k, row in enumerate(rows):
+        if k == 0 and header_quoted:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator=end).writerow(row)
+            out.append(buf.getvalue())
+        else:
+            out.append(",".join(row) + end)
+    return "".join(out).encode()
+
+
+def malformed_file(seed) -> bytes:
+    """A valid panel file with one to four faults of the CLI fuzz suite's kinds."""
+    rng = np.random.default_rng([12, seed])
+    p = random_panel(seed)
+    text = panel.panel_csv_text(p, "n_obs=1 transform=levels" if rng.random() < 0.5 else None)
+    comments = [ln for ln in text.splitlines(keepends=True) if ln.startswith("#")]
+    rows = list(csv.reader(io.StringIO(text[len("".join(comments)):], newline="")))
+    pick = lambda pool: pool[int(rng.integers(len(pool)))]  # noqa: E731
+    for _ in range(int(rng.integers(1, 5))):
+        i = int(rng.integers(len(rows)))
+        row = rows[i]
+        kind = pick(["cell", "cell", "date", "drop", "extra", "dup", "swap", "blank", "limit"])
+        if kind == "cell" and len(row) > 1:
+            row[int(rng.integers(1, len(row)))] = pick(BAD_CELLS)
+        elif kind == "date" and row:
+            row[0] = pick(BAD_DATES)
+        elif kind == "drop" and row:
+            del row[int(rng.integers(len(row)))]
+        elif kind == "extra":
+            row.append(pick(BAD_CELLS))
+        elif kind == "dup":
+            rows.insert(i, list(row))
+        elif kind == "swap":
+            j = int(rng.integers(len(rows)))
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == "blank":
+            rows[i] = []
+        elif kind == "limit" and row:
+            row[int(rng.integers(len(row)))] = "1" * (csv.field_size_limit() + 1)
+    data = "".join(comments).encode() + serialize(rows, rng.random() < 0.5, rng.random() < 0.5)
+    if rng.random() < 0.15:
+        data = data[:int(rng.integers(len(data) + 1))]
+    if rng.random() < 0.15:
+        at = int(rng.integers(len(data) + 1))
+        data = data[:at] + pick(BAD_BYTES) + data[at:]
+    return data
+
+
+def test_malformed_files_fail_with_the_oracle_message(tmp_path):
+    path = tmp_path / "p.csv"
+    kinds = {}
+    for seed in range(2500):
+        data = malformed_file(seed)
+        if has_mid_file_comment(data):
+            continue
+        path.write_bytes(data)
+        mine, theirs = outcome(cf.read_panel_csv, path), outcome(oracle_read_panel_csv, path)
+        assert mine == theirs, (seed, data[:300])
+        message = re.sub(r"^.*?p\.csv(:\d+)?: ", "", theirs[1]) if theirs[0] == "error" else "ok"
+        kind = message.split(" ")[0]
+        kinds[kind] = kinds.get(kind, 0) + 1
+    # the corpus must reach every kind of fault the reader reports
+    for kind in ("unparseable", "non-finite", "expected", "months", "field", "cannot",
+                 "no", "month", "first", "ok"):
+        assert kinds.get(kind, 0) >= 5, kinds
+
+
+@pytest.mark.parametrize("start", [Month(9999, 11), Month(2010, 1)])
+def test_bulk_grid_takes_only_dates_the_parser_takes(tmp_path, start):
+    """A grid that runs past 9999-12 writes dates Month.parse rejects; so must the reader."""
+    p = AlignedPanel(start, ("x",), np.arange(4.0)[:, None])
+    path = tmp_path / "p.csv"
+    cf.write_panel_csv(p, path)
+    assert outcome(cf.read_panel_csv, path) == outcome(oracle_read_panel_csv, path)
+    assert panel._month_labels(start.index, 4) == [str(start.plus(t)) for t in range(4)]
