@@ -72,7 +72,7 @@ from .factor_model import (
     missing_factor_diagnostic,
     residual_pc1,
 )
-from .tables import to_csv_text, to_markdown, write_csv
+from .tables import to_csv_text, to_markdown
 from .synthgen import (
     FactorModelSpec,
     SyntheticDataset,

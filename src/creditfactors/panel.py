@@ -6,13 +6,13 @@ monthly series on a single contiguous grid. All rates, yields, and spreads are
 percent per annum. Missing entries are NaN. Panels are immutable; every
 transform returns a new panel.
 
-Loan files are read CHUNK_ROWS rows at a time into a columnar LoanBook, so no
-object is built per loan and the text held in memory is bounded by the chunk.
+Panel, loan and yield files share one CSV core that yields CHUNK_ROWS rows at a time as
+columns; each reader converts them in bulk and re-reads only the rows it flags. Loan and
+yield files stream from disk; a panel file is decoded whole before its first row.
 """
 
 import csv
 import io
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -25,8 +25,9 @@ from .errors import DataError
 GRADES = ("A", "B", "C", "D", "E", "F")
 TERMS = (36, 60)
 _BUCKETS = tuple((grade, term) for term in TERMS for grade in GRADES)  # LoanBook code -> bucket
-CHUNK_ROWS = 4096  # CSV rows held as text at a time by the record readers
+CHUNK_ROWS = 4096  # CSV rows held as text and converted at a time by each reader
 _MONTHS = tuple(f"-{m:02d}" for m in range(1, 13))  # the month part of str(Month)
+_END = 10000 * 12  # Month.index of 10000-01, the first month past the 'YYYY' years
 
 
 @dataclass(frozen=True, order=True)
@@ -39,6 +40,8 @@ class Month:
     def __post_init__(self):
         if not 1 <= int(self.month) <= 12:
             raise DataError(f"month out of range: {self.month}")
+        if not 0 <= int(self.year) <= 9999:  # the years a 'YYYY' date can name
+            raise DataError(f"year out of range: {self.year}")
 
     @classmethod
     def parse(cls, text: str) -> "Month":
@@ -167,6 +170,8 @@ class AlignedPanel:
         names = _series_names(self.names)
         if vals.shape[1] != len(names):
             raise DataError(f"{len(names)} series names but {vals.shape[1]} value columns")
+        if self.start.index + len(vals) > _END:
+            raise DataError(f"panel grid runs past 9999-12 ({len(vals)} months from {self.start})")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "names", names)
@@ -181,9 +186,6 @@ class AlignedPanel:
 
     def month_at(self, t: int) -> Month:
         return self.start.plus(t)
-
-    def months(self) -> list:
-        return [self.start.plus(t) for t in range(self.n_obs)]
 
     @property
     def end(self) -> Month:
@@ -364,48 +366,55 @@ def _decoded(fh, path):
         raise DataError(f"{path}: cannot decode text ({exc.reason})") from None
 
 
-def _csv_chunks(path, columns, what):
-    """(line numbers, [cells of each of `columns`]) for every CHUNK_ROWS rows of a CSV.
+def _csv_chunks(path, lines, first, columns, pad, what):
+    """(line numbers, [cells of each taken column]) for every CHUNK_ROWS rows of CSV lines.
 
-    Other columns are ignored and a repeated name means its last one. Blank lines are
-    skipped but counted, short rows padded with "". A longer or malformed row, or an
-    undecodable byte, fails after the rows before it are yielded.
+    lines are the decoded text lines of path from line `first` on. columns(header,
+    line) checks the header row (None if there is none) and returns the indices of
+    the columns to take. Blank lines are skipped but counted; a file with no other
+    row fails. A short row is padded with "" if pad, else it fails as a long row does.
+    A failing row, a malformed cell or an undecodable byte fails after the rows before
+    it are yielded.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(_decoded(fh, path))
-        try:
-            header = next(reader, None)
-        except csv.Error as exc:  # a cell past csv.field_size_limit, say
-            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-        if header is None or not set(columns).issubset(header):
+    reader, skip = csv.reader(lines), first - 1
+    rows, at, fault, empty = [], [], None, True
+    try:
+        header = next(reader, None)
+        take, width = columns(header, skip + reader.line_num), len(header)
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue
+                if len(row) > width or not pad:
+                    raise DataError(f"{path}:{skip + reader.line_num}: expected {width} cells, "
+                                    f"got {len(row)}")
+                row += [""] * (width - len(row))
+            rows.append(row)
+            at.append(skip + reader.line_num)
+            if len(rows) == CHUNK_ROWS:
+                yield at, [[row[j] for row in rows] for j in take]
+                rows, at, empty = [], [], False
+    except DataError as exc:
+        fault = exc
+    except csv.Error as exc:  # a cell past csv.field_size_limit, say
+        fault = DataError(f"{path}:{skip + reader.line_num}: {exc}")
+    if rows:
+        yield at, [[row[j] for row in rows] for j in take]
+    if fault is not None:
+        raise fault
+    if empty and not rows:
+        raise DataError(f"{path}: no {what} rows")
+
+
+def _record_chunks(path, columns, what):
+    """_csv_chunks of a record file: the last column of each name in columns, short rows padded."""
+    def header(row, line):
+        if row is None or not set(columns).issubset(row):
             raise DataError(f"{path}: expected header with columns {','.join(columns)}")
-        width = len(header)
-        take = [max(j for j, name in enumerate(header) if name == col) for col in columns]
-        rows, lines, fault, empty = [], [], None, True
-        try:
-            for row in reader:
-                if len(row) != width:
-                    if not row:
-                        continue
-                    if len(row) > width:
-                        raise DataError(f"{path}:{reader.line_num}: expected {width} cells, "
-                                        f"got {len(row)}")
-                    row += [""] * (width - len(row))
-                rows.append(row)
-                lines.append(reader.line_num)
-                if len(rows) == CHUNK_ROWS:
-                    yield lines, [[row[j] for row in rows] for j in take]
-                    rows, lines, empty = [], [], False
-        except DataError as exc:
-            fault = exc
-        except csv.Error as exc:  # a cell past csv.field_size_limit, say
-            fault = DataError(f"{path}:{reader.line_num}: {exc}")
-        if rows:
-            yield lines, [[row[j] for row in rows] for j in take]
-        if fault is not None:
-            raise fault
-        if empty and not rows:
-            raise DataError(f"{path}: no {what} rows")
+        return [max(j for j, name in enumerate(row) if name == col) for col in columns]
+
+    with open(path, newline="") as fh:
+        yield from _csv_chunks(path, _decoded(fh, path), 1, header, True, what)
 
 
 def _at(path, line, make):
@@ -429,7 +438,7 @@ def _codes(cells, table: dict, code) -> np.ndarray:
 def read_loans_csv(path) -> LoanBook:
     """Loan-level CSV with header date,rate,grade,term (one loan per row)."""
     month_of, grade_of, term_of, parts = {}, {}, {}, []
-    for lines, (dates, rates, grades, terms) in _csv_chunks(
+    for lines, (dates, rates, grades, terms) in _record_chunks(
             path, ("date", "rate", "grade", "term"), "loan"):
         months = _codes(dates, month_of, lambda d: Month.parse(d).index)
         grade = _codes(grades, grade_of, lambda g: GRADES.index(g.strip()))
@@ -450,7 +459,7 @@ def read_yields_csv(path) -> list:
     """Yield-curve CSV with header date,maturity_months,yield."""
     return [_at(path, line, lambda: YieldCurvePoint(
                 month=Month.parse(d), maturity_months=int(m), yield_pct=float(y)))
-            for lines, cols in _csv_chunks(path, ("date", "maturity_months", "yield"), "yield")
+            for lines, cols in _record_chunks(path, ("date", "maturity_months", "yield"), "yield")
             for line, d, m, y in zip(lines, *cols)]
 
 
@@ -480,59 +489,49 @@ def read_panel_csv(path) -> AlignedPanel:
     the line of the file. Months must be consecutive.
     """
     with open(path, newline="") as fh:
-        lines = list(_decoded(fh, path))  # a byte that does not decode fails first
+        lines = list(_decoded(fh, path))  # a byte that does not decode fails before any row
     skip = next((i for i, ln in enumerate(lines) if not ln.startswith("#")), len(lines))
-    reader = csv.reader(lines[skip:])
-    rows, at, fault = [], [], None
-    try:
-        header = next(reader, None)
-        if header is None:
+
+    def header(row, line):
+        if row is None:
             raise DataError(f"{path}: empty file")
-        if not header or header[0] != "date":
+        if not row or row[0] != "date":
             raise DataError(f"{path}: first column must be 'date'")
-        if len(header) < 2:
+        if len(row) < 2:
             raise DataError(f"{path}: no series columns")
-        names = _at(path, skip + reader.line_num, lambda: _series_names(header[1:]))
-        for row in filter(None, reader):  # blank lines are skipped but counted
-            if len(row) != len(header):
-                fault = DataError(f"{path}:{skip + reader.line_num}: expected {len(header)} "
-                                  f"cells, got {len(row)}")
-                break
-            rows.append(row)
-            at.append(skip + reader.line_num)
-    except csv.Error as exc:  # a cell past csv.field_size_limit, say
-        fault = DataError(f"{path}:{skip + reader.line_num}: {exc}")
-    del lines, reader  # the rows hold every cell now; free the text before converting them
-    # in bulk when every date is on the YYYY-MM grid of the first and every cell is
-    # empty or a finite number; any other file is read row by row below
-    if fault is None and rows:
-        cells = list(itertools.chain.from_iterable(rows))
-        dates = cells[::len(header)]
-        del cells[::len(header)]
-        try:
+        names.extend(_at(path, line, lambda: _series_names(row[1:])))
+        return range(len(row))
+
+    names, month_of, parts = [], {}, []  # header() sets the names
+    for at, (dates, *cols) in _csv_chunks(path, lines[skip:], skip + 1, header, False, "data"):
+        n = len(dates)
+        # a date that is the YYYY-MM grid label of the first takes its month from its place;
+        # if the first is bad, -1 labels it '-001-12', which is no date Month.parse takes
+        first = _codes(dates[:1], month_of, lambda d: Month.parse(d).index)[0]
+        grid, idx = _month_labels(first, n), np.arange(first, first + n)
+        off = [i for i, (d, g) in enumerate(zip(dates, grid)) if d != g] if dates != grid else []
+        idx[off] = _codes([dates[i] for i in off], month_of, lambda d: Month.parse(d).index)
+        vals, bad = np.full((n, len(cols)), np.nan), (idx < 0) | (idx >= _END)  # past 9999-12: no date
+        for j, col in enumerate(cols):
             try:
-                values = np.fromiter(map(float, cells), float, len(cells))
-            except ValueError:  # an empty cell reads as nan; a bad one fails again
-                values = np.fromiter(map(float, map({"": "nan"}.get, cells, cells)), float,
-                                     len(cells))
-            start, last = Month.parse(dates[0]), Month.parse(dates[-1])  # no year past 9999
-            holes = np.flatnonzero(np.isnan(values)).tolist()  # each must be an empty cell
-            if (last - start == len(dates) - 1 and dates == _month_labels(start.index, len(dates))
-                    and not np.isinf(values).any() and not any(map(cells.__getitem__, holes))):
-                return AlignedPanel(start, names, values.reshape(len(rows), -1))
-        except ValueError:  # DataError included
-            pass
-    # row by row: the first bad row raises; if none does, the file is valid all the same
-    parsed = [_at(path, line, lambda: (Month.parse(row[0]), [_cell_value(c) for c in row[1:]]))
-              for line, row in zip(at, rows)]
-    if fault is not None:
-        raise fault
-    if not parsed:
-        raise DataError(f"{path}: no data rows")
-    for (a, _), (b, _) in zip(parsed, parsed[1:]):
-        if b - a != 1:
-            raise DataError(f"{path}: months must be consecutive ({a} is followed by {b})")
-    return AlignedPanel(parsed[0][0], names, np.array([v for _, v in parsed]))
+                try:
+                    vals[:, j] = np.fromiter(map(float, col), float, n)
+                except ValueError:  # an empty cell reads as nan; a bad one fails again
+                    vals[:, j] = np.fromiter(map(float, map({"": "nan"}.get, col, col)), float, n)
+            except ValueError:  # a cell is not a number: flag every row, the loop finds it
+                bad[:] = True
+        for i, j in zip(*np.unravel_index(np.flatnonzero(~np.isfinite(vals)), vals.shape)):
+            bad[i] |= cols[j][i] != ""  # only an empty cell may read as non-finite
+        for i in np.flatnonzero(bad).tolist():  # raises at the first row that really fails
+            idx[i], vals[i] = _at(path, at[i], lambda: (
+                Month.parse(dates[i]).index, [_cell_value(col[i]) for col in cols]))
+        parts.append((idx, vals))
+    index, values = (np.concatenate(part) for part in zip(*parts))  # months span chunk edges
+    gap = np.flatnonzero(np.diff(index) != 1)
+    if len(gap):
+        a, b = map(Month.from_index, index[gap[0]:gap[0] + 2].tolist())
+        raise DataError(f"{path}: months must be consecutive ({a} is followed by {b})")
+    return AlignedPanel(Month.from_index(int(index[0])), names, values)
 
 
 def panel_csv_text(panel: AlignedPanel, comment: str = None) -> str:

@@ -22,11 +22,6 @@ def to_csv_text(header, rows, comment: str = None) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_csv(path, header, rows, comment: str = None) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(to_csv_text(header, rows, comment=comment))
-
-
 def to_markdown(header, rows) -> str:
     """Render a table as a GitHub-style pipe table."""
     cells = [list(map(str, header))] + [list(map(str, r)) for r in rows]

@@ -37,6 +37,14 @@ class TestMonth:
         assert month("2010-03") - month("2009-12") == 3
         assert month("2009-01") < month("2009-02") < month("2010-01")
 
+    def test_years_are_the_four_digit_ones(self):
+        assert str(month("0000-02").plus(-1)) == "0000-01"
+        assert str(month("9999-11").plus(1)) == "9999-12"
+        for make in (lambda: cf.Month(10000, 1), lambda: cf.Month(-1, 12),
+                     lambda: month("9999-12").plus(1), lambda: month("0000-01").plus(-1)):
+            with pytest.raises(cf.DataError, match="year out of range"):
+                make()
+
 
 # ---------------------------------------------------------------------------
 # loan aggregation

@@ -1,11 +1,12 @@
 """The bulk panel reader and writer against the row-by-row code they replaced.
 
-`read_panel_csv` parses every cell of a file at once and checks its dates
-against the month grid of the first; `panel_csv_text` joins the float reprs of
-a row. The row-by-row versions below are the oracles. On seeded valid panels
-the two writers must give the same text and the two readers bit-identical
-panels; on seeded malformed files the two readers must fail with the same
-`DataError` message, or both succeed alike.
+`read_panel_csv` converts the cells of each chunk of rows at once, takes a
+date's month from its place when it is the month grid label of the chunk's
+first, and re-reads only the rows the bulk pass flags; `panel_csv_text` joins
+the float reprs of a row. The row-by-row versions below are the oracles. On
+seeded valid panels the two writers must give the same text and the two
+readers bit-identical panels; on seeded malformed files the two readers must
+fail with the same `DataError` message, or both succeed alike, at any chunk size.
 
 The oracle reader drops a line that starts with '#' anywhere in the file; the
 reader under test skips only the lines before the header, so that a quoted
@@ -123,7 +124,7 @@ def random_panel(seed) -> AlignedPanel:
 
 
 def variant(text, rng) -> str:
-    """The text with line ends, dates, cell spacing and blank lines varied as a user might."""
+    """The text with line ends, dates, spacing, blank lines and cells varied as a user might."""
     if rng.random() < 0.3:
         text = text.replace("\r\n", "\n")
     elif rng.random() < 0.3:
@@ -137,6 +138,9 @@ def variant(text, rng) -> str:
         lines[first + 1:] = [ln.replace(",", " , ") for ln in lines[first + 1:]]
     if rng.random() < 0.2:
         lines.insert(int(rng.integers(first + 1, len(lines) + 1)), "")
+    if rng.random() < 0.3:  # an empty cell holding a space
+        lines[first + 1:] = [re.sub(r",(?=,|\r|$)", ", ", ln) if ln[:1].isdigit() else ln
+                             for ln in lines[first + 1:]]
     return "\n".join(lines)
 
 
@@ -164,14 +168,14 @@ def valid_cases():
 
 def test_writer_matches_the_oracle_and_reads_back_bit_identical(tmp_path, monkeypatch):
     path = tmp_path / "p.csv"
-    row_by_row, parse = [], panel._cell_value  # the cells the row-by-row path parsed
+    reparsed, parse = [], panel._cell_value  # the cells of the rows the bulk pass flagged
 
     def spy(cell):
-        row_by_row.append(cell)
+        reparsed.append(cell)
         return parse(cell)
 
     monkeypatch.setattr(panel, "_cell_value", spy)
-    slow = 0
+    flagged = 0
     for seed, p, comment in valid_cases():
         text = panel.panel_csv_text(p, comment)
         assert text == oracle_panel_csv_text(p, comment), seed
@@ -179,16 +183,16 @@ def test_writer_matches_the_oracle_and_reads_back_bit_identical(tmp_path, monkey
         back = cf.read_panel_csv(path)
         assert back.start == p.start and back.names == p.names, seed
         assert back.values.tobytes() == p.values.tobytes(), seed
-        assert not row_by_row, seed  # a written panel is always read in bulk
+        assert not reparsed, seed  # no row of a written panel is flagged
         if has_mid_file_comment(text.encode()):
             continue
         data = variant(text, np.random.default_rng([11, seed])).encode()
         path.write_bytes(data)
         mine, theirs = outcome(cf.read_panel_csv, path), outcome(oracle_read_panel_csv, path)
         assert mine == theirs, (seed, data[:300])
-        slow += bool(row_by_row)
-        row_by_row.clear()
-    assert slow > 100  # the variants must exercise the row-by-row path too
+        flagged += bool(reparsed)
+        reparsed.clear()
+    assert flagged > 100, flagged  # the variants must reach the flagged-row re-parse too
 
 
 def serialize(rows, header_quoted, crlf) -> bytes:
@@ -243,16 +247,24 @@ def malformed_file(seed) -> bytes:
     return data
 
 
-def test_malformed_files_fail_with_the_oracle_message(tmp_path):
-    path = tmp_path / "p.csv"
-    kinds = {}
+@pytest.fixture(scope="module")
+def malformed_corpus(tmp_path_factory):
+    """The path the files are read at, and (seed, bytes, oracle outcome) of each file."""
+    path, corpus = tmp_path_factory.mktemp("malformed") / "p.csv", []
     for seed in range(2500):
         data = malformed_file(seed)
-        if has_mid_file_comment(data):
-            continue
+        if not has_mid_file_comment(data):
+            path.write_bytes(data)
+            corpus.append((seed, data, outcome(oracle_read_panel_csv, path)))
+    return path, corpus
+
+
+def check_malformed_corpus(malformed_corpus):
+    path, corpus = malformed_corpus
+    kinds = {}
+    for seed, data, theirs in corpus:
         path.write_bytes(data)
-        mine, theirs = outcome(cf.read_panel_csv, path), outcome(oracle_read_panel_csv, path)
-        assert mine == theirs, (seed, data[:300])
+        assert outcome(cf.read_panel_csv, path) == theirs, (seed, data[:300])
         message = re.sub(r"^.*?p\.csv(:\d+)?: ", "", theirs[1]) if theirs[0] == "error" else "ok"
         kind = message.split(" ")[0]
         kinds[kind] = kinds.get(kind, 0) + 1
@@ -262,11 +274,29 @@ def test_malformed_files_fail_with_the_oracle_message(tmp_path):
         assert kinds.get(kind, 0) >= 5, kinds
 
 
+def test_malformed_files_fail_with_the_oracle_message(malformed_corpus):
+    check_malformed_corpus(malformed_corpus)
+
+
+def test_malformed_files_fail_with_the_oracle_message_across_chunk_edges(malformed_corpus,
+                                                                         monkeypatch):
+    """At two rows a chunk, faults and month gaps also fall across chunk edges."""
+    monkeypatch.setattr(panel, "CHUNK_ROWS", 2)
+    check_malformed_corpus(malformed_corpus)
+
+
 @pytest.mark.parametrize("start", [Month(9999, 11), Month(2010, 1)])
 def test_bulk_grid_takes_only_dates_the_parser_takes(tmp_path, start):
-    """A grid that runs past 9999-12 writes dates Month.parse rejects; so must the reader."""
-    p = AlignedPanel(start, ("x",), np.arange(4.0)[:, None])
+    """No panel runs past 9999-12, whose next label Month.parse rejects; nor does the reader."""
     path = tmp_path / "p.csv"
-    cf.write_panel_csv(p, path)
+    n = min(4, 10000 * 12 - start.index)  # the months up to 9999-12
+    if n < 4:
+        with pytest.raises(DataError, match="runs past 9999-12"):
+            AlignedPanel(start, ("x",), np.arange(4.0)[:, None])
+        path.write_text("date,x\n" + "".join(f"{d},{v}\n" for v, d in enumerate(
+            ["9999-11", "9999-12", "10000-01", "10000-02"])))
+        assert "unparseable date '10000-01'" in outcome(oracle_read_panel_csv, path)[1]
+    else:
+        cf.write_panel_csv(AlignedPanel(start, ("x",), np.arange(4.0)[:, None]), path)
     assert outcome(cf.read_panel_csv, path) == outcome(oracle_read_panel_csv, path)
-    assert panel._month_labels(start.index, 4) == [str(start.plus(t)) for t in range(4)]
+    assert panel._month_labels(start.index, n) == [str(start.plus(t)) for t in range(n)]

@@ -1,0 +1,218 @@
+"""The loan and yield readers on the shared CSV core against the readers they replaced.
+
+Before the panel, loan and yield readers shared one chunked CSV core, the
+record readers had a core of their own: `oracle_csv_chunks` below, which
+opened the file itself, with `oracle_read_loans_csv` and
+`oracle_read_yields_csv` on top of it, kept as they were. On seeded valid and
+malformed loan and yield files, read at several chunk sizes, the readers under
+test must give bit-identical `LoanBook` arrays and equal `YieldCurvePoint`
+lists, or fail with the same `DataError` message.
+"""
+
+import csv
+import io
+import re
+
+import numpy as np
+import pytest
+
+from creditfactors import panel
+from creditfactors.panel import (GRADES, TERMS, DataError, LoanBook, LoanRecord, Month,
+                                 YieldCurvePoint, _at, _codes, _decoded)
+from test_cli_fuzz import BAD_BYTES, BAD_CELLS, BAD_DATES
+
+CHUNK_ROWS = 4096  # CSV rows held as text at a time by the oracle readers
+
+
+def oracle_csv_chunks(path, columns, what):
+    """(line numbers, [cells of each of `columns`]) for every CHUNK_ROWS rows of a CSV.
+
+    Other columns are ignored and a repeated name means its last one. Blank lines are
+    skipped but counted, short rows padded with "". A longer or malformed row, or an
+    undecodable byte, fails after the rows before it are yielded.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(_decoded(fh, path))
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:  # a cell past csv.field_size_limit, say
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+        if header is None or not set(columns).issubset(header):
+            raise DataError(f"{path}: expected header with columns {','.join(columns)}")
+        width = len(header)
+        take = [max(j for j, name in enumerate(header) if name == col) for col in columns]
+        rows, lines, fault, empty = [], [], None, True
+        try:
+            for row in reader:
+                if len(row) != width:
+                    if not row:
+                        continue
+                    if len(row) > width:
+                        raise DataError(f"{path}:{reader.line_num}: expected {width} cells, "
+                                        f"got {len(row)}")
+                    row += [""] * (width - len(row))
+                rows.append(row)
+                lines.append(reader.line_num)
+                if len(rows) == CHUNK_ROWS:
+                    yield lines, [[row[j] for row in rows] for j in take]
+                    rows, lines, empty = [], [], False
+        except DataError as exc:
+            fault = exc
+        except csv.Error as exc:  # a cell past csv.field_size_limit, say
+            fault = DataError(f"{path}:{reader.line_num}: {exc}")
+        if rows:
+            yield lines, [[row[j] for row in rows] for j in take]
+        if fault is not None:
+            raise fault
+        if empty and not rows:
+            raise DataError(f"{path}: no {what} rows")
+
+
+def oracle_read_loans_csv(path) -> LoanBook:
+    """Loan-level CSV with header date,rate,grade,term (one loan per row)."""
+    month_of, grade_of, term_of, parts = {}, {}, {}, []
+    for lines, (dates, rates, grades, terms) in oracle_csv_chunks(
+            path, ("date", "rate", "grade", "term"), "loan"):
+        months = _codes(dates, month_of, lambda d: Month.parse(d).index)
+        grade = _codes(grades, grade_of, lambda g: GRADES.index(g.strip()))
+        term = _codes(terms, term_of, lambda t: TERMS.index(int(t)))
+        try:
+            rate = np.fromiter(map(float, rates), float, len(rates))
+        except ValueError:  # a cell is not a number: flag every row, the loop finds it
+            rate = np.full(len(rates), np.nan)
+        bad = (months < 0) | (grade < 0) | (term < 0) | ~(np.isfinite(rate) & (rate > 0))
+        for i in np.flatnonzero(bad):  # raises at the first row that really fails
+            d, r, g, t = dates[i], rates[i], grades[i], terms[i]
+            _at(path, lines[i], lambda: LoanRecord(Month.parse(d), float(r), g.strip(), int(t)))
+        parts.append((months, term * len(GRADES) + grade, rate))  # term-major, as _BUCKETS
+    return LoanBook(*(np.concatenate(col) for col in zip(*parts)))
+
+
+def oracle_read_yields_csv(path) -> list:
+    """Yield-curve CSV with header date,maturity_months,yield."""
+    return [_at(path, line, lambda: YieldCurvePoint(
+                month=Month.parse(d), maturity_months=int(m), yield_pct=float(y)))
+            for lines, cols in oracle_csv_chunks(path, ("date", "maturity_months", "yield"),
+                                                 "yield")
+            for line, d, m, y in zip(lines, *cols)]
+
+
+LOANS = ("date", "rate", "grade", "term")
+YIELDS = ("date", "maturity_months", "yield")
+NOTES = ["", "ok", "a,b", 'q"uote', "two\nlines", "cr\r\nlf", "#hash"]  # an extra column
+BAD = {  # cells each required column may hold in a malformed file
+    "date": BAD_DATES + ["2005-01-01-01", "2005-\n01"],
+    "rate": BAD_CELLS + ["-0.0", "5e-324"],
+    "grade": ["", "G", "a", "AB", " B ", "Ａ"],
+    "term": ["", "48", "36.0", "0", " 60", "x", "٣٦"],
+    "maturity_months": ["", "0", "-12", "12.5", "x", " 24 "],
+    "yield": BAD_CELLS,
+}
+
+
+def valid_cell(column, rng) -> str:
+    pick = lambda pool: pool[int(rng.integers(len(pool)))]  # noqa: E731
+    if column == "date":
+        m = Month.from_index(int(rng.integers(2005 * 12, 2013 * 12)))
+        return pick([str(m), str(m), f"{m}-{int(rng.integers(1, 29)):02d}", f" {m}"])
+    if column == "rate":
+        return repr(float(rng.uniform(3.0, 30.0)))
+    if column == "grade":
+        return pick(GRADES + (" C",))
+    if column == "term":
+        return pick([str(t) for t in TERMS] + ["60 "])
+    if column == "maturity_months":
+        return pick(["3", "12", "36", "60", "120"])
+    return repr(float(rng.normal(3.0, 2.0)))
+
+
+def record_file(columns, seed, faults) -> bytes:
+    """A seeded loan or yield file with `faults` defects of the kinds the readers report."""
+    rng = np.random.default_rng([13, len(columns), seed])
+    pick = lambda pool: pool[int(rng.integers(len(pool)))]  # noqa: E731
+    header = list(rng.permutation(columns))
+    for _ in range(int(rng.integers(0, 3))):  # an extra column, or a required one again
+        name = pick(["note", "id", *columns])
+        header.insert(int(rng.integers(len(header) + 1)), name)
+    rows = [[valid_cell(name, rng) if name in columns else pick(NOTES) for name in header]
+            for _ in range(int(rng.integers(1, 13)))]
+    kinds = ["cell"] * 6 + ["drop", "extra", "blank", "newline", "header", "limit", "empty"]
+    for _ in range(faults):
+        kind, row = pick(kinds), pick(rows)
+        if kind == "cell" and row:
+            j = int(rng.integers(len(row)))
+            row[j] = pick(BAD.get(header[j] if j < len(header) else "note", NOTES))
+        elif kind == "drop":
+            del row[int(rng.integers(len(row) + 1)):]
+        elif kind == "extra":
+            row.append(pick(BAD_CELLS))
+        elif kind == "blank":
+            rows.insert(int(rng.integers(len(rows) + 1)), [])
+        elif kind == "newline" and row:
+            row[int(rng.integers(len(row)))] += "\n"
+        elif kind == "header":
+            header = pick([header[1:], header + [header[0]], [h.upper() for h in header]])
+        elif kind == "limit" and row:
+            row[int(rng.integers(len(row)))] = "7" * (csv.field_size_limit() + 1)
+        elif kind == "empty":
+            rows = pick([[], [[]]])
+            break
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=pick(["\n", "\r\n"]))
+    writer.writerows([header] + rows)
+    data = buf.getvalue().encode()
+    if faults and rng.random() < 0.1:
+        data = data[:int(rng.integers(len(data) + 1))]
+    if faults and rng.random() < 0.1:
+        at = int(rng.integers(len(data) + 1))
+        data = data[:at] + pick(BAD_BYTES) + data[at:]
+    return data
+
+
+def outcome(read, path):
+    """('ok', parsed result) or ('error', message) of one reader on path."""
+    try:
+        result = read(path)
+    except DataError as exc:
+        return ("error", str(exc))
+    if isinstance(result, LoanBook):
+        result = tuple((col.dtype.str, col.shape, col.tobytes())
+                       for col in (result.months, result.buckets, result.rates))
+    return ("ok", result)
+
+
+READERS = {  # columns -> (reader under test, oracle)
+    LOANS: (panel.read_loans_csv, oracle_read_loans_csv),
+    YIELDS: (panel.read_yields_csv, oracle_read_yields_csv),
+}
+
+
+@pytest.fixture(scope="module")
+def record_corpus(tmp_path_factory):
+    """The path the files are read at, and (columns, seed, bytes, oracle outcome) of each."""
+    path, corpus = tmp_path_factory.mktemp("records") / "r.csv", []
+    for columns, (_, oracle) in READERS.items():
+        for seed in range(700):
+            data = record_file(columns, seed, faults=seed % 4)
+            path.write_bytes(data)
+            corpus.append((columns, seed, data, outcome(oracle, path)))
+    return path, corpus
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, panel.CHUNK_ROWS])
+def test_record_files_read_as_the_oracle_reads_them(record_corpus, monkeypatch, chunk_rows):
+    monkeypatch.setattr(panel, "CHUNK_ROWS", chunk_rows)
+    path, corpus = record_corpus
+    kinds = {}
+    for columns, seed, data, theirs in corpus:
+        path.write_bytes(data)
+        assert outcome(READERS[columns][0], path) == theirs, (columns, seed, data[:300])
+        message = re.sub(r"^.*?r\.csv(:\d+)?: ", "", theirs[1]) if theirs[0] == "error" else "ok"
+        kind = " ".join(message.split(" ")[:2])
+        kinds[kind] = kinds.get(kind, 0) + 1
+    # the corpus must reach every kind of fault the readers report
+    for kind in ("ok", "unparseable date", "month out", "loan rate", "unknown grade",
+                 "unsupported term", "invalid literal", "could not", "yield must",
+                 "maturity must", "expected header", "expected 3", "expected 4", "field larger",
+                 "cannot decode", "no loan", "no yield"):
+        assert kinds.get(kind, 0) >= 5, (kind, kinds)
