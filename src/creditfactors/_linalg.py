@@ -24,6 +24,21 @@ def inv_sqrt_psd(matrix: np.ndarray, label: str, hint: str = "") -> np.ndarray:
     return (v / np.sqrt(w)) @ v.T
 
 
+def unit_columns(X):
+    """Centre a copy of the T x p matrix X and scale each column to unit norm.
+
+    Returns (means, Xs, norms), X = means + Xs * norms. Each column is reduced
+    along its own row of X', so its results do not depend on which other
+    columns share X. A constant column centres to exactly zero, with norm 0.
+    """
+    Xt = np.array(np.asarray(X, dtype=float).T, order="C")
+    means = np.where(Xt.min(axis=1) == Xt.max(axis=1), Xt[:, 0], Xt.mean(axis=1))
+    Xt -= means[:, None]
+    norms = np.sqrt(np.einsum("ij,ij->i", Xt, Xt))
+    Xt /= np.where(norms > 0, norms, 1.0)[:, None]
+    return means, Xt.T, norms
+
+
 def canonical_pairs(Sxx, Syy, Sxy, labels, hint: str = ""):
     """Canonical correlations and weights of two blocks from their covariances.
 

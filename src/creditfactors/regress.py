@@ -1,10 +1,10 @@
 """Ordinary least squares with classical inference and AIC-driven stepwise selection.
 
 Every fit has an intercept. ols_columns fits all response columns that share
-one design against a single SVD of it, and ols is its one-column view. The
-stepwise search scores every candidate model from one centred cross-product
-matrix per response and calls ols only for the candidates that can still win,
-so its fits and AIC values are ols's own.
+one design against a single SVD of its centred, unit-norm predictor columns,
+and ols is its one-column view. The stepwise search scores every candidate
+model from the cross-products of those same columns and calls ols only for
+the candidates that can still win, so its fits and AIC values are ols's own.
 
 Conventions: t-statistics are classical (homoskedastic) ratios, adjusted R^2 is
 1 - (1 - R^2)(T - 1)/(T - p - 1) for p slope predictors next to an intercept,
@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import unit_columns
 from .errors import DataError, NumericalError
 
 INTERCEPT = "(Intercept)"
 
-# a design whose reciprocal condition number falls below this is treated as rank deficient
+# centred, unit-norm columns whose reciprocal condition number falls to this are rank deficient
 RCOND_MIN = 1e-10
 # stepwise refits with ols every move whose fast AIC may be this close to a winner
 AIC_WINDOW = 1e-6
@@ -29,7 +30,11 @@ AIC_WINDOW = 1e-6
 
 @dataclass(frozen=True)
 class RegressionFit:
-    """One fitted least-squares equation and its classical diagnostics."""
+    """One fitted least-squares equation and its classical diagnostics.
+
+    condition_number is that of the centred, unit-norm slope columns, which
+    does not depend on their units or levels; 1.0 for an intercept-only fit.
+    """
 
     response_name: str
     predictor_names: tuple
@@ -92,82 +97,76 @@ def _predictor_names(predictor_names, p):
     return names
 
 
-def _suspects(vt, s, names):
-    # columns loading on the near-null right singular vector
-    null_vec = np.abs(vt[-1])
-    flagged = [names[j] for j in range(len(names)) if null_vec[j] >= 0.1 * null_vec.max()]
-    return ", ".join(flagged)
-
-
 def ols_columns(Y, X, response_names, predictor_names=None) -> tuple:
     """Least squares of every column of Y on an intercept and X, one fit per column.
 
-    The design is validated and decomposed once: a reciprocal condition number
-    below RCOND_MIN raises NumericalError naming the collinear columns. Each
-    column then goes through the same vector arithmetic, so a fit does not
-    depend on which other columns share its design.
+    The design is validated and decomposed once, as its centred, unit-norm
+    columns Xs (_linalg.unit_columns), so neither fit nor rank guard depends
+    on the predictors' units or levels: a constant column, or a reciprocal
+    condition number of Xs below RCOND_MIN, raises NumericalError naming the
+    collinear columns. Each column of Y then goes through the same vector
+    arithmetic, so a fit does not depend on which other columns share X.
     """
     Y, X = _as_design(Y, X)
     T, p = X.shape
     response_names = list(response_names)
     if len(response_names) != Y.shape[1]:
         raise DataError(f"{len(response_names)} response names for {Y.shape[1]} columns")
-    names = (INTERCEPT,) + tuple(_predictor_names(predictor_names, p))
-    design = np.column_stack([np.ones(T), X]) if p else np.ones((T, 1))
+    slope_names = tuple(_predictor_names(predictor_names, p))
     k = p + 1
     if T <= k:
         raise DataError(f"need more observations than parameters (T={T}, parameters={k})")
 
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    if s[-1] <= RCOND_MIN * s[0]:
+    means, Xs, norms = unit_columns(X)
+    u, s, vt = np.linalg.svd(Xs, full_matrices=False)
+    if p and s[-1] <= RCOND_MIN * s[0]:
+        # columns on the near-null singular vector; a constant one is collinear with the intercept
+        null_vec = np.abs(vt[-1])
+        flagged = [INTERCEPT] * bool((norms == 0).any()) + [
+            n for n, v in zip(slope_names, null_vec) if v >= 0.1 * null_vec.max()]
         raise NumericalError(
             f"rank deficient design for {', '.join(map(repr, response_names))}; "
-            f"collinear columns: {_suspects(vt, s, names)}")
-    condition = float(s[0] / s[-1])
-    xtx_inv_diag = np.einsum("ji,ji->i", vt / s[:, None], vt / s[:, None])
+            f"collinear columns: {', '.join(flagged)}")
+    condition = float(s[0] / s[-1]) if p else 1.0
+    # diagonal of (Xc'Xc)^-1 for the slopes, and 1/T + xbar'(Xc'Xc)^-1 xbar for the intercept
+    vs = vt / s[:, None]
+    var_factors = np.concatenate([[1.0 / T + np.sum((vs @ (means / norms)) ** 2)],
+                                  np.einsum("ji,ji->i", vs, vs) / norms ** 2])
 
     fits = []
     for j, response_name in enumerate(response_names):
         y = np.ascontiguousarray(Y[:, j])
+        y_mean = y.mean()
+        yc = y - y_mean
+        coef = np.zeros(k)
         if np.all(y == y[0]):
             # the intercept alone fits a constant response exactly; solving would
             # leak noise-scale slopes whose t-statistics are meaningless
-            coef = np.zeros(k)
             coef[0] = y[0]
-            resid = np.zeros(T)
-            rss = 0.0
+            resid, rss = np.zeros(T), 0.0
         else:
-            coef = vt.T @ ((u.T @ y) / s)
-            resid = y - design @ coef
+            gamma = vt.T @ ((u.T @ yc) / s)
+            coef[1:] = gamma / norms
+            coef[0] = y_mean - means @ coef[1:]
+            resid = yc - Xs @ gamma
             rss = float(resid @ resid)
 
-        dev = y - y.mean()
-        tss = float(dev @ dev)
+        tss = float(yc @ yc)
         r2 = 0.0 if tss == 0.0 else 1.0 - rss / tss
         adj = 1.0 - (1.0 - r2) * (T - 1) / (T - k)
 
         sigma2 = rss / (T - k)
-        se = np.sqrt(sigma2 * xtx_inv_diag)
+        se = np.sqrt(sigma2 * var_factors)
         with np.errstate(divide="ignore", invalid="ignore"):
             tstats = coef / se
+            aic = float(T * np.log(rss / T) + 2 * k)
         tstats = np.where(np.isnan(tstats), 0.0, tstats)
 
-        with np.errstate(divide="ignore"):
-            aic = float(T * np.log(rss / T) + 2 * k)
-
         fits.append(RegressionFit(
-            response_name=response_name,
-            predictor_names=names,
-            coefficients=coef,
-            std_errors=se,
-            t_statistics=tstats,
-            residuals=resid,
-            r_squared=float(r2),
-            adj_r_squared=float(adj),
-            aic=aic,
-            n_obs=T,
-            condition_number=condition,
-        ))
+            response_name=response_name, predictor_names=(INTERCEPT,) + slope_names,
+            coefficients=coef, std_errors=se, t_statistics=tstats, residuals=resid,
+            r_squared=float(r2), adj_r_squared=float(adj), aic=aic, n_obs=T,
+            condition_number=condition))
     return tuple(fits)
 
 
@@ -210,44 +209,31 @@ class StepwiseTrace:
 def _subset_scorer(y, X):
     """Fast AIC of y on an intercept and column subsets of X, with an error bound.
 
-    The data are centred once and their cross-products scaled to a unit
-    diagonal: A = D^-1 Xc'Xc D^-1 and b = D^-1 Xc'yc, with D the centred
-    column norms, and yy = yc'yc. For a subset S with k = |S| + 1 parameters,
-    one eigendecomposition of A_SS gives its eigenvalue ratio kappa and
-    RSS = yy - b_S' A_SS^-1 b_S, and AIC = T ln(RSS/T) + 2k as in ols.
+    It uses the columns ols solves on, Xs = _linalg.unit_columns(X), with
+    A = Xs'Xs (a unit diagonal), b = Xs'yc and yy = yc'yc. For a subset S with
+    k = |S| + 1 parameters, one eigendecomposition of A_SS gives its eigenvalue
+    ratio kappa and RSS = yy - b_S' A_SS^-1 b_S, and AIC = T ln(RSS/T) + 2k.
 
     Returns score(subsets) -> (aic, bound) for an (n, m) integer array of
     column subsets. bound is a first-order bound on |aic - ols AIC|,
 
-        8 T eps (yy/RSS) (k kappa + rho sqrt(k kappa)):
+        8 T eps (yy/RSS) (k kappa + sqrt(k kappa)):
 
     - the solve: a backward error of order k eps in A_SS moves b'A^-1 b by
       at most ||A^-1 b||^2 k eps <= k kappa eps yy, since a unit diagonal
       has lambda_max >= 1;
-    - the data: centring, and ols's SVD of the raw design, perturb each
-      centred column by about eps rho of its norm, where rho is the larger
-      of ||y||/||yc|| and ||[1 X_S]||_F / min_S ||xc_j||, the excess of the
-      raw magnitudes over the centred spread. RSS moves by at most
-      2 ||r|| ||dy - dX beta|| <= 4 eps rho sqrt(k kappa yy RSS);
+    - ols's SVD solve on the same Xs_S and yc has a backward error of order
+      eps in each, so with ||Xs_S||_F < sqrt(k) and ||gamma||^2 <= kappa yy
+      its RSS moves by at most 2 ||r|| ||dy - dX gamma|| <= 4 eps sqrt(k kappa yy RSS);
     - AIC moves by T times the relative RSS error, yy/RSS >= 1 is the
       cancellation in yy - b'A^-1 b, and the factor 8 covers the constants.
 
-    The bound is infinite where A_SS is not positive definite, RSS <= 0,
-    yy = 0 (a constant response) or the data are not finite.
+    The bound is infinite where A_SS is not positive definite, RSS <= 0 or yy = 0.
     """
     T = len(y)
     yc = y - y.mean()
-    Xc = X - X.mean(axis=0)
-    norms = np.sqrt(np.einsum("ij,ij->j", Xc, Xc))
-    yy = yc @ yc
-    with np.errstate(divide="ignore", invalid="ignore"):
-        A = (Xc.T @ Xc) / np.outer(norms, norms)
-        b = (Xc.T @ yc) / norms
-        rho_y = np.sqrt((y @ y) / yy)
-    unusable = ~(np.isfinite(A).all(axis=0) & np.isfinite(b) & (norms > 0))
-    A[unusable, :] = A[:, unusable] = 0.0
-    b[unusable] = 0.0
-    raw_sq = np.einsum("ij,ij->j", X, X)
+    _, Xs, _ = unit_columns(X)
+    A, b, yy = Xs.T @ Xs, Xs.T @ yc, yc @ yc
     scale = 8 * T * np.finfo(float).eps
 
     def score(subsets):
@@ -258,13 +244,11 @@ def _subset_scorer(y, X):
                 w, V = np.linalg.eigh(A[subsets[:, :, None], subsets[:, None, :]])
                 kappa = w[:, -1] / w[:, 0]
                 rss = yy - np.sum(np.einsum("nij,ni->nj", V, b[subsets]) ** 2 / w, axis=1)
-                rho = np.maximum(rho_y, np.sqrt(T + raw_sq[subsets].sum(axis=1))
-                                 / norms[subsets].min(axis=1))
                 definite = w[:, 0] > 0
             else:
-                kappa, rss, rho, definite = 1.0, np.full(n, yy), rho_y, True
+                kappa, rss, definite = 1.0, np.full(n, yy), True
             aic = T * np.log(rss / T) + 2 * k
-            bound = scale * (yy / rss) * (k * kappa + rho * np.sqrt(k * kappa))
+            bound = scale * (yy / rss) * (k * kappa + np.sqrt(k * kappa))
         ok = definite & (rss > 0) & (yy > 0) & np.isfinite(bound)
         return aic, np.where(ok, bound, np.inf)
 
@@ -288,6 +272,12 @@ def stepwise_aic(y, X_full=None, response_name: str = "y", predictor_names=None)
     AIC: its ols AIC can then beat neither. A move that ols rejects is
     skipped and the scan goes on. An add that would leave no more rows than
     parameters is skipped, as ols would reject it.
+
+    A move ols rejects for collinearity is never resolved: ols rejects it only
+    if s_min <= RCOND_MIN s_max on the scorer's own columns Xs_S, so A_SS has
+    kappa >= 1e20. Rounding moves its eigenvalues by O(k T eps) lambda_max, so
+    the computed A_SS is not positive definite (infinite bound) or has kappa
+    of order 1/(k T eps) or more: a bound 8 T eps k kappa of order 8 >> AIC_WINDOW.
     """
     Y, X = _as_design(np.reshape(y, (-1, 1)), X_full)
     T, p = X.shape

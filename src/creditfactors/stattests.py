@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import canonical_pairs
+from ._linalg import canonical_pairs, unit_columns
 from .errors import DataError, NumericalError
 from .panel import AlignedPanel
-from .regress import ols, ols_columns, residual_matrix
+from .regress import RCOND_MIN, ols, ols_columns, residual_matrix
 
 REGRESSION_CONSTANT = "constant"
 REGRESSION_CONSTANT_TREND = "constant_trend"
@@ -154,6 +154,10 @@ def johansen_trace(panel, lag_order: int = 2) -> JohansenResult:
     lag_order is the VAR lag length in levels (lag_order - 1 lagged
     differences enter the auxiliary regressions). The constant enters
     unrestricted, matching critical values for series with linear trends.
+
+    It runs on the centred, unit-norm levels of _linalg.unit_columns, so
+    neither the statistic nor the rank check (reciprocal condition number
+    above RCOND_MIN) depends on a series' level or units.
     """
     if isinstance(panel, AlignedPanel):
         X = np.asarray(panel.values, dtype=float)
@@ -175,9 +179,9 @@ def johansen_trace(panel, lag_order: int = 2) -> JohansenResult:
     need = K + 2 + (K - 1) * k
     if n < need:
         raise DataError(f"series too short for the test at lag order {K} (n={n}, need >= {need})")
-    centered = X - X.mean(axis=0)
-    sv = np.linalg.svd(centered, compute_uv=False)
-    if sv[-1] <= 1e-10 * sv[0]:
+    _, X, _ = unit_columns(X)
+    sv = np.linalg.svd(X, compute_uv=False)
+    if sv[-1] <= RCOND_MIN * sv[0]:
         raise NumericalError("collinear columns in panel")
 
     dX = np.diff(X, axis=0)
