@@ -4,24 +4,8 @@ import numpy as np
 
 from .errors import NumericalError
 
-# relative eigenvalue floor below which a covariance matrix counts as singular
-EIG_RTOL = 1e-12
-
-
-def inv_sqrt_psd(matrix: np.ndarray, label: str, hint: str = "") -> np.ndarray:
-    """Symmetric inverse square root of a positive definite matrix.
-
-    Raises NumericalError when the smallest eigenvalue is numerically zero
-    relative to the largest.
-    """
-    sym = 0.5 * (matrix + matrix.T)
-    w, v = np.linalg.eigh(sym)
-    if w[-1] <= 0 or w[0] <= EIG_RTOL * w[-1]:
-        msg = f"singular {label} covariance (smallest eigenvalue {w[0]:.3e})"
-        if hint:
-            msg += f"; {hint}"
-        raise NumericalError(msg)
-    return (v / np.sqrt(w)) @ v.T
+# a matrix whose reciprocal condition number falls to this is rank deficient
+RCOND_MIN = 1e-10
 
 
 def unit_columns(X):
@@ -39,19 +23,25 @@ def unit_columns(X):
     return means, Xt.T, norms
 
 
-def canonical_pairs(Sxx, Syy, Sxy, labels, hint: str = ""):
-    """Canonical correlations and weights of two blocks from their covariances.
+def canonical_pairs(A, B, labels, hint: str = ""):
+    """Canonical correlations, weights and variates of two column blocks.
 
-    Both blocks are whitened and the whitened cross-covariance decomposed,
+    A (n x p) and B (n x q) share their rows, and A'A, B'B and A'B are the
+    two covariances and the cross-covariance up to one common factor. With
+    thin QR factors A = Qa Ra and B = Qb Rb, the correlations are the singular
+    values of Qa'Qb = P D V' (Bjorck and Golub 1973), so the condition number
+    of a block enters once, not squared as in a covariance.
 
-        Sxx^(-1/2) Sxy Syy^(-1/2) = P D Q',
-
-    giving the min(p, q) leading correlations diag(D), descending, with
-    weights a = Sxx^(-1/2) P and b = Syy^(-1/2) Q. labels names the two blocks
-    in the singular-covariance error, which carries hint.
+    Returns the min(p, q) leading correlations diag(D), descending, the
+    weights Ra^-1 P and Rb^-1 V, and the variates Qa P and Qb V. A block whose
+    R factor has a reciprocal condition number at or below RCOND_MIN raises
+    NumericalError naming it by labels and carrying hint.
     """
-    ix = inv_sqrt_psd(Sxx, labels[0], hint)
-    iy = inv_sqrt_psd(Syy, labels[1], hint)
-    P, d, Qt = np.linalg.svd(ix @ Sxy @ iy)
-    m = d.size
-    return d, ix @ P[:, :m], iy @ Qt[:m].T
+    (Qa, Ra), (Qb, Rb) = np.linalg.qr(A), np.linalg.qr(B)
+    for R, label in zip((Ra, Rb), labels):
+        s = np.linalg.svd(R, compute_uv=False)
+        if not s[-1] > RCOND_MIN * s[0]:
+            msg = f"rank deficient {label} block (reciprocal condition number {s[-1] / s[0]:.3e})"
+            raise NumericalError(f"{msg}; {hint}" if hint else msg)
+    P, d, Vt = np.linalg.svd(Qa.T @ Qb, full_matrices=False)
+    return d, np.linalg.solve(Ra, P), np.linalg.solve(Rb, Vt.T), Qa @ P, Qb @ Vt.T

@@ -1,21 +1,19 @@
 """Canonical correlation analysis with significance and redundancy diagnostics.
 
-cca_fit standardizes both variable sets and hands their correlation matrices
-to _linalg.canonical_pairs, which whitens them with inverse square roots and
-reads the canonical structure off the SVD of the whitened cross-covariance:
-
-    K = Sy^(-1/2) Syz Sz^(-1/2) = P D Q'
-
-Weights are a = Sy^(-1/2) P and b = Sz^(-1/2) Q, rescaled so every variate has
-unit sample variance (ddof=1), with the sign convention that the largest
-weight in each left variate is positive. eigen_table computes the eigenvalues
-rho^2/(1 - rho^2) and their percentage shares of the total. wilks_lambda
-implements the sequential likelihood-ratio tests with Rao's F approximation
-whose df constant m = n - 3/2 - (p + q)/2 is computed once from the full
-variable counts. Its p-value is the F upper tail, computed in _f_sf as the
-regularized incomplete beta I_w(dfd/2, dfn/2), w = dfd/(dfd + dfn*F), by the
-modified-Lentz continued fraction of Numerical Recipes (Press et al., 6.4),
-so the package needs numpy only.
+cca_fit hands the centred, unit-norm columns of both variable sets to
+_linalg.canonical_pairs, which takes thin QR factors Y = Qy Ry and Z = Qz Rz
+and reads the canonical structure off the SVD Qy'Qz = P D V', without
+forming a covariance matrix. Weights are a = Ry^-1 P and b = Rz^-1 V,
+rescaled so every variate has unit sample variance (ddof=1), with the sign
+convention that the largest weight in each left variate is positive.
+eigen_table computes the eigenvalues rho^2/(1 - rho^2) and their percentage
+shares of the total. wilks_lambda implements the sequential likelihood-ratio
+tests with Rao's F approximation whose df constant m = n - 3/2 - (p + q)/2
+is computed once from the full variable counts. Its p-value is the F upper
+tail, computed in _f_sf as the regularized incomplete beta
+I_w(dfd/2, dfn/2), w = dfd/(dfd + dfn*F), by the modified-Lentz continued
+fraction of Numerical Recipes (Press et al., 6.4), so the package needs
+numpy only.
 """
 
 import math
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import canonical_pairs
+from ._linalg import canonical_pairs, unit_columns
 from .errors import DataError, NumericalError
 
 
@@ -66,21 +64,22 @@ def _validate_block(M, label):
     return M
 
 
-def _standardize(M, label):
-    means = M.mean(axis=0)
-    scales = M.std(axis=0, ddof=1)
-    dead = np.flatnonzero(scales == 0)
+def _unit_block(M, label):
+    """_linalg.unit_columns of M; errors on a constant column."""
+    means, Ms, norms = unit_columns(M)
+    dead = np.flatnonzero(norms == 0)
     if dead.size:
         raise NumericalError(f"constant column(s) in {label}: indices {[int(i) for i in dead]}")
-    return (M - means) / scales, means, scales
+    return means, Ms, norms
 
 
 def cca_fit(Y, Z, ridge: float = 0.0) -> CcaSolution:
     """Canonical correlations and variates of two jointly observed sets.
 
-    ridge (default 0) is added to the diagonals of both correlation matrices
-    before whitening; use a small value like 1e-8 when a block is nearly
-    collinear. It is recorded on the solution.
+    ridge (default 0) is added to the diagonals of both correlation matrices,
+    as sqrt(ridge) I rows under each centred, unit-norm block. It is needed
+    only when a block is exactly collinear (a reciprocal condition number at
+    or below RCOND_MIN), and it is recorded on the solution.
     """
     Y = _validate_block(Y, "left set")
     Z = _validate_block(Z, "right set")
@@ -95,29 +94,25 @@ def cca_fit(Y, Z, ridge: float = 0.0) -> CcaSolution:
     if not 0 <= ridge < math.inf:
         raise DataError(f"ridge must be finite and nonnegative, got {ridge}")
 
-    Ys, y_means, y_scales = _standardize(Y, "left set")
-    Zs, z_means, z_scales = _standardize(Z, "right set")
-    Sy = Ys.T @ Ys / (T - 1)
-    Sz = Zs.T @ Zs / (T - 1)
-    Syz = Ys.T @ Zs / (T - 1)
-
+    y_means, Ys, y_norms = _unit_block(Y, "left set")
+    z_means, Zs, z_norms = _unit_block(Z, "right set")
+    root = math.sqrt(ridge)
     hint = "supply a small ridge (e.g. 1e-8) to proceed" if ridge == 0 else ""
-    _, a, b = canonical_pairs(Sy + ridge * np.eye(p), Sz + ridge * np.eye(q), Syz,
-                              ("left-set", "right-set"), hint)
+    _, a, b, u, v = canonical_pairs(np.vstack([Ys, root * np.eye(p + q, p)]),
+                                    np.vstack([Zs, root * np.eye(p + q, q, -p)]),
+                                    ("left-set", "right-set"), hint)
 
-    # unit sample variance of every variate (exact under ridge = 0, renormalized otherwise)
-    a = a / np.sqrt(np.einsum("jk,jk->k", a, Sy @ a))
-    b = b / np.sqrt(np.einsum("jk,jk->k", b, Sz @ b))
+    # unit sample variance of every variate, with standardized(Y) = sqrt(T - 1) Ys;
+    # the data rows of Qy P have unit norm under ridge = 0
+    cu, cv = np.linalg.norm(u[:T], axis=0), np.linalg.norm(v[:T], axis=0)
+    a, b, u, v = a / cu, b / cv, u[:T] * (math.sqrt(T - 1) / cu), v[:T] * (math.sqrt(T - 1) / cv)
 
     # orient: the largest-magnitude left weight of each pair is positive
     for k in range(a.shape[1]):
         jmax = int(np.argmax(np.abs(a[:, k])))
         if a[jmax, k] < 0:
-            a[:, k] = -a[:, k]
-            b[:, k] = -b[:, k]
+            a[:, k], b[:, k], u[:, k], v[:, k] = -a[:, k], -b[:, k], -u[:, k], -v[:, k]
 
-    u = Ys @ a
-    v = Zs @ b
     rho = np.clip(np.einsum("tk,tk->k", u, v) / (T - 1), 0.0, 1.0)
     order = np.argsort(-rho, kind="stable")
     rho, a, b, u, v = rho[order], a[:, order], b[:, order], u[:, order], v[:, order]
@@ -127,8 +122,8 @@ def cca_fit(Y, Z, ridge: float = 0.0) -> CcaSolution:
         correlations=rho,
         a_weights=a, b_weights=b,
         u_scores=u, v_scores=v,
-        y_means=y_means, y_scales=y_scales,
-        z_means=z_means, z_scales=z_scales,
+        y_means=y_means, y_scales=y_norms / math.sqrt(T - 1),
+        z_means=z_means, z_scales=z_norms / math.sqrt(T - 1),
         ridge=float(ridge),
     )
 
@@ -318,9 +313,7 @@ def _column_correlations(A, B, label):
     """corr(A_j, B_k) matrix; errors on constant columns of either."""
     if A.shape[0] != B.shape[0]:
         raise DataError(f"{label}: row count {A.shape[0]} does not match scores {B.shape[0]}")
-    As = _standardize(A, label)[0]
-    Bs = _standardize(B, "variate scores")[0]
-    return As.T @ Bs / (A.shape[0] - 1)
+    return _unit_block(A, label)[1].T @ _unit_block(B, "variate scores")[1]
 
 
 def redundancy(solution: CcaSolution, Y) -> tuple:

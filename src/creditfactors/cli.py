@@ -54,7 +54,7 @@ _FLAGS = {
             "(default constant_trend)",
     "strong": "strong adjusted-R2 delta threshold (default 0.30)",
     "weak": "weak mean-delta threshold (default 0.10)",
-    "ridge": "diagonal ridge for the CCA whitening (default 0)",
+    "ridge": "CCA diagonal ridge, needed only for exactly collinear columns (default 0)",
     "seed": "random seed override",
 }
 CONFIG_KEYS = set(_FLAGS) | {"out"}

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._linalg import RCOND_MIN
 from .cca import CcaSolution
 from .errors import DataError, NumericalError
 from .panel import AlignedPanel
@@ -69,13 +70,8 @@ def factor_regressions(responses, factors: FactorScores) -> tuple:
     return ols_columns(Y, factors.scores, names, factors.names)
 
 
-def residual_pc1(residuals) -> tuple:
-    """First principal component of a residual matrix.
-
-    Columns are centered; scores are rescaled to unit sample variance with the
-    largest-magnitude loading oriented positive. Returns (scores, share of
-    total residual variance carried by the component).
-    """
+def _pc1(residuals):
+    """residual_pc1, plus the singular values of the centred residuals."""
     R = np.asarray(residuals, dtype=float)
     if R.ndim != 2:
         raise DataError(f"residual matrix must be 2-D, got shape {R.shape}")
@@ -88,9 +84,8 @@ def residual_pc1(residuals) -> tuple:
     if not np.any(R):
         raise NumericalError("degenerate residuals (all zero)")
     centered = R - R.mean(axis=0)
-    cov = centered.T @ centered / (R.shape[0] - 1)
-    w, vecs = np.linalg.eigh(cov)
-    lead = vecs[:, -1]
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    lead = vt[0]
     jmax = int(np.argmax(np.abs(lead)))
     if lead[jmax] < 0:
         lead = -lead
@@ -98,9 +93,17 @@ def residual_pc1(residuals) -> tuple:
     scale = scores.std(ddof=1)
     if scale == 0:
         raise NumericalError("degenerate residuals (no variation along the first component)")
-    w = np.clip(w, 0.0, None)
-    share = float(w[-1] / w.sum())
-    return scores / scale, share
+    return scores / scale, float(s[0] ** 2 / np.sum(s ** 2)), s
+
+
+def residual_pc1(residuals) -> tuple:
+    """First principal component of a residual matrix.
+
+    Columns are centered and decomposed by SVD; scores are rescaled to unit
+    sample variance with the largest-magnitude loading oriented positive.
+    Returns (scores, share of total residual variance carried by the component).
+    """
+    return _pc1(residuals)[:2]
 
 
 def augment_with_pc1(fits, design, responses):
@@ -110,6 +113,8 @@ def augment_with_pc1(fits, design, responses):
     column) and responses the fitted responses, one column per fit in order
     (a matrix or a complete AlignedPanel). All equations are refitted in one
     ols_columns call. Returns (augmented fits, pc1 scores, pc1 variance share).
+    Residuals whose second singular value is at most RCOND_MIN times the first
+    raise NumericalError: their first component would fit every response exactly.
     """
     fits = list(fits)
     if len(fits) < 2:
@@ -125,7 +130,10 @@ def augment_with_pc1(fits, design, responses):
     Y = _responses_of(responses)[0]
     if Y.shape != R.shape:
         raise DataError(f"responses have shape {Y.shape}, fits {R.shape}")
-    pc1, share = residual_pc1(R)
+    pc1, share, s = _pc1(R)
+    if not s[1] > RCOND_MIN * s[0]:  # n responses on r factors of their own span: rank n - r
+        raise NumericalError(f"residuals of {R.shape[1]} responses have rank 1, so their first "
+                             "component fits each exactly; use fewer factors (setting 'factors')")
     augmented = ols_columns(Y, np.column_stack([X, pc1]), [f.response_name for f in fits],
                             fits[0].slope_names + (PC1_NAME,))
     return augmented, pc1, share

@@ -17,13 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import unit_columns
+from ._linalg import RCOND_MIN, unit_columns
 from .errors import DataError, NumericalError
 
 INTERCEPT = "(Intercept)"
 
-# centred, unit-norm columns whose reciprocal condition number falls to this are rank deficient
-RCOND_MIN = 1e-10
 # stepwise refits with ols every move whose fast AIC may be this close to a winner
 AIC_WINDOW = 1e-6
 

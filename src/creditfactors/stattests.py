@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import canonical_pairs, unit_columns
+from ._linalg import RCOND_MIN, canonical_pairs, unit_columns
 from .errors import DataError, NumericalError
 from .panel import AlignedPanel
-from .regress import RCOND_MIN, ols, ols_columns, residual_matrix
+from .regress import ols, ols_columns, residual_matrix
 
 REGRESSION_CONSTANT = "constant"
 REGRESSION_CONSTANT_TREND = "constant_trend"
@@ -195,11 +195,9 @@ def johansen_trace(panel, lag_order: int = 2) -> JohansenResult:
     names = [f"{block}_{j + 1}" for block in ("R0", "RK") for j in range(k)]
     lag_names = [f"d{j + 1}_lag{i}" for i in range(1, K) for j in range(k)]
     R = residual_matrix(ols_columns(W, lagged_diffs, names, lag_names))
-    S = R.T @ R / rows
-    # Johansen's eigenvalues, those of SKK^-1 SK0 S00^-1 S0K, are the squared
-    # canonical correlations of R0 and RK
-    rho, _, _ = canonical_pairs(S[:k, :k], S[k:, k:], S[:k, k:], ("R0", "RK"),
-                                "columns may be collinear")
+    # Johansen's eigenvalues, those of SKK^-1 SK0 S00^-1 S0K with S = R'R/rows,
+    # are the squared canonical correlations of the residual blocks R0 and RK
+    rho = canonical_pairs(R[:, :k], R[:, k:], ("R0", "RK"), "columns may be collinear")[0]
     lam = rho ** 2
     if np.any(1.0 - lam <= 1e-14):
         raise NumericalError("degenerate eigenvalue at 1; system is collinear")

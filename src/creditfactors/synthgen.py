@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import canonical_pairs
-from .errors import DataError
+from .errors import DataError, NumericalError
 
 _RANK_TOL = 1e-8
 
@@ -153,8 +153,13 @@ def population_covariance(spec: FactorModelSpec):
 def population_cca(spec: FactorModelSpec) -> np.ndarray:
     """Exact canonical correlations between responses and proxies, descending."""
     cov_yy, cov_yz, cov_zz = population_covariance(spec)
-    rho, _, _ = canonical_pairs(cov_yy, cov_zz, cov_yz, ("response", "proxy"),
-                                "population covariance is singular; use positive idio_variances")
+    hint = "population covariance is singular; use positive idio_variances"
+    try:  # G G' is the joint covariance, so the column blocks of G' have its blocks as products
+        G = np.linalg.cholesky(np.block([[cov_yy, cov_yz], [cov_yz.T, cov_zz]]))
+    except np.linalg.LinAlgError:
+        raise NumericalError(hint) from None
+    n = spec.n_responses
+    rho = canonical_pairs(G.T[:, :n], G.T[:, n:], ("response", "proxy"), hint)[0]
     return np.clip(rho, 0.0, 1.0)
 
 

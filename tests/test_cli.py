@@ -540,6 +540,39 @@ class TestDiagnoseCommand:
         assert "verdict=missing_factor" in text
 
 
+class TestRankEdges:
+    """Desk inputs (default preset, seed 0, T=63) next to and at rank deficiency."""
+
+    DESK = cf.generate(cf.default_spec(seed=0, n_periods=63))
+
+    @staticmethod
+    def write(workdir, Y, Z):
+        for fname, prefix, values in (("spreads.csv", "Y", Y), ("macro.csv", "Z", Z)):
+            names = [f"{prefix}{j + 1}" for j in range(values.shape[1])]
+            cf.write_panel_csv(cf.AlignedPanel(cf.Month(2000, 1), names, values), workdir / fname)
+        return ["--spreads", "spreads.csv", "--macro", "macro.csv"]
+
+    def test_near_copy_of_a_macro_column(self, workdir):
+        # Z11 = Z10 + 1e-6 noise puts the predictors' condition number near 3e6;
+        # whitening their covariance squared it, and analyze exited 4
+        Z = self.DESK.proxies
+        Z = np.column_stack([Z, Z[:, 9] + 1e-6 * np.random.default_rng(11).standard_normal(63)])
+        assert run("analyze", *self.write(workdir, self.DESK.responses, Z), "--out", "rep") == 0
+        # a comment line, the header and one row per canonical pair
+        assert len((workdir / "rep" / "cca_eigen.csv").read_text().splitlines()) == 2 + 11
+
+    def test_rank_one_residuals_exit_4(self, workdir, capsys):
+        # four responses on three factors drawn from their own span leave rank-one
+        # residuals, whose first component fit every response exactly: adjusted
+        # R2 1.000 and t-statistics near 1e15 in the bundle
+        data = self.write(workdir, self.DESK.responses[:, :4], self.DESK.proxies)
+        assert run("analyze", *data, "--out", "rep") == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "setting 'factors'" in err[0], err
+        assert not (workdir / "rep").exists()
+        assert run("analyze", *data, "--factors", "2", "--out", "rep") == 0
+
+
 class TestViews:
     """Each single-stage command writes the per-response tables of analyze."""
 
@@ -556,8 +589,8 @@ class TestViews:
         write_named_spreads(workdir / "spreads.csv", ["alpha", "beta", "gamma"])
         write_macro_panel(workdir / "macro.csv")
         data = ["--spreads", "spreads.csv", "--macro", "macro.csv"]
-        factors = [] if command in ("ols", "stepwise") else ["--factors", "2"]
-        assert run("analyze", *data, "--factors", "2", "--out", "rep") == 0
+        factors = [] if command in ("ols", "stepwise") else ["--factors", "1"]
+        assert run("analyze", *data, "--factors", "1", "--out", "rep") == 0
         assert run(command, *data, *factors, "--out", "view") == 0
         assert sorted(os.listdir(workdir / "view")) == sorted(files)
         for view_name, analyze_name in files.items():

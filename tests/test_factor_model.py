@@ -170,6 +170,21 @@ class TestAugmentWithPc1:
             assert abs(after.t_statistics[-1]) > 2.0
 
 
+    def test_rank_one_residuals_rejected(self):
+        # n responses on r factors from their own span leave residuals of rank
+        # n - r; at rank one their component would fit every response exactly
+        rng = np.random.default_rng(95)
+        Y = rng.normal(size=(60, 3))
+        for r in (2, 1):
+            F = Y @ rng.normal(size=(3, r))
+            fits = [cf.ols(Y[:, j], F, response_name=f"y{j}") for j in range(3)]
+            if r == 2:
+                with pytest.raises(cf.NumericalError, match="rank 1.*'factors'"):
+                    cf.augment_with_pc1(fits, F, Y)
+            else:
+                aug, _, share = cf.augment_with_pc1(fits, F, Y)
+                assert share < 1 - 1e-6 and all(f.adj_r_squared < 1 - 1e-6 for f in aug)
+
 class TestDiagnostic:
     def test_planted_missing_factor_detected(self):
         for seed in range(5):

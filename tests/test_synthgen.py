@@ -170,6 +170,20 @@ class TestPopulationCca:
         sample = cf.cca_fit(ds.responses, ds.proxies).correlations
         np.testing.assert_allclose(sample[:2], [1.0, 1.0], atol=1e-4)
 
+    @pytest.mark.parametrize("idio", [1e-16, 1e-30])
+    def test_vanishing_idio_variance_is_a_numerical_error(self, idio):
+        # the joint covariance is then not positive definite in floating point
+        spec = cf.FactorModelSpec(
+            intercepts=[0.0, 1.0, 2.0],
+            proxied_loadings=[[1.0, 0.0], [0.0, 1.0], [0.7, 0.7]],
+            missing_loadings=np.empty((3, 0)),
+            proxy_projection=[[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]],
+            proxy_noise_scale=0.0,
+            idio_variances=[idio] * 3,
+            n_periods=400, seed=12)
+        with pytest.raises(cf.NumericalError, match="use positive idio_variances"):
+            cf.population_cca(spec)
+
 
 class TestCannedSpecs:
     def test_scenarios_share_the_proxied_block(self):
