@@ -7,7 +7,9 @@ config file of `key = value` lines; flags win. Exit codes: 0 success, 2 usage
 error, 3 data error, 4 numerical error.
 
 Commands render their files in memory and hand them to `_commit`, the one writer,
-once all rendered, so a failing command writes nothing. `ols`, `stepwise`, `cca`,
+once all rendered, so a failing command writes nothing. `Run.sections` are the
+regression sections: for `analyze` the grade and term stacks whose groups have one
+size, else one group per response, as for every view. `ols`, `stepwise`, `cca`,
 `factor-regress` and `diagnose` are VIEWS: one `analyze` stage, some files renamed.
 """
 
@@ -60,6 +62,7 @@ _FLAGS = {
 CONFIG_KEYS = set(_FLAGS) | {"out"}
 
 _SIM_START = panel_mod.Month(2000, 1)
+_SIM_MONTHS = panel_mod._END - _SIM_START.index  # from 2000-01 to 9999-12, the last date
 
 
 class UsageError(Exception):
@@ -152,20 +155,23 @@ def _commit(out, files) -> int:
 
 def cmd_aggregate(args) -> int:
     s = Settings(args)
-    loans = s.require("loans")
-    yields_path = s.require("yields")
-    rates = panel_mod.aggregate_loans(panel_mod.read_loans_csv(loans))
-    return _write_spreads(s, rates, yields_path)
+    return _write_spreads(s, _loan_spreads(s.require("loans"), s.require("yields")))
 
 
 def cmd_spreads(args) -> int:
     s = Settings(args)
     rates = panel_mod.read_panel_csv(s.require("panel"))
-    return _write_spreads(s, rates, s.require("yields"))
+    curve = panel_mod.read_yields_csv(s.require("yields"))
+    return _write_spreads(s, panel_mod.to_spreads(rates, curve))
 
 
-def _write_spreads(s: Settings, rates, yields_path) -> int:
-    spreads = panel_mod.to_spreads(rates, panel_mod.read_yields_csv(yields_path))
+def _loan_spreads(loans_path, yields_path) -> panel_mod.AlignedPanel:
+    """Spreads of the loan book's bucket rates over the matching yields."""
+    rates = panel_mod.aggregate_loans(panel_mod.read_loans_csv(loans_path))
+    return panel_mod.to_spreads(rates, panel_mod.read_yields_csv(yields_path))
+
+
+def _write_spreads(s: Settings, spreads) -> int:
     text = panel_mod.panel_csv_text(spreads, _meta(spreads.n_obs, TRANSFORM_LEVELS, "none"))
     return _commit(s.get("out", default="."), [("spreads.csv", text)])
 
@@ -214,32 +220,23 @@ def cmd_simulate(args) -> int:
     seed = s.get("seed", cast=int)
     if seed is not None:
         spec = dataclasses.replace(spec, seed=seed)
+    if spec.n_periods > _SIM_MONTHS:  # before the draw, which allocates n_periods rows
+        raise DataError(f"{spec_path}: n_periods must be at most {_SIM_MONTHS}, "
+                        f"the months from {_SIM_START} to 9999-12")
     ds = synthgen.generate(spec)
-
-    def as_panel(matrix, prefix):
-        names = tuple(f"{prefix}{j + 1}" for j in range(matrix.shape[1]))
-        return panel_mod.AlignedPanel(_SIM_START, names, matrix)
-
     note = _meta(spec.n_periods, TRANSFORM_LEVELS, "none", f"seed={spec.seed}")
-    written = {
-        "responses.csv": as_panel(ds.responses, "Y"),
-        "proxies.csv": as_panel(ds.proxies, "Z"),
-        "truth_proxied_factors.csv": as_panel(ds.proxied_factors, "F"),
-        "truth_idiosyncratic.csv": as_panel(ds.idiosyncratic, "U"),
-    }
-    if spec.n_missing:
-        written["truth_missing_factors.csv"] = as_panel(ds.missing_factors, "M")
-    files = [(fname, panel_mod.panel_csv_text(p, note)) for fname, p in written.items()]
-    echo = {
-        "intercepts": spec.intercepts.tolist(),
-        "proxied_loadings": spec.proxied_loadings.tolist(),
-        "missing_loadings": spec.missing_loadings.tolist(),
-        "proxy_projection": spec.proxy_projection.tolist(),
-        "proxy_noise_scale": spec.proxy_noise_scale,
-        "idio_variances": spec.idio_variances.tolist(),
-        "n_periods": spec.n_periods,
-        "seed": spec.seed,
-    }
+    files = []
+    for fname, prefix, matrix in (("responses.csv", "Y", ds.responses),
+                                  ("proxies.csv", "Z", ds.proxies),
+                                  ("truth_proxied_factors.csv", "F", ds.proxied_factors),
+                                  ("truth_idiosyncratic.csv", "U", ds.idiosyncratic),
+                                  ("truth_missing_factors.csv", "M", ds.missing_factors)):
+        if matrix.shape[1]:  # only missing factors can be absent
+            names = tuple(f"{prefix}{j + 1}" for j in range(matrix.shape[1]))
+            panel = panel_mod.AlignedPanel(_SIM_START, names, matrix)
+            files.append((fname, panel_mod.panel_csv_text(panel, note)))
+    echo = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+    echo = {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in echo.items()}
     files.append(("spec_echo.json", json.dumps(echo, indent=2, sort_keys=True) + "\n"))
     return _commit(s.get("out", default="."), files)
 
@@ -276,41 +273,50 @@ def _spec_from_json(raw: dict) -> synthgen.FactorModelSpec:
             raise DataError(f"unexpected keys with preset: {sorted(extra)}")
         kwargs.setdefault("seed", 0)
         return _PRESETS[name](**kwargs)
-    required = {"intercepts", "proxied_loadings", "proxy_projection",
-                "proxy_noise_scale", "idio_variances", "n_periods", "seed"}
-    missing = required - set(raw)
+    # every field of the spec is a key; a null or absent missing_loadings means none
+    fields = dataclasses.fields(synthgen.FactorModelSpec)
+    missing = {f.name for f in fields} - {"missing_loadings"} - set(raw)
     if missing:
         raise DataError(f"missing keys: {sorted(missing)}")
-    extra = set(raw) - required - {"missing_loadings"}
+    extra = set(raw) - {f.name for f in fields}
     if extra:
         raise DataError(f"unknown keys: {sorted(extra)}")
-    missing_loadings = raw.get("missing_loadings")
-    missing_loadings = [] if missing_loadings is None else missing_loadings
-    return synthgen.FactorModelSpec(
-        intercepts=raw["intercepts"],
-        proxied_loadings=raw["proxied_loadings"],
-        missing_loadings=np.asarray(missing_loadings, dtype=float).reshape(
-            len(raw["intercepts"]), -1),
-        proxy_projection=raw["proxy_projection"],
-        proxy_noise_scale=float(raw["proxy_noise_scale"]),
-        idio_variances=raw["idio_variances"],
-        n_periods=int(raw["n_periods"]),
-        seed=int(raw["seed"]),
-    )
+    # the scalar fields are cast to their declared int or float; the arrays pass as given
+    kwargs = {f.name: f.type(raw[f.name]) if f.type in (int, float) else raw.get(f.name)
+              for f in fields}
+    missing_loadings = [] if kwargs["missing_loadings"] is None else kwargs["missing_loadings"]
+    kwargs["missing_loadings"] = np.asarray(missing_loadings, dtype=float).reshape(
+        len(raw["intercepts"]), -1)
+    return synthgen.FactorModelSpec(**kwargs)
 
 
 # ---------------------------------------------------------------------------
 # analysis: one run context, the report stages, and the commands built on them
 # ---------------------------------------------------------------------------
 
-class Run:
-    """Settings, aligned data, fitted factors and rendered tables of one run.
+class Section:
+    """Group labels, and each group's responses stacked end to end as one column of Y."""
 
-    Responses and predictors are aligned on the intersect grid. Stages render
-    their tables into `files` and write nothing; the command commits the files.
+    def __init__(self, name, groups, panel: panel_mod.AlignedPanel):
+        self.name, self.labels = name, list(groups)
+        self.size = len(next(iter(groups.values())))
+        self.Y = np.column_stack([np.concatenate([panel.column(n) for n in members])
+                                  for members in groups.values()])
+
+    def tiled(self, X):
+        """X stacked `size` times, to match Y's rows: every group has `size` members."""
+        return np.tile(X, (self.size, 1))
+
+
+class Run:
+    """Settings, aligned data, fitted factors, regression sections and tables of one run.
+
+    Responses and predictors are aligned on the intersect grid; `stack` asks for stacked
+    `sections`. Stages render tables into `files` and write nothing, and record what
+    summary.md reports: `reports` (a diagnostic per section), `johansen`, `unit_root_note`.
     """
 
-    def __init__(self, args):
+    def __init__(self, args, stack=False):
         self.s = Settings(args)
         self.r = self.s.get("factors", default=3, cast=int)
         self.ridge = self.s.get("ridge", default=0.0, cast=float)
@@ -328,7 +334,11 @@ class Run:
         self.lags = _lags(self.s)
         self.transform = self.s.get("transform", default=TRANSFORM_DIFF,
                                     choices={TRANSFORM_LEVELS, TRANSFORM_DIFF})
-        self.spread_levels = _load_spread_levels(self.s)
+        spreads, loans, yields = self.s.get("spreads"), self.s.get("loans"), self.s.get("yields")
+        if spreads is None and (loans is None or yields is None):
+            raise UsageError("need either spreads=PATH or both loans=PATH and yields=PATH")
+        self.spread_levels = (panel_mod.read_panel_csv(spreads) if spreads is not None
+                              else _loan_spreads(loans, yields))
         macro = panel_mod.read_panel_csv(self.s.require("macro"))
         y_panel = (panel_mod.first_difference(self.spread_levels)
                    if self.transform == TRANSFORM_DIFF else self.spread_levels)
@@ -337,8 +347,13 @@ class Run:
         self.z_names = list(macro.names)
         self.Y = np.column_stack([self.combined.column(n) for n in self.y_names])
         self.Z = np.column_stack([self.combined.column(n) for n in self.z_names])
-        self.per_response = {n: [n] for n in self.y_names}
+        self.groupings = _column_groups(self.y_names) if stack else {}
+        stacks = {name: groups for name, groups in self.groupings.items()
+                  if len({len(members) for members in groups.values()}) == 1}
+        self.sections = [Section(name, groups, self.combined) for name, groups in
+                         (stacks or {"responses": {n: [n] for n in self.y_names}}).items()]
         self.files = []  # (file name, text, summary note), in rendering order
+        self.reports, self.johansen, self.unit_root_note = {}, {}, None
 
     def table(self, fname, content, n_obs, extra="", note=""):
         """Render one (header, rows) table under the run's comment line."""
@@ -350,19 +365,6 @@ class Run:
         """Leading canonical variates, with the CCA fit as `source`; fitted on first use."""
         sol = cca_mod.cca_fit(self.Y, self.Z, ridge=self.ridge)
         return fm.FactorScores.from_solution(sol, r=min(self.r, sol.m))
-
-
-def _load_spread_levels(s: Settings) -> panel_mod.AlignedPanel:
-    spreads_path = s.get("spreads")
-    if spreads_path is not None:
-        return panel_mod.read_panel_csv(spreads_path)
-    loans_path = s.get("loans")
-    yields_path = s.get("yields")
-    if loans_path is None or yields_path is None:
-        raise UsageError("need either spreads=PATH or both loans=PATH and yields=PATH")
-    rates = panel_mod.aggregate_loans(panel_mod.read_loans_csv(loans_path))
-    curve = panel_mod.read_yields_csv(yields_path)
-    return panel_mod.to_spreads(rates, curve)
 
 
 def _summary_table(p: panel_mod.AlignedPanel):
@@ -380,28 +382,18 @@ def _summary_table(p: panel_mod.AlignedPanel):
     return header, rows
 
 
-def _stacked(run: Run, groups, X):
-    """Group labels, each group's responses stacked end to end as one column, and X tiled.
-
-    Every group must have the same size, so one tiled design serves them all.
-    """
-    design = np.tile(X, (len(next(iter(groups.values()))), 1))
-    Y = np.column_stack([np.concatenate([run.combined.column(n) for n in members])
-                         for members in groups.values()])
-    return list(groups), Y, design
-
-
-def _ols_table(run: Run, section, labels, Y, design):
-    """Regressions of the stacked response columns Y on the tiled predictor design."""
-    fits = regress_mod.ols_columns(Y, design, labels, run.z_names)
-    run.table(f"ols_full_{section}.csv", regress_mod.fit_table(fits), fits[0].n_obs,
-              note=f"regressions on all predictors ({section})")
+def _ols_table(run: Run, section: Section):
+    """Regressions of the section's stacked responses on all predictors; returns the fits."""
+    fits = regress_mod.ols_columns(section.Y, section.tiled(run.Z), section.labels, run.z_names)
+    run.table(f"ols_full_{section.name}.csv", regress_mod.fit_table(fits), fits[0].n_obs,
+              note=f"regressions on all predictors ({section.name})")
     return fits
 
 
-def _stepwise_tables(run: Run, section, labels, Y, design):
+def _stepwise_tables(run: Run, section: Section):
+    design = section.tiled(run.Z)
     fits, trace_rows = [], []
-    for label, y in zip(labels, Y.T):
+    for label, y in zip(section.labels, section.Y.T):
         fit, trace = regress_mod.stepwise_aic(y, design, response_name=label,
                                               predictor_names=run.z_names)
         fits.append(fit)
@@ -410,14 +402,15 @@ def _stepwise_tables(run: Run, section, labels, Y, design):
             trace_rows.append([label, str(i), step.action, step.predictor,
                                format(step.aic_after, ".4f")])
     table = regress_mod.fit_table(fits, predictors=[regress_mod.INTERCEPT] + run.z_names)
-    run.table(f"ols_stepwise_{section}.csv", table, fits[0].n_obs,
-              note=f"stepwise-selected regressions ({section})")
-    run.table(f"ols_stepwise_trace_{section}.csv",
+    run.table(f"ols_stepwise_{section.name}.csv", table, fits[0].n_obs,
+              note=f"stepwise-selected regressions ({section.name})")
+    run.table(f"ols_stepwise_trace_{section.name}.csv",
               (["response", "step", "action", "predictor", "aic"], trace_rows),
-              fits[0].n_obs, note=f"accepted stepwise moves ({section})")
+              fits[0].n_obs, note=f"accepted stepwise moves ({section.name})")
 
 
-def _cca_tables(run: Run):
+def _cca_tables(run: Run, section=None):
+    """The CCA tables. They describe all responses at once, so `section` goes unused."""
     sol, n_obs = run.factors.source, run.combined.n_obs
     run.table("cca_eigen.csv", cca_mod.eigen_table_rows(cca_mod.eigen_table(sol)), n_obs,
               f"ridge={sol.ridge}", "canonical correlations and eigenvalue shares")
@@ -433,59 +426,55 @@ def _cca_tables(run: Run):
               note="predictor correlations with the leading variates")
 
 
-def _factor_tables(run: Run, section, groups):
-    """Regressions on the retained factors: (fits, factor design, stacked responses)."""
+def _factor_tables(run: Run, section: Section):
+    """Regressions on the retained factors: (fits, tiled factor design)."""
     factors = run.factors
-    labels, Y, design = _stacked(run, groups, factors.scores)
-    fits = regress_mod.ols_columns(Y, design, labels, factors.names)
-    run.table(f"factor_regressions_{section}.csv", regress_mod.fit_table(fits), fits[0].n_obs,
-              f"factors={factors.r}", f"regressions on retained factors ({section})")
-    return fits, design, Y
+    design = section.tiled(factors.scores)
+    fits = regress_mod.ols_columns(section.Y, design, section.labels, factors.names)
+    run.table(f"factor_regressions_{section.name}.csv", regress_mod.fit_table(fits),
+              fits[0].n_obs, f"factors={factors.r}",
+              f"regressions on retained factors ({section.name})")
+    return fits, design
 
 
-def _diagnostic_tables(run: Run, section, groups):
-    """_factor_tables, then the missing-factor diagnostic on its fits; returns the report."""
-    fits, design, Y = _factor_tables(run, section, groups)
-    report = fm.missing_factor_diagnostic(fits, design, Y, thresholds=(run.strong, run.weak))
+def _diagnostic_tables(run: Run, section: Section):
+    """_factor_tables, then the missing-factor diagnostic on its fits, kept in run.reports."""
+    fits, design = _factor_tables(run, section)
+    report = fm.missing_factor_diagnostic(fits, design, section.Y,
+                                          thresholds=(run.strong, run.weak))
+    run.reports[section.name] = report
     n_obs, share = fits[0].n_obs, f"pc1_share={report.pc1_variance_share:.4f}"
-    run.table(f"factor_regressions_pc1_{section}.csv",
+    run.table(f"factor_regressions_pc1_{section.name}.csv",
               regress_mod.fit_table(report.augmented), n_obs, share,
-              f"factor regressions with the residual component added ({section})")
-    run.table(f"diagnostic_{section}.csv", fm.diagnostic_table_rows(report), n_obs,
+              f"factor regressions with the residual component added ({section.name})")
+    run.table(f"diagnostic_{section.name}.csv", fm.diagnostic_table_rows(report), n_obs,
               f"factors={run.factors.r} strong={run.strong} weak={run.weak} {share} "
-              f"verdict={report.verdict}", f"missing-factor diagnostic ({section})")
-    return report
-
-
-def _on_responses(stage):
-    """stage(run, "responses", labels, Y, design) on the predictors, one group per response."""
-    return lambda run: stage(run, "responses", *_stacked(run, run.per_response, run.Z))
+              f"verdict={report.verdict}", f"missing-factor diagnostic ({section.name})")
 
 
 # Each single-stage command is a view of `analyze`: (stage, {analyze file: view file}).
-# The stage runs on the per-response grouping and the view keeps the listed files.
+# The stage runs on the view's one section, one group per response, and the view keeps
+# the listed files.
 VIEWS = {
-    "ols": (_on_responses(_ols_table), {"ols_full_responses.csv": "ols.csv"}),
-    "stepwise": (_on_responses(_stepwise_tables),
-                 {"ols_stepwise_responses.csv": "stepwise.csv",
-                  "ols_stepwise_trace_responses.csv": "stepwise_trace.csv"}),
+    "ols": (_ols_table, {"ols_full_responses.csv": "ols.csv"}),
+    "stepwise": (_stepwise_tables, {"ols_stepwise_responses.csv": "stepwise.csv",
+                                    "ols_stepwise_trace_responses.csv": "stepwise_trace.csv"}),
     "cca": (_cca_tables, {f"cca_{t}.csv": f"cca_{t}.csv"
                           for t in ("eigen", "wilks", "redundancy", "cross_loadings")}),
-    "factor-regress": (lambda run: _factor_tables(run, "responses", run.per_response),
+    "factor-regress": (_factor_tables,
                        {"factor_regressions_responses.csv": "factor_regressions.csv"}),
-    "diagnose": (lambda run: _diagnostic_tables(run, "responses", run.per_response),
-                 {"diagnostic_responses.csv": "diagnostic.csv"}),
+    "diagnose": (_diagnostic_tables, {"diagnostic_responses.csv": "diagnostic.csv"}),
 }
 
 
 def cmd_view(args) -> int:
     stage, names = VIEWS[args.command]
     run = Run(args)
-    result = stage(run)
+    stage(run, *run.sections)  # a view's one section: one group per response
     _commit(run.s.get("out", default="."),
             [(names[fname], text) for fname, text, _ in run.files if fname in names])
-    if isinstance(result, fm.DiagnosticReport):
-        print(f"verdict: {result.verdict}")
+    for report in run.reports.values():
+        print(f"verdict: {report.verdict}")
     return EXIT_OK
 
 
@@ -505,7 +494,7 @@ def _column_groups(names):
 
 
 def cmd_analyze(args) -> int:
-    run = Run(args)
+    run = Run(args, stack=True)
     levels = run.spread_levels
 
     # 1-2. spread levels and first differences: summary stats and unit-root tests
@@ -515,16 +504,14 @@ def cmd_analyze(args) -> int:
              "the first differences", "the first differences")):
         run.table(f"spread_{stem}_summary.csv", _summary_table(p), p.n_obs,
                   note=f"descriptive statistics of {stats_of}")
-        table, adf_note, unit_root_note = _adf_table(run.s, p)
+        table, adf_note, run.unit_root_note = _adf_table(run.s, p)
         run.table(f"adf_{stem}.csv", table, p.n_obs, adf_note, f"unit-root tests on {tests_on}")
 
     # 3. cointegration within term groups (all series if names are generic) of tractable size
-    groupings = _column_groups(list(levels.names))
-    johansen_runs = {}
-    for label, members in groupings.get("terms", {"all": list(levels.names)}).items():
+    for label, members in run.groupings.get("terms", {"all": list(levels.names)}).items():
         if 2 <= len(members) <= 6:
             result, table, note = _johansen_table(levels.select(members), run.lags)
-            johansen_runs[label] = result
+            run.johansen[label] = result
             run.table(f"johansen_{label}.csv", table, result.n_obs, note,
                       f"cointegration trace tests ({label})")
 
@@ -533,29 +520,22 @@ def cmd_analyze(args) -> int:
     run.table("macro_summary.csv", _summary_table(run.combined.select(run.z_names)),
               n_obs, note="descriptive statistics of the predictor panel")
     corr = np.corrcoef(run.Z, rowvar=False)
-    rows = [[name] + [format(c, ".3f") for c in corr[i]]
-            for i, name in enumerate(run.z_names)]
+    rows = [[name] + [format(c, ".3f") for c in row] for name, row in zip(run.z_names, corr)]
     run.table("macro_correlations.csv", ([""] + run.z_names, rows), n_obs,
               note="correlations among predictors")
 
     # 5. canonical correlation analysis of responses against predictors
     _cca_tables(run)
 
-    # 6. regressions, stacked by grade and by term when every group has the
-    # same size (one tiled design then serves them all), else per response
-    sections = {section: groups for section, groups in groupings.items()
-                if len({len(members) for members in groups.values()}) == 1}
-    unstacked = [section for section in groupings if section not in sections]
-    verdicts = {}
-    for section, groups in (sections or {"responses": run.per_response}).items():
-        labels, Y, design = _stacked(run, groups, run.Z)
-        fits = _ols_table(run, section, labels, Y, design)
-        _stepwise_tables(run, section, labels, Y, design)
-        aug, _, share = fm.augment_with_pc1(fits, design, Y)
-        run.table(f"ols_pc1_{section}.csv", regress_mod.fit_table(aug), aug[0].n_obs,
+    # 6. regressions in each of the run's sections
+    for section in run.sections:
+        fits = _ols_table(run, section)
+        _stepwise_tables(run, section)
+        aug, _, share = fm.augment_with_pc1(fits, section.tiled(run.Z), section.Y)
+        run.table(f"ols_pc1_{section.name}.csv", regress_mod.fit_table(aug), aug[0].n_obs,
                   f"pc1_share={share:.4f}",
-                  f"regressions with the residual component added ({section})")
-        verdicts[section] = _diagnostic_tables(run, section, groups)
+                  f"regressions with the residual component added ({section.name})")
+        _diagnostic_tables(run, section)
 
     # 7. panels used downstream, re-readable by the panel reader
     comment = _meta(n_obs, run.transform, "intersect")
@@ -566,7 +546,7 @@ def cmd_analyze(args) -> int:
              "retained factor score series")):
         run.files.append((fname, panel_mod.panel_csv_text(p, comment), note))
 
-    summary = _summary_md(run, johansen_runs, verdicts, unstacked, unit_root_note)
+    summary = _summary_md(run)
     files = [(fname, text) for fname, text, _ in run.files] + [("summary.md", summary)]
     out = run.s.get("out", default="report")
     stale = sorted(set(os.listdir(out)) - set(dict(files))) if os.path.isdir(out) else []
@@ -577,25 +557,26 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _summary_md(run: Run, johansen_runs, verdicts, unstacked, unit_root_note) -> str:
+def _summary_md(run: Run) -> str:
+    unstacked = [name for name in run.groupings if name not in run.reports]
     lines = ["# Analysis report", "", "## Settings", ""]
     lines.append(f"- observations used: {run.combined.n_obs} "
                  f"({run.combined.start} to {run.combined.end})")
     lines.append(f"- transform: {run.transform}")
     lines.append("- alignment: intersect")
     lines.append(f"- retained factors: {run.factors.r}")
-    lines.append(f"- unit-root regression: {unit_root_note}")
+    lines.append(f"- unit-root regression: {run.unit_root_note}")
     lines.append(f"- diagnostic thresholds: strong {run.strong}, weak {run.weak}")
     if unstacked:
         lines.append(f"- left unstacked because group sizes differ: {', '.join(unstacked)}")
     lines += ["", "## Key results", ""]
     top = ", ".join(format(r, ".4f") for r in run.factors.source.correlations[:3])
     lines.append(f"- leading canonical correlations: {top}")
-    for label, res in johansen_runs.items():
+    for label, res in run.johansen.items():
         rejected = sum(res.rejected)
         lines.append(f"- cointegration ({label}): {rejected} of {len(res.rejected)} "
                      f"nulls rejected at 5%")
-    for section, report in verdicts.items():
+    for section, report in run.reports.items():
         lines.append(f"- missing-factor verdict ({section}): {report.verdict} "
                      f"(mean delta {report.mean_delta:.3f}, "
                      f"PC1 share {report.pc1_variance_share:.3f})")
@@ -622,7 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             p.add_argument(f"--{flag}", help=_FLAGS[flag])
         p.set_defaults(func=func)
-        return p
 
     add("aggregate", cmd_aggregate,
         "average loans into bucket rates and subtract matching yields",
@@ -650,7 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -659,15 +638,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -195,6 +195,54 @@ class TestSimulate:
         (workdir / "spec.json").write_text("{not json")
         assert run("simulate", "--spec", "spec.json", "--out", "m") == 3
 
+    FULL_SPEC = {
+        "intercepts": [1.0, 2.0, 3.0],
+        "proxied_loadings": [[1.0], [0.5], [-0.7]],
+        "missing_loadings": [[0.3], [0.2], [0.1]],
+        "proxy_projection": [[1.0], [0.4]],
+        "proxy_noise_scale": 0.3,
+        "idio_variances": [0.5, 0.4, 0.6],
+        "n_periods": 30,
+        "seed": 1,
+    }
+
+    @pytest.mark.parametrize("spec", [
+        {"preset": "default", "seed": 3, "n_periods": 40},  # no missing factors
+        FULL_SPEC,
+    ], ids=["preset", "full"])
+    def test_spec_echo_reproduces_every_file(self, workdir, spec):
+        # the echo lists the spec's fields, and --spec reads the same field list back
+        (workdir / "spec.json").write_text(json.dumps(spec))
+        assert run("simulate", "--spec", "spec.json", "--out", "a") == 0
+        assert run("simulate", "--spec", "a/spec_echo.json", "--out", "b") == 0
+        names = sorted(os.listdir(workdir / "a"))
+        assert names == sorted(os.listdir(workdir / "b"))
+        assert ("truth_missing_factors.csv" in names) == ("missing_loadings" in spec)
+        for name in names:
+            assert (workdir / "a" / name).read_bytes() == (workdir / "b" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("spec", [
+        {"preset": "default", "n_periods": 1e300},
+        dict(FULL_SPEC, n_periods=1e300),
+        dict(FULL_SPEC, n_periods=96001),
+    ], ids=["preset", "full", "one-past"])
+    def test_n_periods_past_9999_12_exit_3_before_the_draw(self, workdir, capsys, spec):
+        # 1e300 periods escaped as numpy's "Maximum allowed dimension exceeded", exit 1
+        (workdir / "spec.json").write_text(json.dumps(spec))
+        assert run("simulate", "--spec", "spec.json", "--out", "m") == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "data error: spec.json: n_periods must be at most 96000, "
+            "the months from 2000-01 to 9999-12"]
+        assert not (workdir / "m").exists()
+
+    def test_n_periods_up_to_9999_12_is_drawn(self, workdir):
+        (workdir / "spec.json").write_text(json.dumps({
+            "intercepts": [0.0], "proxied_loadings": [[1.0]], "proxy_projection": [[1.0]],
+            "proxy_noise_scale": 0.1, "idio_variances": [1.0], "n_periods": 96000, "seed": 0}))
+        assert run("simulate", "--spec", "spec.json", "--out", "m") == 0
+        assert (workdir / "m" / "responses.csv").read_text().splitlines()[-1].startswith(
+            "9999-12,")
+
 
 class TestConfig:
     def test_config_supplies_settings(self, workdir):
@@ -596,6 +644,38 @@ class TestViews:
         for view_name, analyze_name in files.items():
             assert (workdir / "view" / view_name).read_bytes() == \
                    (workdir / "rep" / analyze_name).read_bytes(), view_name
+
+    @pytest.mark.parametrize("command, files", [
+        ("ols", ["ols.csv"]),
+        ("stepwise", ["stepwise.csv", "stepwise_trace.csv"]),
+        ("cca", ["cca_cross_loadings.csv", "cca_eigen.csv", "cca_redundancy.csv",
+                 "cca_wilks.csv"]),
+        ("factor-regress", ["factor_regressions.csv"]),
+        ("diagnose", ["diagnostic.csv"]),
+    ])
+    def test_views_stay_per_response_on_stackable_names(self, workdir, command, files):
+        # analyze stacks these <term>-<grade> names by grade and by term; a view does not
+        names = ["36-A", "36-B", "60-A", "60-B"]
+        write_spread_panel(workdir / "spreads.csv")
+        write_macro_panel(workdir / "macro.csv")
+        data = ["--spreads", "spreads.csv", "--macro", "macro.csv"]
+        factors = [] if command in ("ols", "stepwise") else ["--factors", "1"]
+        assert run("analyze", *data, "--factors", "1", "--out", "rep") == 0
+        assert "ols_full_grades.csv" in os.listdir(workdir / "rep")
+        assert run(command, *data, *factors, "--out", "view") == 0
+        assert sorted(os.listdir(workdir / "view")) == files
+        for name in files:
+            text = (workdir / "view" / name).read_text()
+            if name.startswith("cca_"):  # no response rows: the bytes of analyze's tables
+                assert text == (workdir / "rep" / name).read_text(), name
+                continue
+            rows = [row.split(",") for row in text.splitlines()[2:]]
+            if name == "stepwise_trace.csv":  # one start row per series, then its moves
+                assert [row[0] for row in rows if row[1] == "0"] == names
+                assert {row[0] for row in rows} == set(names)
+            else:  # a label row per series (then unlabelled t-statistics, or the mean)
+                labels = [row[0] for row in rows if row[0]]
+                assert labels == names + ["mean"] * (name == "diagnostic.csv"), name
 
 
 def test_import_loads_no_scipy():

@@ -250,6 +250,9 @@ def test_config_files_keep_the_exit_contract(config):
 @example(spec=json.dumps(dict(VALID_FULL_SPEC, intercepts=None)).encode())
 @example(spec=json.dumps(dict(VALID_FULL_SPEC, n_periods=float("inf"))).encode())
 @example(spec=b'{"preset": "default", "seed": -1}')
+# more periods than months from 2000-01 to 9999-12 escaped from the draw, exit 1
+@example(spec=b'{"preset": "default", "n_periods": 1e300}')
+@example(spec=json.dumps(dict(VALID_FULL_SPEC, n_periods=1e300)).encode())
 def test_simulate_keeps_the_exit_contract(spec):
     run_main(lambda p: ["simulate", "--spec", p["spec.json"], "--out", p["out"]],
              {"spec.json": spec})
