@@ -273,7 +273,7 @@ def _spec_from_json(raw: dict) -> synthgen.FactorModelSpec:
             raise DataError(f"unexpected keys with preset: {sorted(extra)}")
         kwargs.setdefault("seed", 0)
         return _PRESETS[name](**kwargs)
-    # every field of the spec is a key; a null or absent missing_loadings means none
+    # every field of the spec is a key; a null, absent or empty missing_loadings means none
     fields = dataclasses.fields(synthgen.FactorModelSpec)
     missing = {f.name for f in fields} - {"missing_loadings"} - set(raw)
     if missing:
@@ -284,9 +284,8 @@ def _spec_from_json(raw: dict) -> synthgen.FactorModelSpec:
     # the scalar fields are cast to their declared int or float; the arrays pass as given
     kwargs = {f.name: f.type(raw[f.name]) if f.type in (int, float) else raw.get(f.name)
               for f in fields}
-    missing_loadings = [] if kwargs["missing_loadings"] is None else kwargs["missing_loadings"]
-    kwargs["missing_loadings"] = np.asarray(missing_loadings, dtype=float).reshape(
-        len(raw["intercepts"]), -1)
+    if kwargs["missing_loadings"] in (None, []):
+        kwargs["missing_loadings"] = np.zeros((len(raw["intercepts"]), 0))
     return synthgen.FactorModelSpec(**kwargs)
 
 

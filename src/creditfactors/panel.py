@@ -8,7 +8,10 @@ transform returns a new panel.
 
 Panel, loan and yield files share one CSV core that yields CHUNK_ROWS rows at a time as
 columns; each reader converts them in bulk and re-reads only the rows it flags. Loan and
-yield files stream from disk; a panel file is decoded whole before its first row.
+yield files stream from disk; a panel file is decoded whole before its first row. A loan file
+whose header is exactly date, rate, grade and term, in any order, is read CHUNK_ROWS lines at a
+time by numpy's C reader until a chunk holds a quote, a blank line, a wrong cell count or a cell
+it cannot prove valid; from there on the CSV core reads it, as it reads any other loan file.
 """
 
 import csv
@@ -16,6 +19,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -371,10 +375,10 @@ def _csv_chunks(path, lines, first, columns, pad, what):
 
     lines are the decoded text lines of path from line `first` on. columns(header,
     line) checks the header row (None if there is none) and returns the indices of
-    the columns to take. Blank lines are skipped but counted; a file with no other
-    row fails. A short row is padded with "" if pad, else it fails as a long row does.
-    A failing row, a malformed cell or an undecodable byte fails after the rows before
-    it are yielded.
+    the columns to take. Blank lines are skipped but counted; unless what is None
+    (rows before line `first` were read), a file with no other row fails. A short
+    row is padded with "" if pad, else it fails as a long row does. A failing row, a
+    malformed cell or an undecodable byte fails after the rows before it are yielded.
     """
     reader, skip = csv.reader(lines), first - 1
     rows, at, fault, empty = [], [], None, True
@@ -402,19 +406,24 @@ def _csv_chunks(path, lines, first, columns, pad, what):
         yield at, [[row[j] for row in rows] for j in take]
     if fault is not None:
         raise fault
-    if empty and not rows:
+    if empty and not rows and what is not None:
         raise DataError(f"{path}: no {what} rows")
 
 
-def _record_chunks(path, columns, what):
+def _record_chunks(path, lines, first, columns, what):
     """_csv_chunks of a record file: the last column of each name in columns, short rows padded."""
     def header(row, line):
         if row is None or not set(columns).issubset(row):
             raise DataError(f"{path}: expected header with columns {','.join(columns)}")
         return [max(j for j, name in enumerate(row) if name == col) for col in columns]
 
-    with open(path, newline="") as fh:
-        yield from _csv_chunks(path, _decoded(fh, path), 1, header, True, what)
+    return _csv_chunks(path, lines, first, header, True, what)
+
+
+def _raising(exc):
+    """No lines, then exc: hands a fault that a line iterator raised on to the CSV core."""
+    raise exc
+    yield
 
 
 def _at(path, line, make):
@@ -435,11 +444,69 @@ def _codes(cells, table: dict, code) -> np.ndarray:
     return np.fromiter(map(table.__getitem__, cells), np.int64, len(cells))
 
 
+_LOANS = ("date", "rate", "grade", "term")
+# U widths: a date, grade or term that fills its width is invalid; the code tables are sorted
+_LOAN_WIDTHS = {"date": 11, "rate": 32, "grade": 2, "term": 3}
+_CODES = {"grade": np.array(GRADES), "term": np.array([str(t) for t in TERMS])}
+
+
+def _plain_loans(chunk, order):
+    """(months, buckets, rates) of lines of a loan file with columns in order; None unless
+    every line is four unquoted cells that fit their widths and that read_loans_csv accepts."""
+    if min(map(len, chunk), default=0) < 3 or "\0" in "".join(chunk):  # blank; U drops a NUL
+        return None
+    try:
+        dtype = [(name, f"U{_LOAN_WIDTHS[name]}") for name in order]
+        cells = np.loadtxt(chunk, dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+        rate_text = cells["rate"].tolist()
+        rates = np.fromiter(map(float, rate_text), float, len(cells))
+    except ValueError:  # a quoted newline, a wrong cell count or a rate float refuses
+        return None
+    points = np.ascontiguousarray(cells["date"]).view(np.uint32).reshape(len(cells), -1)
+    form = np.where((points >= ord("0")) & (points <= ord("9")), ord("0"), points)
+    form = form.view(cells["date"].dtype)[:, 0]  # each date with its digits set to 0
+    digits = points[:, :7].astype(np.int64) - ord("0")
+    month = digits[:, 5] * 10 + digits[:, 6]
+    at = {name: np.searchsorted(_CODES[name], cells[name]).clip(max=len(_CODES[name]) - 1)
+          for name in ("grade", "term")}
+    ok = (((form == "0000-00") | (form == "0000-00-00")) & (month >= 1) & (month <= 12)
+          & (_CODES["grade"][at["grade"]] == cells["grade"])
+          & (_CODES["term"][at["term"]] == cells["term"]) & np.isfinite(rates) & (rates > 0))
+    if not ok.all() or max(map(len, rate_text)) == _LOAN_WIDTHS["rate"]:  # a rate cut short
+        return None
+    months = digits[:, :4] @ [12000, 1200, 120, 12] + month - 1
+    return months, at["term"] * len(GRADES) + at["grade"], rates
+
+
 def read_loans_csv(path) -> LoanBook:
     """Loan-level CSV with header date,rate,grade,term (one loan per row)."""
-    month_of, grade_of, term_of, parts = {}, {}, {}, []
-    for lines, (dates, rates, grades, terms) in _record_chunks(
-            path, ("date", "rate", "grade", "term"), "loan"):
+    with open(path, newline="") as fh:
+        parts = list(_loan_parts(path, _decoded(fh, path)))
+    return LoanBook(*(np.concatenate(col) for col in zip(*parts)))
+
+
+def _loan_parts(path, lines):
+    """(months, buckets, rates) of each chunk of a loan file's decoded lines: from _plain_loans
+    until it refuses a chunk, then from the CSV core, so every message and line number holds."""
+    head = list(islice(lines, 1))
+    order = head[0].rstrip("\r\n").split(",") if head else []
+    chunk, first = [], 1  # first: the number of the line before chunk
+    while sorted(order) == sorted(_LOANS):
+        try:
+            chunk.extend(islice(lines, CHUNK_ROWS))
+        except DataError as exc:  # extend keeps the lines read before the fault
+            lines = _raising(exc)
+            break
+        if not chunk and first > 1:  # every line was plain
+            return
+        part = _plain_loans(chunk, order)
+        if part is None:
+            break
+        yield part
+        chunk, first = [], first + len(chunk)
+    month_of, grade_of, term_of = {}, {}, {}
+    for at, (dates, rates, grades, terms) in _record_chunks(
+            path, chain(head, chunk, lines), first, _LOANS, "loan" if first == 1 else None):
         months = _codes(dates, month_of, lambda d: Month.parse(d).index)
         grade = _codes(grades, grade_of, lambda g: GRADES.index(g.strip()))
         term = _codes(terms, term_of, lambda t: TERMS.index(int(t)))
@@ -450,17 +517,18 @@ def read_loans_csv(path) -> LoanBook:
         bad = (months < 0) | (grade < 0) | (term < 0) | ~(np.isfinite(rate) & (rate > 0))
         for i in np.flatnonzero(bad):  # raises at the first row that really fails
             d, r, g, t = dates[i], rates[i], grades[i], terms[i]
-            _at(path, lines[i], lambda: LoanRecord(Month.parse(d), float(r), g.strip(), int(t)))
-        parts.append((months, term * len(GRADES) + grade, rate))  # term-major, as _BUCKETS
-    return LoanBook(*(np.concatenate(col) for col in zip(*parts)))
+            _at(path, at[i], lambda: LoanRecord(Month.parse(d), float(r), g.strip(), int(t)))
+        yield months, term * len(GRADES) + grade, rate  # term-major, as _BUCKETS
 
 
 def read_yields_csv(path) -> list:
     """Yield-curve CSV with header date,maturity_months,yield."""
-    return [_at(path, line, lambda: YieldCurvePoint(
-                month=Month.parse(d), maturity_months=int(m), yield_pct=float(y)))
-            for lines, cols in _record_chunks(path, ("date", "maturity_months", "yield"), "yield")
-            for line, d, m, y in zip(lines, *cols)]
+    with open(path, newline="") as fh:
+        return [_at(path, line, lambda: YieldCurvePoint(
+                    month=Month.parse(d), maturity_months=int(m), yield_pct=float(y)))
+                for lines, cols in _record_chunks(path, _decoded(fh, path), 1,
+                                                  ("date", "maturity_months", "yield"), "yield")
+                for line, d, m, y in zip(lines, *cols)]
 
 
 def _month_labels(start: int, n: int) -> list:

@@ -221,6 +221,29 @@ class TestSimulate:
         for name in names:
             assert (workdir / "a" / name).read_bytes() == (workdir / "b" / name).read_bytes(), name
 
+    @pytest.mark.parametrize("loadings, shape", [
+        ([[0.3, 0.2, 0.1], [0.5, -0.4, 0.9]], "rows 2 do not match 3 responses"),
+        ([0.3, 0.2, 0.1], "must be 2-D, got shape (3,)"),
+        ([[]], "rows 1 do not match 3 responses"),
+    ], ids=["2x3", "flat", "one-empty-row"])
+    def test_missing_loadings_of_the_wrong_shape_exit_3(self, workdir, capsys, loadings, shape):
+        # a 2x3 matrix for 3 responses was reshaped in row order to 3x2 and accepted
+        (workdir / "spec.json").write_text(json.dumps(dict(self.FULL_SPEC,
+                                                           missing_loadings=loadings)))
+        assert run("simulate", "--spec", "spec.json", "--out", "m") == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: spec.json: missing_loadings {shape}"]
+        assert not (workdir / "m").exists()
+
+    @pytest.mark.parametrize("loadings", [None, [], [[], [], []]], ids=["null", "empty", "3x0"])
+    def test_missing_loadings_null_or_empty_mean_no_missing_factor(self, workdir, loadings):
+        (workdir / "spec.json").write_text(json.dumps(dict(self.FULL_SPEC,
+                                                           missing_loadings=loadings)))
+        assert run("simulate", "--spec", "spec.json", "--out", "m") == 0
+        assert not (workdir / "m" / "truth_missing_factors.csv").exists()
+        echo = json.loads((workdir / "m" / "spec_echo.json").read_text())
+        assert echo["missing_loadings"] == [[], [], []]
+
     @pytest.mark.parametrize("spec", [
         {"preset": "default", "n_periods": 1e300},
         dict(FULL_SPEC, n_periods=1e300),

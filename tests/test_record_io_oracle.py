@@ -12,6 +12,7 @@ lists, or fail with the same `DataError` message.
 import csv
 import io
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -216,3 +217,121 @@ def test_record_files_read_as_the_oracle_reads_them(record_corpus, monkeypatch, 
                  "maturity must", "expected header", "expected 3", "expected 4", "field larger",
                  "cannot decode", "no loan", "no yield"):
         assert kinds.get(kind, 0) >= 5, (kind, kinds)
+
+
+# ---------------------------------------------------------------------------
+# the plain path: a loan file whose header is exactly the four loan columns
+# ---------------------------------------------------------------------------
+
+PLAIN = 3  # CHUNK_ROWS of the multi-chunk files below
+
+
+def plain_lines(n, seed, order=LOANS, end="\n") -> list:
+    """n valid loan lines as the plain path reads them: four unquoted, unpadded cells."""
+    rng = np.random.default_rng([15, seed])
+    lines = []
+    for _ in range(n):
+        month = Month.from_index(int(rng.integers(2005 * 12, 2013 * 12)))
+        day = f"-{int(rng.integers(1, 29)):02d}" if rng.random() < 0.5 else ""
+        cells = {"date": f"{month}{day}", "rate": repr(float(rng.uniform(3.0, 30.0))),
+                 "grade": GRADES[int(rng.integers(6))], "term": str(TERMS[int(rng.integers(2))])}
+        lines.append(",".join(cells[name] for name in order) + end)
+    return lines
+
+
+def late_cases() -> dict:
+    """name -> the lines of a fault (or an oddity) that follows valid plain chunks."""
+    cases = {
+        "quoted cell": ['2005-01,"5.5",A,36\n'], "quoted comma": ['2005-01,"5,5",A,36\n'],
+        "quoted newline": ['2005-01,"5\n', '5",A,36\n'], "quoted date": ['"2005-01",5,A,36\n'],
+        "blank line": ["\n"], "blank crlf": ["\r\n"], "blank chunk": ["\n"] * PLAIN,
+        "blank chunks": ["\n", "\r\n", "\r"] * PLAIN, "whitespace line": ["  \n"],
+        "short row": ["2005-01,5.5,A\n"], "long row": ["2005-01,5.5,A,36,x\n"],
+        "empty cells": [",,,\n"], "crlf": ["2005-01,5.5,A,36\r\n"], "lone cr": ["2005-01,5.5,A,36\r"],
+        "padded date": [" 2005-01,5.5,A,36\n"], "padded grade": ["2005-01,5.5, C,36\n"],
+        "padded term": ["2005-01,5.5,C,60 \n"], "tab term": ["2005-01,5.5,C,60\t\n"],
+        "plus term": ["2005-01,5.5,C,+36\n"], "zero term": ["2005-01,5.5,C,036\n"],
+        "long rate": ["2005-01," + "1" * 40 + ",C,36\n"],
+        "long padded rate": ["2005-01,5" + " " * 40 + ",C,36\n"],
+        "rate of 31": ["2005-01," + "1" * 31 + ",C,36\n"],
+        "rate of 32": ["2005-01," + "1" * 32 + ",C,36\n"],
+        "rate past the field limit": ["2005-01," + "7" * (csv.field_size_limit() + 1) + ",C,36\n"],
+        "long date": ["2005-01-0123,5.5,A,36\n"], "long grade": ["2005-01,5.5,AB,36\n"],
+        "NUL rate": ["2005-01,5\0,C,36\n"], "NUL date": ["2005-01\0,5,C,36\n"],
+        "NUL term": ["2005-01,5,C,36\0\n"], "day 00": ["2005-01-00,5,C,36\n"],
+        "no newline at the end": ["2005-01,5,C,36"],
+    }
+    for rate in BAD_CELLS + ["1_5", "１２", "١٢", "nan", "inf", "-0.0", "5e-324", "+5", ".5"]:
+        cases[f"rate {rate!r}"] = [f"2005-01,{rate},A,36\n"]
+    for date in BAD_DATES + ["2005-01-1", "2005-1-01", "٢٠٠٥-٠١", "2005-01-01-01", "2005_01"]:
+        cases[f"date {date!r}"] = [f"{date},5,A,36\n"]
+    for grade in BAD["grade"] + ["a", "F", "AA"]:
+        cases[f"grade {grade!r}"] = [f"2005-01,5,{grade},36\n"]
+    for term in BAD["term"] + ["+36", "036", "36 ", "60"]:
+        cases[f"term {term!r}"] = [f"2005-01,5,A,{term}\n"]
+    return cases
+
+
+def plain_file(path, fault, offset, after, seed):
+    """A plain loan file: two chunks of valid lines, `offset` more, the fault lines, then
+    `after` valid lines. Returns the number of the line before the third chunk."""
+    lines = plain_lines(2 * PLAIN + offset, seed) + fault + plain_lines(after, seed + 1)
+    path.write_text("date,rate,grade,term\n" + "".join(lines), newline="")
+    return 1 + 2 * PLAIN
+
+
+@pytest.mark.parametrize("fault", list(late_cases().values()), ids=list(late_cases()))
+def test_a_late_fault_reads_as_the_oracle_reads_it(tmp_path, monkeypatch, fault):
+    # the plain path takes the first two chunks; whatever it cannot prove valid in the third,
+    # the CSV core reads from that chunk's first line on, with the same outcome as the oracle
+    monkeypatch.setattr(panel, "CHUNK_ROWS", PLAIN)
+    core, firsts = panel._csv_chunks, []
+
+    def spy(path, lines, first, *args):
+        firsts.append(first)
+        return core(path, lines, first, *args)
+
+    monkeypatch.setattr(panel, "_csv_chunks", spy)
+    path = tmp_path / "loans.csv"
+    for offset in range(PLAIN):
+        for after in (0, 1, PLAIN + 1):
+            chunk_start = plain_file(path, fault, offset, after, seed=offset)
+            theirs = outcome(oracle_read_loans_csv, path)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt warns on a chunk with no data
+                assert outcome(panel.read_loans_csv, path) == theirs, (offset, after, theirs[:1])
+            assert all(first >= chunk_start for first in firsts), (offset, after, firsts)
+            firsts.clear()
+
+
+def test_a_late_rate_fault_wins_over_a_later_undecodable_byte(tmp_path):
+    # the bad rate and the bad byte share the second 4,096-line chunk; the lines read before
+    # the byte failed to decode must reach the CSV core, which names the rate's line
+    lines = plain_lines(panel.CHUNK_ROWS + 2, 1) + ["2005-01,-1.0,A,36\n"] + plain_lines(5000, 2)
+    data = "date,rate,grade,term\n" + "".join(lines[:panel.CHUNK_ROWS + 2000])
+    rest = "".join(lines[panel.CHUNK_ROWS + 2000:])
+    path = tmp_path / "loans.csv"
+    path.write_bytes(data.encode() + b"\xff" + rest.encode())
+    theirs = outcome(oracle_read_loans_csv, path)
+    line = panel.CHUNK_ROWS + 4
+    assert theirs == ("error", f"{path}:{line}: loan rate must be positive, got -1.0")
+    assert outcome(panel.read_loans_csv, path) == theirs
+
+
+@pytest.mark.parametrize("chunk_rows", [PLAIN, panel.CHUNK_ROWS])
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_a_plain_book_never_reaches_the_csv_core(tmp_path, monkeypatch, chunk_rows, extra, end):
+    # a silent fall-back to the CSV core would still read the book right, so refuse it
+    monkeypatch.setattr(panel, "CHUNK_ROWS", chunk_rows)
+    path = tmp_path / "loans.csv"
+    order = ("grade", "rate", "term", "date")
+    lines = plain_lines(3 * chunk_rows + extra, 7, order, end)
+    path.write_text(",".join(order) + end + "".join(lines), newline="")
+    theirs = outcome(oracle_read_loans_csv, path)
+
+    def refuse(*args):
+        raise AssertionError("the CSV core read a plain loan file")
+
+    monkeypatch.setattr(panel, "_csv_chunks", refuse)
+    assert theirs[0] == "ok" and outcome(panel.read_loans_csv, path) == theirs
