@@ -17,38 +17,30 @@ numpy only.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._linalg import canonical_pairs, unit_columns
+from ._record import Record, readonly
 from .errors import DataError, NumericalError
 
 
-@dataclass(frozen=True)
-class CcaSolution:
-    """Fitted canonical system for p left variables and q right variables."""
+class CcaSolution(Record):
+    """Fitted canonical system for p left variables and q right variables.
 
-    p: int
-    q: int
-    n_obs: int
-    correlations: np.ndarray        # (m,) descending, in [0, 1]
-    a_weights: np.ndarray           # (p, m); U = standardized(Y) @ a_weights
-    b_weights: np.ndarray           # (q, m); V = standardized(Z) @ b_weights
-    u_scores: np.ndarray            # (T, m), unit sample variance each
-    v_scores: np.ndarray            # (T, m)
-    y_means: np.ndarray
-    y_scales: np.ndarray
-    z_means: np.ndarray
-    z_scales: np.ndarray
-    ridge: float
+    correlations (m,) are descending, in [0, 1]. U = standardized(Y) @ a_weights
+    (p, m) and V = standardized(Z) @ b_weights (q, m) are the (T, m) u_scores and
+    v_scores, of unit sample variance each.
+    """
 
-    def __post_init__(self):
-        for field in ("correlations", "a_weights", "b_weights", "u_scores", "v_scores",
-                      "y_means", "y_scales", "z_means", "z_scales"):
-            arr = np.array(getattr(self, field), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, field, arr)
+    __slots__ = ("p", "q", "n_obs", "correlations", "a_weights", "b_weights", "u_scores",
+                 "v_scores", "y_means", "y_scales", "z_means", "z_scales", "ridge")
+
+    def __init__(self, p: int, q: int, n_obs: int, correlations, a_weights, b_weights,
+                 u_scores, v_scores, y_means, y_scales, z_means, z_scales, ridge: float):
+        self._set(p, q, n_obs, *map(readonly, (correlations, a_weights, b_weights, u_scores,
+                                               v_scores, y_means, y_scales, z_means, z_scales)),
+                  ridge)
 
     @property
     def m(self) -> int:
@@ -132,14 +124,12 @@ def cca_fit(Y, Z, ridge: float = 0.0) -> CcaSolution:
 # derived tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EigenRow:
-    k: int
-    correlation: float
-    squared: float
-    eigenvalue: float
-    percentage: float
-    cumulative: float
+class EigenRow(Record):
+    __slots__ = ("k", "correlation", "squared", "eigenvalue", "percentage", "cumulative")
+
+    def __init__(self, k: int, correlation: float, squared: float, eigenvalue: float,
+                 percentage: float, cumulative: float):
+        self._set(k, correlation, squared, eigenvalue, percentage, cumulative)
 
 
 def _correlations_of(source) -> np.ndarray:
@@ -173,14 +163,12 @@ def eigen_table(source) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class WilksRow:
-    k: int
-    lambda_stat: float
-    f_approx: float
-    num_df: float
-    den_df: float
-    p_value: float
+class WilksRow(Record):
+    __slots__ = ("k", "lambda_stat", "f_approx", "num_df", "den_df", "p_value")
+
+    def __init__(self, k: int, lambda_stat: float, f_approx: float, num_df: float,
+                 den_df: float, p_value: float):
+        self._set(k, lambda_stat, f_approx, num_df, den_df, p_value)
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -303,10 +291,11 @@ def wilks_lambda(source, p: int = None, q: int = None, n_obs: int = None) -> tup
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class RedundancyRow:
-    k: int
-    redundancy: float
+class RedundancyRow(Record):
+    __slots__ = ("k", "redundancy")
+
+    def __init__(self, k: int, redundancy: float):
+        self._set(k, redundancy)
 
 
 def _column_correlations(A, B, label):

@@ -14,9 +14,7 @@ size, else one group per response, as for every view. `ols`, `stepwise`, `cca`,
 """
 
 import argparse
-import dataclasses
 import functools
-import json
 import os
 import sys
 
@@ -27,7 +25,6 @@ from . import factor_model as fm
 from . import panel as panel_mod
 from . import regress as regress_mod
 from . import stattests as st
-from . import synthgen
 from .errors import DataError, NumericalError
 from .tables import to_csv_text
 
@@ -214,6 +211,10 @@ def cmd_johansen(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    import dataclasses  # simulate alone reads, draws from and echoes a model spec
+    import json
+
+    from . import synthgen
     s = Settings(args)
     spec_path = s.require("spec")
     spec = _load_model_spec(spec_path)
@@ -241,14 +242,16 @@ def cmd_simulate(args) -> int:
     return _commit(s.get("out", default="."), files)
 
 
-_PRESETS = {
-    "default": synthgen.default_spec,
-    "no_missing_factor": synthgen.scenario_no_missing_factor,
-    "missing_factor": synthgen.scenario_missing_factor,
-}
+# preset name -> the synthgen function that builds it
+_PRESETS = {"default": "default_spec", "no_missing_factor": "scenario_no_missing_factor",
+            "missing_factor": "scenario_missing_factor"}
 
 
-def _load_model_spec(path) -> synthgen.FactorModelSpec:
+def _load_model_spec(path) -> "synthgen.FactorModelSpec":
+    import dataclasses
+    import json
+
+    from . import synthgen
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -256,37 +259,33 @@ def _load_model_spec(path) -> synthgen.FactorModelSpec:
         raise DataError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise DataError(f"{path}: expected a JSON object")
-    try:
-        return _spec_from_json(raw)
-    except (TypeError, ValueError, OverflowError) as exc:  # DataError included
-        raise DataError(f"{path}: {exc}") from None
-
-
-def _spec_from_json(raw: dict) -> synthgen.FactorModelSpec:
-    if "preset" in raw:
-        name = raw["preset"]
-        if name not in _PRESETS:
-            raise DataError(f"unknown preset {name!r} (expected one of {sorted(_PRESETS)})")
-        kwargs = {key: int(raw[key]) for key in ("seed", "n_periods") if key in raw}
-        extra = set(raw) - {"preset", "seed", "n_periods"}
+    try:  # a TypeError, ValueError or OverflowError (DataError included) names the file
+        if "preset" in raw:
+            name = raw["preset"]
+            if name not in _PRESETS:
+                raise DataError(f"unknown preset {name!r} (expected one of {sorted(_PRESETS)})")
+            kwargs = {key: int(raw[key]) for key in ("seed", "n_periods") if key in raw}
+            extra = set(raw) - {"preset", "seed", "n_periods"}
+            if extra:
+                raise DataError(f"unexpected keys with preset: {sorted(extra)}")
+            kwargs.setdefault("seed", 0)
+            return getattr(synthgen, _PRESETS[name])(**kwargs)
+        # every field of the spec is a key; a null, absent or empty missing_loadings means none
+        fields = dataclasses.fields(synthgen.FactorModelSpec)
+        missing = {f.name for f in fields} - {"missing_loadings"} - set(raw)
+        if missing:
+            raise DataError(f"missing keys: {sorted(missing)}")
+        extra = set(raw) - {f.name for f in fields}
         if extra:
-            raise DataError(f"unexpected keys with preset: {sorted(extra)}")
-        kwargs.setdefault("seed", 0)
-        return _PRESETS[name](**kwargs)
-    # every field of the spec is a key; a null, absent or empty missing_loadings means none
-    fields = dataclasses.fields(synthgen.FactorModelSpec)
-    missing = {f.name for f in fields} - {"missing_loadings"} - set(raw)
-    if missing:
-        raise DataError(f"missing keys: {sorted(missing)}")
-    extra = set(raw) - {f.name for f in fields}
-    if extra:
-        raise DataError(f"unknown keys: {sorted(extra)}")
-    # the scalar fields are cast to their declared int or float; the arrays pass as given
-    kwargs = {f.name: f.type(raw[f.name]) if f.type in (int, float) else raw.get(f.name)
-              for f in fields}
-    if kwargs["missing_loadings"] in (None, []):
-        kwargs["missing_loadings"] = np.zeros((len(raw["intercepts"]), 0))
-    return synthgen.FactorModelSpec(**kwargs)
+            raise DataError(f"unknown keys: {sorted(extra)}")
+        # the scalar fields are cast to their declared int or float; the arrays pass as given
+        kwargs = {f.name: f.type(raw[f.name]) if f.type in (int, float) else raw.get(f.name)
+                  for f in fields}
+        if kwargs["missing_loadings"] in (None, []):
+            kwargs["missing_loadings"] = np.zeros((len(raw["intercepts"]), 0))
+        return synthgen.FactorModelSpec(**kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +517,7 @@ def cmd_analyze(args) -> int:
     n_obs = run.combined.n_obs
     run.table("macro_summary.csv", _summary_table(run.combined.select(run.z_names)),
               n_obs, note="descriptive statistics of the predictor panel")
-    corr = np.corrcoef(run.Z, rowvar=False)
+    corr = np.atleast_2d(np.corrcoef(run.Z, rowvar=False))  # 0-d for one predictor
     rows = [[name] + [format(c, ".3f") for c in row] for name, row in zip(run.z_names, corr)]
     run.table("macro_correlations.csv", ([""] + run.z_names, rows), n_obs,
               note="correlations among predictors")
@@ -633,7 +632,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # a failure is reported by its one-line message alone
+            return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -8,11 +8,11 @@ the signature of a common factor the proxies never saw.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._linalg import RCOND_MIN
+from ._record import Record, readonly
 from .cca import CcaSolution
 from .errors import DataError, NumericalError
 from .panel import AlignedPanel
@@ -25,22 +25,18 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 PC1_NAME = "ResidualPC1"
 
 
-@dataclass(frozen=True)
-class FactorScores:
-    """Retained factor score series (unit sample variance each)."""
+class FactorScores(Record):
+    """Retained factor score series (unit sample variance each): scores is (T, r)."""
 
-    scores: np.ndarray  # (T, r)
-    r: int
-    source: CcaSolution = None
+    __slots__ = ("scores", "r", "source")
 
-    def __post_init__(self):
-        arr = np.array(self.scores, dtype=float)
+    def __init__(self, scores, r: int, source: CcaSolution = None):
+        arr = readonly(scores)
         if arr.ndim != 2:
             raise DataError(f"scores must be 2-D, got shape {arr.shape}")
-        if arr.shape[1] != self.r:
-            raise DataError(f"r={self.r} but scores have {arr.shape[1]} columns")
-        arr.setflags(write=False)
-        object.__setattr__(self, "scores", arr)
+        if arr.shape[1] != r:
+            raise DataError(f"r={r} but scores have {arr.shape[1]} columns")
+        self._set(arr, r, source)
 
     @classmethod
     def from_solution(cls, solution: CcaSolution, r: int) -> "FactorScores":
@@ -139,24 +135,25 @@ def augment_with_pc1(fits, design, responses):
     return augmented, pc1, share
 
 
-@dataclass(frozen=True)
-class DiagnosticReport:
-    """Before/after fit comparison and the verdict it implies."""
+class DiagnosticReport(Record):
+    """Before/after fit comparison and the verdict it implies.
 
-    responses: tuple
-    adj_r2_before: tuple
-    adj_r2_after: tuple
-    deltas: tuple
-    mean_delta: float
-    pc1_variance_share: float
-    strong_threshold: float
-    weak_threshold: float
-    verdict: str
-    augmented: tuple = field(default=(), compare=False, repr=False)  # fits with PC1 added
+    augmented holds the fits with PC1 added; equality and repr leave it out.
+    """
 
-    def __post_init__(self):
-        if self.verdict not in (VERDICT_MISSING, VERDICT_NONE, VERDICT_INCONCLUSIVE):
-            raise DataError(f"unknown verdict {self.verdict!r}")
+    __slots__ = ("responses", "adj_r2_before", "adj_r2_after", "deltas", "mean_delta",
+                 "pc1_variance_share", "strong_threshold", "weak_threshold", "verdict",
+                 "augmented")
+    _shown = __slots__[:-1]
+
+    def __init__(self, responses: tuple, adj_r2_before: tuple, adj_r2_after: tuple,
+                 deltas: tuple, mean_delta: float, pc1_variance_share: float,
+                 strong_threshold: float, weak_threshold: float, verdict: str,
+                 augmented: tuple = ()):
+        if verdict not in (VERDICT_MISSING, VERDICT_NONE, VERDICT_INCONCLUSIVE):
+            raise DataError(f"unknown verdict {verdict!r}")
+        self._set(responses, adj_r2_before, adj_r2_after, deltas, mean_delta,
+                  pc1_variance_share, strong_threshold, weak_threshold, verdict, augmented)
 
 
 def missing_factor_diagnostic(fits_before, design, responses,

@@ -15,16 +15,18 @@ it cannot prove valid; from there on the CSV core reads it, as it reads any othe
 """
 
 import csv
+import functools
 import io
 import math
 import re
-from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._record import Record, readonly
 from .errors import DataError
+from .regress import INTERCEPT
 
 GRADES = ("A", "B", "C", "D", "E", "F")
 TERMS = (36, 60)
@@ -34,18 +36,21 @@ _MONTHS = tuple(f"-{m:02d}" for m in range(1, 13))  # the month part of str(Mont
 _END = 10000 * 12  # Month.index of 10000-01, the first month past the 'YYYY' years
 
 
-@dataclass(frozen=True, order=True)
-class Month:
-    """Calendar month, the atomic unit of every time grid."""
+@functools.total_ordering
+class Month(Record):
+    """Calendar month, the atomic unit of every time grid; ordered as (year, month)."""
 
-    year: int
-    month: int
+    __slots__ = ("year", "month")
 
-    def __post_init__(self):
-        if not 1 <= int(self.month) <= 12:
-            raise DataError(f"month out of range: {self.month}")
-        if not 0 <= int(self.year) <= 9999:  # the years a 'YYYY' date can name
-            raise DataError(f"year out of range: {self.year}")
+    def __init__(self, year: int, month: int):
+        if not 1 <= int(month) <= 12:
+            raise DataError(f"month out of range: {month}")
+        if not 0 <= int(year) <= 9999:  # the years a 'YYYY' date can name
+            raise DataError(f"year out of range: {year}")
+        self._set(year, month)
+
+    def __lt__(self, other):  # total_ordering derives <=, > and >= from < and ==
+        return self._key() < other._key() if other.__class__ is Month else NotImplemented
 
     @classmethod
     def parse(cls, text: str) -> "Month":
@@ -73,38 +78,31 @@ class Month:
         return f"{self.year:04d}-{self.month:02d}"
 
 
-@dataclass(frozen=True)
-class LoanRecord:
+class LoanRecord(Record):
     """One originated loan, reduced to the fields the panel needs."""
 
-    month: Month
-    rate: float
-    grade: str
-    term: int
+    __slots__ = ("month", "rate", "grade", "term")
 
-    def __post_init__(self):
-        if not math.isfinite(self.rate):
-            raise DataError(f"loan rate must be finite, got {self.rate}")
-        if not self.rate > 0:
-            raise DataError(f"loan rate must be positive, got {self.rate}")
-        if self.grade not in GRADES:
-            raise DataError(f"unknown grade {self.grade!r} (expected one of {GRADES})")
-        if self.term not in TERMS:
-            raise DataError(f"unsupported term {self.term} (expected one of {TERMS})")
+    def __init__(self, month: Month, rate: float, grade: str, term: int):
+        if not math.isfinite(rate):
+            raise DataError(f"loan rate must be finite, got {rate}")
+        if not rate > 0:
+            raise DataError(f"loan rate must be positive, got {rate}")
+        if grade not in GRADES:
+            raise DataError(f"unknown grade {grade!r} (expected one of {GRADES})")
+        if term not in TERMS:
+            raise DataError(f"unsupported term {term} (expected one of {TERMS})")
+        self._set(month, rate, grade, term)
 
 
-@dataclass(frozen=True, eq=False)
-class LoanBook:
+class LoanBook(Record):
     """Loans as read-only columns: Month.index, _BUCKETS code and rate of each loan."""
 
-    months: np.ndarray
-    buckets: np.ndarray
-    rates: np.ndarray
+    __slots__ = ("months", "buckets", "rates")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # columns do not compare as one value
 
-    def __post_init__(self):
-        for name, dtype in (("months", np.int64), ("buckets", np.int64), ("rates", float)):
-            object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype))
-            getattr(self, name).setflags(write=False)
+    def __init__(self, months, buckets, rates):
+        self._set(readonly(months, np.int64), readonly(buckets, np.int64), readonly(rates))
         shape = self.rates.shape
         if len(shape) != 1 or not self.months.shape == self.buckets.shape == shape:
             raise DataError("loan book months, buckets and rates must be 1-D and of one length")
@@ -126,19 +124,17 @@ class LoanBook:
             yield LoanRecord(Month.from_index(m), r, *_BUCKETS[b])
 
 
-@dataclass(frozen=True)
-class YieldCurvePoint:
+class YieldCurvePoint(Record):
     """Risk-free yield for one month and maturity, percent per annum."""
 
-    month: Month
-    maturity_months: int
-    yield_pct: float
+    __slots__ = ("month", "maturity_months", "yield_pct")
 
-    def __post_init__(self):
-        if not np.isfinite(self.yield_pct):
-            raise DataError(f"yield must be finite, got {self.yield_pct}")
-        if self.maturity_months <= 0:
-            raise DataError(f"maturity must be positive, got {self.maturity_months}")
+    def __init__(self, month: Month, maturity_months: int, yield_pct: float):
+        if not np.isfinite(yield_pct):
+            raise DataError(f"yield must be finite, got {yield_pct}")
+        if maturity_months <= 0:
+            raise DataError(f"maturity must be positive, got {maturity_months}")
+        self._set(month, maturity_months, yield_pct)
 
 
 def _series_names(names) -> tuple:
@@ -152,8 +148,7 @@ def _series_names(names) -> tuple:
     return names
 
 
-@dataclass(frozen=True)
-class AlignedPanel:
+class AlignedPanel(Record):
     """Named series on one contiguous monthly grid.
 
     names holds one nonempty, distinct string per column. values is a T x n
@@ -161,24 +156,20 @@ class AlignedPanel:
     missing observation. The matrix is stored read-only.
     """
 
-    start: Month
-    names: tuple
-    values: np.ndarray
+    __slots__ = ("start", "names", "values")
 
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
+    def __init__(self, start: Month, names, values):
+        vals = readonly(values)
         if vals.ndim != 2:
             raise DataError(f"panel values must be 2-D, got shape {vals.shape}")
         if vals.shape[0] < 1:
             raise DataError("panel must have at least one row")
-        names = _series_names(self.names)
+        names = _series_names(names)
         if vals.shape[1] != len(names):
             raise DataError(f"{len(names)} series names but {vals.shape[1]} value columns")
-        if self.start.index + len(vals) > _END:
-            raise DataError(f"panel grid runs past 9999-12 ({len(vals)} months from {self.start})")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "names", names)
+        if start.index + len(vals) > _END:
+            raise DataError(f"panel grid runs past 9999-12 ({len(vals)} months from {start})")
+        self._set(start, names, vals)
 
     @property
     def n_obs(self) -> int:
@@ -568,6 +559,9 @@ def read_panel_csv(path) -> AlignedPanel:
         if len(row) < 2:
             raise DataError(f"{path}: no series columns")
         names.extend(_at(path, line, lambda: _series_names(row[1:])))
+        if INTERCEPT in names:
+            raise DataError(f"{path}:{line}: series name {INTERCEPT!r} is reserved for the "
+                            "regression intercept")
         return range(len(row))
 
     names, month_of, parts = [], {}, []  # header() sets the names

@@ -13,11 +13,10 @@ estimated mean parameter (intercept included). Only AIC differences between
 models on the same response are meaningful.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._linalg import RCOND_MIN, unit_columns
+from ._record import Record, readonly
 from .errors import DataError, NumericalError
 
 INTERCEPT = "(Intercept)"
@@ -26,35 +25,27 @@ INTERCEPT = "(Intercept)"
 AIC_WINDOW = 1e-6
 
 
-@dataclass(frozen=True)
-class RegressionFit:
+class RegressionFit(Record):
     """One fitted least-squares equation and its classical diagnostics.
 
     condition_number is that of the centred, unit-norm slope columns, which
     does not depend on their units or levels; 1.0 for an intercept-only fit.
     """
 
-    response_name: str
-    predictor_names: tuple
-    coefficients: np.ndarray
-    std_errors: np.ndarray
-    t_statistics: np.ndarray
-    residuals: np.ndarray
-    r_squared: float
-    adj_r_squared: float
-    aic: float
-    n_obs: int
-    condition_number: float
+    __slots__ = ("response_name", "predictor_names", "coefficients", "std_errors",
+                 "t_statistics", "residuals", "r_squared", "adj_r_squared", "aic", "n_obs",
+                 "condition_number")
 
-    def __post_init__(self):
-        k = len(self.predictor_names)
-        for field in ("coefficients", "std_errors", "t_statistics", "residuals"):
-            arr = np.array(getattr(self, field), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, field, arr)
+    def __init__(self, response_name: str, predictor_names: tuple, coefficients, std_errors,
+                 t_statistics, residuals, r_squared: float, adj_r_squared: float, aic: float,
+                 n_obs: int, condition_number: float):
+        self._set(response_name, predictor_names,
+                  *map(readonly, (coefficients, std_errors, t_statistics, residuals)),
+                  r_squared, adj_r_squared, aic, n_obs, condition_number)
+        k = len(predictor_names)
         if not (len(self.coefficients) == len(self.std_errors) == len(self.t_statistics) == k):
             raise DataError("coefficient vectors do not match predictor names")
-        if len(self.residuals) != self.n_obs:
+        if len(self.residuals) != n_obs:
             raise DataError("residual length does not match n_obs")
 
     @property
@@ -173,27 +164,23 @@ def ols(y, X=None, response_name: str = "y", predictor_names=None) -> Regression
     return ols_columns(np.reshape(y, (-1, 1)), X, [response_name], predictor_names)[0]
 
 
-@dataclass(frozen=True)
-class StepwiseStep:
-    action: str  # "add" or "drop"
-    predictor: str
-    aic_after: float
+class StepwiseStep(Record):
+    __slots__ = ("action", "predictor", "aic_after")
 
-    def __post_init__(self):
-        if self.action not in ("add", "drop"):
-            raise DataError(f"unknown stepwise action {self.action!r}")
+    def __init__(self, action: str, predictor: str, aic_after: float):
+        if action not in ("add", "drop"):
+            raise DataError(f"unknown stepwise action {action!r}")
+        self._set(action, predictor, aic_after)
 
 
-@dataclass(frozen=True)
-class StepwiseTrace:
+class StepwiseTrace(Record):
     """Accepted moves of a stepwise search, in order. AIC strictly decreases."""
 
-    initial_aic: float
-    steps: tuple
+    __slots__ = ("initial_aic", "steps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-        prev = self.initial_aic
+    def __init__(self, initial_aic: float, steps: tuple):
+        self._set(initial_aic, tuple(steps))
+        prev = initial_aic
         for step in self.steps:
             if not step.aic_after < prev:
                 raise DataError("stepwise trace must strictly decrease the AIC")

@@ -8,11 +8,10 @@ cointegration test with an unrestricted constant (series with linear trends in
 levels) and compares against embedded 5% critical values for up to six series.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._linalg import RCOND_MIN, canonical_pairs, unit_columns
+from ._record import Record, readonly
 from .errors import DataError, NumericalError
 from .panel import AlignedPanel
 from .regress import ols, ols_columns, residual_matrix
@@ -49,19 +48,18 @@ _DF_QUANTILES = {
 TRACE_CV_5PCT = {1: 8.18, 2: 17.95, 3: 31.52, 4: 48.28, 5: 70.60, 6: 90.39}
 
 
-@dataclass(frozen=True)
-class AdfResult:
-    statistic: float
-    p_value: float
-    lag_order: int
-    regression_kind: str
-    n_obs: int  # rows entering the test regression
+class AdfResult(Record):
+    """One unit-root test; n_obs counts the rows entering the test regression."""
 
-    def __post_init__(self):
-        if not 0.01 <= self.p_value <= 0.99:
-            raise DataError(f"p-value outside [0.01, 0.99]: {self.p_value}")
-        if self.regression_kind not in REGRESSION_KINDS:
-            raise DataError(f"unknown regression kind {self.regression_kind!r}")
+    __slots__ = ("statistic", "p_value", "lag_order", "regression_kind", "n_obs")
+
+    def __init__(self, statistic: float, p_value: float, lag_order: int, regression_kind: str,
+                 n_obs: int):
+        if not 0.01 <= p_value <= 0.99:
+            raise DataError(f"p-value outside [0.01, 0.99]: {p_value}")
+        if regression_kind not in REGRESSION_KINDS:
+            raise DataError(f"unknown regression kind {regression_kind!r}")
+        self._set(statistic, p_value, lag_order, regression_kind, n_obs)
 
 
 def default_lag_order(n: int) -> int:
@@ -124,25 +122,20 @@ def adf_test(series, lag_order: int = None, kind: str = REGRESSION_CONSTANT_TREN
                      regression_kind=kind, n_obs=rows)
 
 
-@dataclass(frozen=True)
-class JohansenResult:
-    """Trace statistics for the nested nulls r <= k-1 down to r = 0."""
+class JohansenResult(Record):
+    """Trace statistics for the nested nulls r <= k-1 down to r = 0.
 
-    hypotheses: tuple
-    trace_statistics: np.ndarray
-    critical_values_5pct: np.ndarray
-    rejected: tuple
-    eigenvalues: np.ndarray  # descending, in [0, 1)
-    lag_order: int
-    n_obs: int  # rows entering the reduced-rank regression
+    eigenvalues are descending, in [0, 1); n_obs counts the rows entering the
+    reduced-rank regression.
+    """
 
-    def __post_init__(self):
-        for field in ("trace_statistics", "critical_values_5pct", "eigenvalues"):
-            arr = np.array(getattr(self, field), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, field, arr)
-        object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
-        object.__setattr__(self, "rejected", tuple(bool(b) for b in self.rejected))
+    __slots__ = ("hypotheses", "trace_statistics", "critical_values_5pct", "rejected",
+                 "eigenvalues", "lag_order", "n_obs")
+
+    def __init__(self, hypotheses: tuple, trace_statistics, critical_values_5pct,
+                 rejected: tuple, eigenvalues, lag_order: int, n_obs: int):
+        self._set(tuple(hypotheses), readonly(trace_statistics), readonly(critical_values_5pct),
+                  tuple(bool(b) for b in rejected), readonly(eigenvalues), lag_order, n_obs)
         if not (len(self.hypotheses) == len(self.trace_statistics)
                 == len(self.critical_values_5pct) == len(self.rejected)):
             raise DataError("result rows have inconsistent lengths")

@@ -422,6 +422,39 @@ class TestExitCodes:
             assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
             assert not (workdir / "rep").exists()
 
+    @pytest.mark.parametrize("role", ["spreads", "macro"])
+    def test_intercept_as_a_series_name_exit_3(self, workdir, capsys, role):
+        # every fit names its constant '(Intercept)', so a column may not
+        write_spread_panel(workdir / "spreads.csv")
+        write_macro_panel(workdir / "macro.csv")
+        panel = cf.read_panel_csv(workdir / f"{role}.csv")
+        names = (cf.INTERCEPT,) + panel.names[1:]
+        cf.write_panel_csv(cf.AlignedPanel(panel.start, names, panel.values),
+                           workdir / f"{role}.csv", comment="renamed")
+        assert run("analyze", "--spreads", "spreads.csv", "--macro", "macro.csv",
+                   "--out", "rep") == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: {role}.csv:2: series name '(Intercept)' is reserved for the "
+            "regression intercept"]
+        assert not (workdir / "rep").exists()
+
+    def test_overflow_exits_with_one_line(self, workdir):
+        # spreads near 1e300 overflow in the unit-root regressions; numpy's warnings
+        # must not reach stderr ahead of the message (a subprocess sees what users see)
+        panel = write_spread_panel(workdir / "spreads.csv")
+        cf.write_panel_csv(cf.AlignedPanel(panel.start, panel.names, panel.values * 1e300),
+                           workdir / "spreads.csv")
+        write_macro_panel(workdir / "macro.csv")
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(cf.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "creditfactors.cli", "analyze", "--spreads", "spreads.csv",
+             "--macro", "macro.csv", "--out", "rep"], cwd=workdir, capture_output=True,
+            text=True, timeout=120, env=dict(os.environ, PYTHONPATH=package_root))
+        assert proc.returncode == 4, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("numerical error: ")
+        assert not (workdir / "rep").exists()
+
     def test_late_data_error_leaves_no_out(self, workdir, capsys):
         # the ADF stage fails after the summary tables have rendered
         (workdir / "spec.json").write_text(
@@ -553,6 +586,16 @@ class TestAnalyze:
             assert run("johansen", "--panel", "spreads.csv", *flags, "--out", "j") == 0
             comment = (workdir / "j" / "johansen.csv").read_text().splitlines()[0].split()
             assert f"lags={order}" in comment, (flags, comment)
+
+    @pytest.mark.parametrize("factors", [[], ["--factors", "1"]], ids=["default", "one"])
+    def test_one_predictor(self, workdir, factors):
+        # np.corrcoef of one column is 0-d; its correlation table is still one row
+        write_spread_panel(workdir / "spreads.csv", T=60)
+        write_macro_panel(workdir / "macro.csv", T=60, q=1)
+        assert run("analyze", "--spreads", "spreads.csv", "--macro", "macro.csv", *factors,
+                   "--out", "rep") == 0
+        lines = (workdir / "rep" / "macro_correlations.csv").read_text().splitlines()
+        assert lines[1:] == [",UNRATE", "UNRATE,1.000"]
 
     def test_out_holding_another_bundle_is_refused(self, workdir, capsys):
         write_spread_panel(workdir / "spreads.csv")

@@ -1,7 +1,5 @@
 """Least squares, model search, and the fit-table emitter."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -135,13 +133,17 @@ class TestOls:
             fit.coefficient("w")
 
 
+FIT_FIELDS = ("response_name", "predictor_names", "coefficients", "std_errors", "t_statistics",
+              "residuals", "r_squared", "adj_r_squared", "aic", "n_obs", "condition_number")
+
+
 def assert_fits_equal(mine, theirs):
-    for field in dataclasses.fields(cf.RegressionFit):
-        a, b = getattr(mine, field.name), getattr(theirs, field.name)
+    for name in FIT_FIELDS:
+        a, b = getattr(mine, name), getattr(theirs, name)
         if isinstance(a, np.ndarray):
-            np.testing.assert_array_equal(a, b, field.name)
+            np.testing.assert_array_equal(a, b, name)
         else:
-            assert a == b, field.name
+            assert a == b, name
 
 
 class TestOlsColumns:
