@@ -36,27 +36,30 @@ EXIT_NUMERICAL = 4
 TRANSFORM_LEVELS = "levels"
 TRANSFORM_DIFF = "diff"
 
-# Help text of each setting's flag. Flag and config values are both plain strings,
-# parsed and checked by Settings.get, so a bad value fails the same way from either.
-_FLAGS = {
-    "loans": "loan-level CSV (date,rate,grade,term)",
-    "yields": "yield-curve CSV (date,maturity_months,yield)",
-    "panel": "panel CSV input",
-    "spreads": "spread panel CSV input",
-    "macro": "predictor panel CSV input",
-    "spec": "model spec JSON for simulation",
-    "transform": "response transform before analysis: levels or diff (default diff)",
-    "factors": "retained factor count (default 3)",
-    "lags": "lagged differences in the unit-root tests (default: rule of thumb); "
-            "Johansen runs at VAR order lags + 1 (default 2)",
-    "kind": "deterministic terms in the unit-root regression: constant or constant_trend "
-            "(default constant_trend)",
-    "strong": "strong adjusted-R2 delta threshold (default 0.30)",
-    "weak": "weak mean-delta threshold (default 0.10)",
-    "ridge": "CCA diagonal ridge, needed only for exactly collinear columns (default 0)",
-    "seed": "random seed override",
+# One row per setting: (help, parse, default or None, check), where a check is None, a set
+# of allowed values or (test, rule) for "must be <rule>". Settings.get parses and checks
+# flag and config values alike, so a bad value fails the same way from either.
+_SETTINGS = {
+    "loans": ("loan-level CSV (date,rate,grade,term)", str, None, None),
+    "yields": ("yield-curve CSV (date,maturity_months,yield)", str, None, None),
+    "panel": ("panel CSV input", str, None, None),
+    "spreads": ("spread panel CSV input", str, None, None),
+    "macro": ("predictor panel CSV input", str, None, None),
+    "spec": ("model spec JSON for simulation", str, None, None),
+    "transform": ("response transform before analysis", str, TRANSFORM_DIFF,
+                  {TRANSFORM_LEVELS, TRANSFORM_DIFF}),
+    "factors": ("retained factor count", int, 3, (lambda v: v >= 1, ">= 1")),
+    "lags": ("lagged differences in the unit-root tests, and Johansen's VAR order less one; "
+             "unset: a rule of thumb and order 2", int, None, (lambda v: v >= 0, ">= 0")),
+    "kind": ("deterministic terms in the unit-root regression", str,
+             st.REGRESSION_CONSTANT_TREND, set(st.REGRESSION_KINDS)),
+    "strong": ("strong adjusted-R2 delta threshold", float, 0.30, (np.isfinite, "finite")),
+    "weak": ("weak mean-delta threshold", float, 0.10, (np.isfinite, "finite")),
+    "ridge": ("CCA diagonal ridge, needed only for exactly collinear columns", float, 0.0,
+              (lambda v: 0 <= v < np.inf, "finite and >= 0")),
+    "seed": ("random seed override", int, None, None),
 }
-CONFIG_KEYS = set(_FLAGS) | {"out"}
+CONFIG_KEYS = set(_SETTINGS) | {"out"}
 
 _SIM_START = panel_mod.Month(2000, 1)
 _SIM_MONTHS = panel_mod._END - _SIM_START.index  # from 2000-01 to 9999-12, the last date
@@ -95,39 +98,32 @@ class Settings:
     """Flag values layered over config-file values layered over defaults."""
 
     def __init__(self, args):
-        self.args = vars(args)
-        self.cfg = load_config(args.config) if getattr(args, "config", None) else {}
+        cfg = load_config(args.config) if getattr(args, "config", None) else {}
+        # the unparsed strings: flag values over config values; `out` is read from here
+        self.given = cfg | {key: value for key, value in vars(args).items()
+                            if key in CONFIG_KEYS and value is not None}
 
-    def get(self, key, default=None, cast=None, choices=None):
-        value = self.args.get(key)
-        if value is None:
-            value = self.cfg.get(key)
-        if value is None:
-            value = default
-        if value is None:
-            return None
-        if cast is not None and isinstance(value, str):
-            try:
-                value = cast(value)
-            except ValueError:
-                raise UsageError(f"setting {key!r}: cannot parse {value!r}") from None
-        if choices is not None and value not in choices:
-            raise UsageError(f"setting {key!r}: {value!r} is not one of {sorted(choices)}")
+    def get(self, key):
+        """The setting's given value parsed and checked by its _SETTINGS row, else its default."""
+        _, parse, default, check = _SETTINGS[key]
+        if key not in self.given:
+            return default
+        value = self.given[key]
+        try:
+            value = parse(value)
+        except ValueError:
+            raise UsageError(f"setting {key!r}: cannot parse {value!r}") from None
+        if isinstance(check, tuple) and not check[0](value):
+            raise UsageError(f"setting {key!r}: must be {check[1]}, got {value}")
+        if isinstance(check, set) and value not in check:
+            raise UsageError(f"setting {key!r}: {value!r} is not one of {sorted(check)}")
         return value
 
-    def require(self, key, cast=None, choices=None):
-        value = self.get(key, cast=cast, choices=choices)
+    def require(self, key):
+        value = self.get(key)
         if value is None:
             raise UsageError(f"missing required setting {key!r} (flag --{key} or config)")
         return value
-
-
-def _lags(s: Settings):
-    """The `lags` setting: None when unset, else a count of lagged differences >= 0."""
-    lags = s.get("lags", cast=int)
-    if lags is not None and lags < 0:
-        raise UsageError(f"setting 'lags': must be >= 0, got {lags}")
-    return lags
 
 
 def _meta(n_obs, transform, align_policy, extra=""):
@@ -170,21 +166,15 @@ def _loan_spreads(loans_path, yields_path) -> panel_mod.AlignedPanel:
 
 def _write_spreads(s: Settings, spreads) -> int:
     text = panel_mod.panel_csv_text(spreads, _meta(spreads.n_obs, TRANSFORM_LEVELS, "none"))
-    return _commit(s.get("out", default="."), [("spreads.csv", text)])
+    return _commit(s.given.get("out", "."), [("spreads.csv", text)])
 
 
 def _adf_table(s: Settings, p: panel_mod.AlignedPanel):
-    """Unit-root tests on every column of p under the `kind` and `lags` settings.
-
-    Returns the table, its `kind=... lags=...` file note and its summary.md wording.
-    """
-    kind = s.get("kind", default=st.REGRESSION_CONSTANT_TREND,
-                 choices=set(st.REGRESSION_KINDS))
-    lags = _lags(s)
+    """Unit-root tests on p's columns under the `kind` and `lags` settings: (table, note)."""
+    kind, lags = s.get("kind"), s.get("lags")
     results = {n: st.adf_test(p.complete_column(n), lag_order=lags, kind=kind)
                for n in p.names}
-    lag_note = "auto" if lags is None else str(lags)
-    return st.adf_table(results), f"kind={kind} lags={lag_note}", f"{kind}, lags {lag_note}"
+    return st.adf_table(results), f"kind={kind} lags={'auto' if lags is None else lags}"
 
 
 def _johansen_table(p: panel_mod.AlignedPanel, lags):
@@ -197,17 +187,17 @@ def _johansen_table(p: panel_mod.AlignedPanel, lags):
 def cmd_adf(args) -> int:
     s = Settings(args)
     p = panel_mod.read_panel_csv(s.require("panel"))
-    table, note, _ = _adf_table(s, p)
+    table, note = _adf_table(s, p)
     meta = _meta(p.n_obs, TRANSFORM_LEVELS, "none", note)
-    return _commit(s.get("out", default="."), [("adf.csv", to_csv_text(*table, meta))])
+    return _commit(s.given.get("out", "."), [("adf.csv", to_csv_text(*table, meta))])
 
 
 def cmd_johansen(args) -> int:
     s = Settings(args)
     p = panel_mod.read_panel_csv(s.require("panel"))
-    result, table, note = _johansen_table(p, _lags(s))
+    result, table, note = _johansen_table(p, s.get("lags"))
     meta = _meta(result.n_obs, TRANSFORM_LEVELS, "intersect", note)
-    return _commit(s.get("out", default="."), [("johansen.csv", to_csv_text(*table, meta))])
+    return _commit(s.given.get("out", "."), [("johansen.csv", to_csv_text(*table, meta))])
 
 
 def cmd_simulate(args) -> int:
@@ -218,7 +208,7 @@ def cmd_simulate(args) -> int:
     s = Settings(args)
     spec_path = s.require("spec")
     spec = _load_model_spec(spec_path)
-    seed = s.get("seed", cast=int)
+    seed = s.get("seed")
     if seed is not None:
         spec = dataclasses.replace(spec, seed=seed)
     if spec.n_periods > _SIM_MONTHS:  # before the draw, which allocates n_periods rows
@@ -239,7 +229,7 @@ def cmd_simulate(args) -> int:
     echo = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
     echo = {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in echo.items()}
     files.append(("spec_echo.json", json.dumps(echo, indent=2, sort_keys=True) + "\n"))
-    return _commit(s.get("out", default="."), files)
+    return _commit(s.given.get("out", "."), files)
 
 
 # preset name -> the synthgen function that builds it
@@ -311,27 +301,16 @@ class Run:
 
     Responses and predictors are aligned on the intersect grid; `stack` asks for stacked
     `sections`. Stages render tables into `files` and write nothing, and record what
-    summary.md reports: `reports` (a diagnostic per section), `johansen`, `unit_root_note`.
+    summary.md reports: `reports` (a diagnostic per section) and `johansen`.
     """
 
     def __init__(self, args, stack=False):
         self.s = Settings(args)
-        self.r = self.s.get("factors", default=3, cast=int)
-        self.ridge = self.s.get("ridge", default=0.0, cast=float)
-        self.strong = self.s.get("strong", default=0.30, cast=float)
-        self.weak = self.s.get("weak", default=0.10, cast=float)
-        if self.r < 1:
-            raise UsageError(f"setting 'factors': must be >= 1, got {self.r}")
-        if not 0 <= self.ridge < np.inf:
-            raise UsageError(f"setting 'ridge': must be finite and >= 0, got {self.ridge}")
-        for key, value in (("strong", self.strong), ("weak", self.weak)):
-            if not np.isfinite(value):
-                raise UsageError(f"setting {key!r}: must be finite, got {value}")
+        self.r, self.ridge = self.s.get("factors"), self.s.get("ridge")
+        self.strong, self.weak = self.s.get("strong"), self.s.get("weak")
         if not self.strong > self.weak:
             raise UsageError(f"setting 'strong': must exceed weak ({self.strong} vs {self.weak})")
-        self.lags = _lags(self.s)
-        self.transform = self.s.get("transform", default=TRANSFORM_DIFF,
-                                    choices={TRANSFORM_LEVELS, TRANSFORM_DIFF})
+        self.lags, self.transform = self.s.get("lags"), self.s.get("transform")
         spreads, loans, yields = self.s.get("spreads"), self.s.get("loans"), self.s.get("yields")
         if spreads is None and (loans is None or yields is None):
             raise UsageError("need either spreads=PATH or both loans=PATH and yields=PATH")
@@ -351,7 +330,7 @@ class Run:
         self.sections = [Section(name, groups, self.combined) for name, groups in
                          (stacks or {"responses": {n: [n] for n in self.y_names}}).items()]
         self.files = []  # (file name, text, summary note), in rendering order
-        self.reports, self.johansen, self.unit_root_note = {}, {}, None
+        self.reports, self.johansen = {}, {}
 
     def table(self, fname, content, n_obs, extra="", note=""):
         """Render one (header, rows) table under the run's comment line."""
@@ -469,7 +448,7 @@ def cmd_view(args) -> int:
     stage, names = VIEWS[args.command]
     run = Run(args)
     stage(run, *run.sections)  # a view's one section: one group per response
-    _commit(run.s.get("out", default="."),
+    _commit(run.s.given.get("out", "."),
             [(names[fname], text) for fname, text, _ in run.files if fname in names])
     for report in run.reports.values():
         print(f"verdict: {report.verdict}")
@@ -502,7 +481,7 @@ def cmd_analyze(args) -> int:
              "the first differences", "the first differences")):
         run.table(f"spread_{stem}_summary.csv", _summary_table(p), p.n_obs,
                   note=f"descriptive statistics of {stats_of}")
-        table, adf_note, run.unit_root_note = _adf_table(run.s, p)
+        table, adf_note = _adf_table(run.s, p)
         run.table(f"adf_{stem}.csv", table, p.n_obs, adf_note, f"unit-root tests on {tests_on}")
 
     # 3. cointegration within term groups (all series if names are generic) of tractable size
@@ -546,7 +525,7 @@ def cmd_analyze(args) -> int:
 
     summary = _summary_md(run)
     files = [(fname, text) for fname, text, _ in run.files] + [("summary.md", summary)]
-    out = run.s.get("out", default="report")
+    out = run.s.given.get("out", "report")
     stale = sorted(set(os.listdir(out)) - set(dict(files))) if os.path.isdir(out) else []
     if stale:  # a bundle never shares its directory with files it does not list
         raise UsageError(f"{out} holds {stale[0]!r}, which this bundle does not write")
@@ -563,7 +542,8 @@ def _summary_md(run: Run) -> str:
     lines.append(f"- transform: {run.transform}")
     lines.append("- alignment: intersect")
     lines.append(f"- retained factors: {run.factors.r}")
-    lines.append(f"- unit-root regression: {run.unit_root_note}")
+    lags = "auto" if run.lags is None else run.lags
+    lines.append(f"- unit-root regression: {run.s.get('kind')}, lags {lags}")
     lines.append(f"- diagnostic thresholds: strong {run.strong}, weak {run.weak}")
     if unstacked:
         lines.append(f"- left unstacked because group sizes differ: {', '.join(unstacked)}")
@@ -598,8 +578,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="settings file with 'key = value' lines")
         p.add_argument("--out", help="output directory")
-        for flag in flags:
-            p.add_argument(f"--{flag}", help=_FLAGS[flag])
+        for flag in flags:  # help: 'retained factor count (>= 1; default 3)'
+            text, _, default, check = _SETTINGS[flag]
+            rule = check[1] if isinstance(check, tuple) else check and " or ".join(sorted(check))
+            notes = "; ".join(n for n in (rule, default is not None and f"default {default}") if n)
+            p.add_argument(f"--{flag}", help=f"{text} ({notes})" if notes else text)
         p.set_defaults(func=func)
 
     add("aggregate", cmd_aggregate,
@@ -629,8 +612,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    words, argv = list(sys.argv[1:] if argv is None else argv), []
+    while words:  # a flag takes the next word as its value, even a word such as -1e-3
+        word = words.pop(0)
+        flag = word.startswith("--") and word[2:] in CONFIG_KEYS | {"config"} and words
+        argv.append(f"{word}={words.pop(0)}" if flag else word)
+    args = build_parser().parse_args(argv)
     try:
         with np.errstate(all="ignore"):  # a failure is reported by its one-line message alone
             return args.func(args)

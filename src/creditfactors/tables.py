@@ -1,25 +1,17 @@
 """Small helpers for emitting result tables as CSV or markdown."""
 
 import csv
+import io
 
 
 def to_csv_text(header, rows, comment: str = None) -> str:
     """Render a table as CSV text with optional leading '#' comment lines."""
-    out = []
-    if comment:
-        out.extend(f"# {line}" for line in comment.splitlines())
-    buf = []
-
-    class _Sink:
-        def write(self, text):
-            buf.append(text)
-
-    writer = csv.writer(_Sink(), lineterminator="\n")
-    writer.writerow(list(header))
-    for row in rows:
-        writer.writerow(list(row))
-    out.append("".join(buf).rstrip("\n"))
-    return "\n".join(out) + "\n"
+    buf = io.StringIO()
+    buf.writelines(f"# {line}\n" for line in (comment.splitlines() if comment else ()))
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def to_markdown(header, rows) -> str:

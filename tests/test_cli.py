@@ -410,6 +410,14 @@ class TestExitCodes:
         ("kind", "bogus",
          "setting 'kind': 'bogus' is not one of ['constant', 'constant_trend']"),
         ("transform", "bogus", "setting 'transform': 'bogus' is not one of ['diff', 'levels']"),
+        ("factors", "0", "setting 'factors': must be >= 1, got 0"),
+        ("lags", "-1", "setting 'lags': must be >= 0, got -1"),
+        ("ridge", "-1", "setting 'ridge': must be finite and >= 0, got -1.0"),
+        ("ridge", "-inf", "setting 'ridge': must be finite and >= 0, got -inf"),
+        ("ridge", "nan", "setting 'ridge': must be finite and >= 0, got nan"),
+        ("strong", "inf", "setting 'strong': must be finite, got inf"),
+        ("weak", "nan", "setting 'weak': must be finite, got nan"),
+        ("strong", "0.05", "setting 'strong': must exceed weak (0.05 vs 0.1)"),
     ])
     def test_bad_value_fails_alike_from_flag_and_config(self, workdir, capsys, setting,
                                                         value, message):
@@ -579,6 +587,23 @@ class TestAnalyze:
                                ("johansen_60-month.csv", johansen)):
                 comment = (workdir / "rep" / name).read_text().splitlines()[0].split()
                 assert f"lags={lags}" in comment, (flags, name, comment)
+
+    @pytest.mark.parametrize("flags, fname, note, summary", [
+        ([], "adf_levels.csv", "kind=constant_trend lags=auto",
+         "- unit-root regression: constant_trend, lags auto"),
+        (["--kind", "constant", "--lags", "2"], "adf_diffs.csv", "kind=constant lags=2",
+         "- unit-root regression: constant, lags 2"),
+        # a value after its flag is the value even when it starts with '-'
+        (["--weak", "-1e-3"], "diagnostic_grades.csv", "weak=-0.001",
+         "- diagnostic thresholds: strong 0.3, weak -0.001"),
+    ], ids=["default", "constant-lags-2", "negative-weak"])
+    def test_settings_reach_table_notes_and_summary(self, workdir, flags, fname, note, summary):
+        write_spread_panel(workdir / "spreads.csv")
+        write_macro_panel(workdir / "macro.csv")
+        assert run("analyze", "--spreads", "spreads.csv", "--macro", "macro.csv", *flags,
+                   "--out", "rep") == 0
+        assert note in (workdir / "rep" / fname).read_text().splitlines()[0]
+        assert summary in (workdir / "rep" / "summary.md").read_text().splitlines()
 
     def test_johansen_command_reads_lags_as_analyze_does(self, workdir):
         write_spread_panel(workdir / "spreads.csv")
