@@ -368,15 +368,13 @@ def _ols_table(run: Run, section: Section):
 
 
 def _stepwise_tables(run: Run, section: Section):
-    design = section.tiled(run.Z)
     fits, trace_rows = [], []
-    for label, y in zip(section.labels, section.Y.T):
-        fit, trace = regress_mod.stepwise_aic(y, design, response_name=label,
-                                              predictor_names=run.z_names)
+    for fit, trace in regress_mod.stepwise_columns(section.Y, section.tiled(run.Z),
+                                                   section.labels, run.z_names):
         fits.append(fit)
-        trace_rows.append([label, "0", "start", "", format(trace.initial_aic, ".4f")])
+        trace_rows.append([fit.response_name, "0", "start", "", format(trace.initial_aic, ".4f")])
         for i, step in enumerate(trace.steps, start=1):
-            trace_rows.append([label, str(i), step.action, step.predictor,
+            trace_rows.append([fit.response_name, str(i), step.action, step.predictor,
                                format(step.aic_after, ".4f")])
     table = regress_mod.fit_table(fits, predictors=[regress_mod.INTERCEPT] + run.z_names)
     run.table(f"ols_stepwise_{section.name}.csv", table, fits[0].n_obs,
@@ -613,9 +611,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     words, argv = list(sys.argv[1:] if argv is None else argv), []
-    while words:  # a flag takes the next word as its value, even a word such as -1e-3
+    while words:  # a flag or its unique prefix takes the next word as its value, even -1e-3
         word = words.pop(0)
-        flag = word.startswith("--") and word[2:] in CONFIG_KEYS | {"config"} and words
+        keys = {k for k in CONFIG_KEYS | {"config"} if k.startswith(word[2:])}
+        flag = word.startswith("--") and (word[2:] in keys or len(keys) == 1) and words
         argv.append(f"{word}={words.pop(0)}" if flag else word)
     args = build_parser().parse_args(argv)
     try:

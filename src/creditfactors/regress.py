@@ -2,9 +2,12 @@
 
 Every fit has an intercept. ols_columns fits all response columns that share
 one design against a single SVD of its centred, unit-norm predictor columns,
-and ols is its one-column view. The stepwise search scores every candidate
-model from the cross-products of those same columns and calls ols only for
-the candidates that can still win, so its fits and AIC values are ols's own.
+and ols is its one-column view. stepwise_columns runs the greedy search of
+every such column in lockstep, and stepwise_aic is its one-column view: each
+pass scores every column's moves from the cross-products of those same
+columns in one scorer call per subset size, and refits only the moves that
+can still win, on slices of the same columns through ols's own path, so its
+fits and AIC values are ols's own.
 
 Conventions: t-statistics are classical (homoskedastic) ratios, adjusted R^2 is
 1 - (1 - R^2)(T - 1)/(T - p - 1) for p slope predictors next to an intercept,
@@ -102,11 +105,18 @@ def ols_columns(Y, X, response_names, predictor_names=None) -> tuple:
     if len(response_names) != Y.shape[1]:
         raise DataError(f"{len(response_names)} response names for {Y.shape[1]} columns")
     slope_names = tuple(_predictor_names(predictor_names, p))
-    k = p + 1
-    if T <= k:
-        raise DataError(f"need more observations than parameters (T={T}, parameters={k})")
+    if T <= p + 1:
+        raise DataError(f"need more observations than parameters (T={T}, parameters={p + 1})")
+    return _fit_columns(Y, *unit_columns(X), response_names, slope_names)
 
-    means, Xs, norms = unit_columns(X)
+
+def _fit_columns(Y, means, Xs, norms, response_names, slope_names) -> tuple:
+    """ols_columns after its checks, on X's unit columns Xs and their means and norms.
+
+    Every least-squares fit goes through here, ols's and each stepwise refit alike.
+    """
+    T, p = Xs.shape
+    k = p + 1
     u, s, vt = np.linalg.svd(Xs, full_matrices=False)
     if p and s[-1] <= RCOND_MIN * s[0]:
         # columns on the near-null singular vector; a constant one is collinear with the intercept
@@ -191,16 +201,19 @@ class StepwiseTrace(Record):
         return self.steps[-1].aic_after if self.steps else self.initial_aic
 
 
-def _subset_scorer(y, X):
-    """Fast AIC of y on an intercept and column subsets of X, with an error bound.
+def _subset_scorer(Y, X):
+    """Fast AIC of responses on an intercept and column subsets of X, with an error bound.
 
-    It uses the columns ols solves on, Xs = _linalg.unit_columns(X), with
-    A = Xs'Xs (a unit diagonal), b = Xs'yc and yy = yc'yc. For a subset S with
+    Y is one response y or a T x c matrix of them. It uses the columns ols
+    solves on, Xs = _linalg.unit_columns(X), with one A = Xs'Xs (a unit
+    diagonal) and, per response, b = Xs'yc and yy = yc'yc. For a subset S with
     k = |S| + 1 parameters, one eigendecomposition of A_SS gives its eigenvalue
     ratio kappa and RSS = yy - b_S' A_SS^-1 b_S, and AIC = T ln(RSS/T) + 2k.
 
-    Returns score(subsets) -> (aic, bound) for an (n, m) integer array of
-    column subsets. bound is a first-order bound on |aic - ols AIC|,
+    Returns score(subsets, cols=0) -> (aic, bound) for an (n, m) integer array
+    of column subsets, row i scored for response cols[i]; each row's numbers
+    do not depend on the other rows. bound is a first-order bound on
+    |aic - ols AIC|,
 
         8 T eps (yy/RSS) (k kappa + sqrt(k kappa)):
 
@@ -215,23 +228,26 @@ def _subset_scorer(y, X):
 
     The bound is infinite where A_SS is not positive definite, RSS <= 0 or yy = 0.
     """
-    T = len(y)
-    yc = y - y.mean()
+    yc = [y - y.mean() for y in np.array(np.reshape(Y, (len(Y), -1)).T, order="C")]
     _, Xs, _ = unit_columns(X)
-    A, b, yy = Xs.T @ Xs, Xs.T @ yc, yc @ yc
-    scale = 8 * T * np.finfo(float).eps
+    # one product per response, as for a lone one, so no response's numbers depend on the others
+    A, B, YY = Xs.T @ Xs, np.array([Xs.T @ y for y in yc]), np.array([y @ y for y in yc])
+    T, scale = len(Y), 8 * len(Y) * np.finfo(float).eps
 
-    def score(subsets):
+    def score(subsets, cols=0):
         n, m = subsets.shape
         k = m + 1
+        cols = np.broadcast_to(cols, n)
+        yy = YY[cols]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if m:
                 w, V = np.linalg.eigh(A[subsets[:, :, None], subsets[:, None, :]])
                 kappa = w[:, -1] / w[:, 0]
-                rss = yy - np.sum(np.einsum("nij,ni->nj", V, b[subsets]) ** 2 / w, axis=1)
+                b = B[cols[:, None], subsets]
+                rss = yy - np.sum(np.einsum("nij,ni->nj", V, b) ** 2 / w, axis=1)
                 definite = w[:, 0] > 0
             else:
-                kappa, rss, definite = 1.0, np.full(n, yy), True
+                kappa, rss, definite = 1.0, yy, True
             aic = T * np.log(rss / T) + 2 * k
             bound = scale * (yy / rss) * (k * kappa + np.sqrt(k * kappa))
         ok = definite & (rss > 0) & (yy > 0) & np.isfinite(bound)
@@ -240,23 +256,26 @@ def _subset_scorer(y, X):
     return score
 
 
-def stepwise_aic(y, X_full=None, response_name: str = "y", predictor_names=None):
-    """Greedy AIC search from the intercept-only model.
+def stepwise_columns(Y, X, response_names, predictor_names=None) -> tuple:
+    """Greedy AIC search of every column of Y on X; one (final fit, trace) per column.
 
-    Every pass considers all single-predictor additions and removals, takes
-    the best improvement of more than 1e-10, and stops when none exists.
-    Ties go to the predictor earliest in column order. Returns (final fit,
-    trace); selected predictors keep their original column order.
+    Each search starts from the intercept-only model. Every pass considers all
+    single-predictor additions and removals, takes the best improvement of
+    more than 1e-10, and stops when none exists. Ties go to the predictor
+    earliest in column order. Selected predictors keep their original order.
 
-    _subset_scorer scores every move of a pass, and ols refits only the
-    moves that can still win, so the fit and every AIC of the trace are the
-    ones an ols fit of every move would give. A move whose error bound
-    reaches AIC_WINDOW is unresolved and always refitted. The rest are
-    refitted in ascending fast AIC until one lies at or above the current
-    AIC plus the window, or more than the window above the best refitted
-    AIC: its ols AIC can then beat neither. A move that ols rejects is
-    skipped and the scan goes on. An add that would leave no more rows than
-    parameters is skipped, as ols would reject it.
+    The searches run in lockstep on the one design: a pass scores the moves of
+    every column still searching in one _subset_scorer call per subset size,
+    then each column refits only its moves that can still win, on slices of
+    the design's unit columns through _fit_columns, ols's own path. So each
+    fit and AIC of a trace is the one an ols fit of every move would give, and
+    a search does not depend on which other columns share X. A move whose
+    error bound reaches AIC_WINDOW is unresolved and always refitted. The rest
+    are refitted in ascending fast AIC until one lies at or above the current
+    AIC plus the window, or more than the window above the best refitted AIC:
+    its ols AIC can then beat neither. A move that ols rejects is skipped and
+    the scan goes on. An add that would leave no more rows than parameters is
+    skipped, as ols would reject it.
 
     A move ols rejects for collinearity is never resolved: ols rejects it only
     if s_min <= RCOND_MIN s_max on the scorer's own columns Xs_S, so A_SS has
@@ -264,47 +283,59 @@ def stepwise_aic(y, X_full=None, response_name: str = "y", predictor_names=None)
     the computed A_SS is not positive definite (infinite bound) or has kappa
     of order 1/(k T eps) or more: a bound 8 T eps k kappa of order 8 >> AIC_WINDOW.
     """
-    Y, X = _as_design(np.reshape(y, (-1, 1)), X_full)
+    Y, X = _as_design(Y, X)
     T, p = X.shape
-    names = _predictor_names(predictor_names, p)
+    names, response_names = _predictor_names(predictor_names, p), list(response_names)
+    current = list(ols_columns(Y, None, response_names))
+    initial_aic = [fit.aic for fit in current]
+    means, Xs, norms = unit_columns(X)
+    score = _subset_scorer(Y, X)
 
-    def fit_for(selected):
+    def refit(c, subset):
         try:
-            return ols(Y, X[:, selected], response_name=response_name,
-                       predictor_names=[names[j] for j in selected])
-        except (DataError, NumericalError):
+            return _fit_columns(Y[:, [c]], means[subset], Xs.T[subset].T, norms[subset],
+                                response_names[c:c + 1], tuple(names[j] for j in subset))[0]
+        except NumericalError:
             return None  # unusable move (collinear)
 
-    selected = []
-    current = ols(Y, response_name=response_name)
-    initial_aic = current.aic
-    score = _subset_scorer(Y[:, 0], X)
-    steps = []
-    while True:
-        moves = {j: [i for i in selected if i != j] if j in selected else sorted(selected + [j])
-                 for j in range(p) if j in selected or len(selected) + 2 < T}
+    selected, steps, active = [[] for _ in current], [[] for _ in current], range(len(current))
+    while active:
+        moves = {c: {j: [i for i in selected[c] if i != j] if j in selected[c]
+                     else sorted(selected[c] + [j])
+                     for j in range(p) if j in selected[c] or len(selected[c]) + 2 < T}
+                 for c in active}
         fast, bound = {}, {}
-        for group in ([j for j in moves if j not in selected], selected):
-            if group:
-                aic, err = score(np.array([moves[j] for j in group], dtype=np.intp))
-                fast.update(zip(group, aic))
-                bound.update(zip(group, err))
-        exact = {j: fit_for(moves[j]) for j in moves if not bound[j] < AIC_WINDOW}
-        for j in sorted(set(moves) - set(exact), key=lambda j: (fast[j], j)):
-            best = min((f.aic for f in exact.values() if f is not None), default=np.inf)
-            if fast[j] >= current.aic + AIC_WINDOW or fast[j] > best + AIC_WINDOW:
-                break
-            exact[j] = fit_for(moves[j])
-        wins = [j for j in sorted(exact)
-                if exact[j] is not None and exact[j].aic < current.aic - 1e-10]
-        if not wins:
-            break
-        j = min(wins, key=lambda j: exact[j].aic)  # the earliest column on ties
-        current = exact[j]
-        steps.append(StepwiseStep(action="drop" if j in selected else "add",
-                                  predictor=names[j], aic_after=current.aic))
-        selected = moves[j]
-    return current, StepwiseTrace(initial_aic=initial_aic, steps=tuple(steps))
+        for m in sorted({len(s) for mv in moves.values() for s in mv.values()}):
+            keys = [(c, j) for c in active for j, s in moves[c].items() if len(s) == m]
+            aic, err = score(np.array([moves[c][j] for c, j in keys], dtype=np.intp),
+                             np.array(keys)[:, 0])
+            fast.update(zip(keys, aic))
+            bound.update(zip(keys, err))
+        searching = []
+        for c in active:
+            exact = {j: refit(c, s) for j, s in moves[c].items() if not bound[c, j] < AIC_WINDOW}
+            for j in sorted(set(moves[c]) - set(exact), key=lambda j: (fast[c, j], j)):
+                best = min((f.aic for f in exact.values() if f is not None), default=np.inf)
+                if fast[c, j] >= current[c].aic + AIC_WINDOW or fast[c, j] > best + AIC_WINDOW:
+                    break
+                exact[j] = refit(c, moves[c][j])
+            wins = [j for j in sorted(exact)
+                    if exact[j] is not None and exact[j].aic < current[c].aic - 1e-10]
+            if wins:
+                j = min(wins, key=lambda j: exact[j].aic)  # the earliest column on ties
+                current[c] = exact[j]
+                steps[c].append(StepwiseStep(action="drop" if j in selected[c] else "add",
+                                             predictor=names[j], aic_after=current[c].aic))
+                selected[c] = moves[c][j]
+                searching.append(c)
+        active = searching
+    return tuple((fit, StepwiseTrace(initial_aic=aic, steps=tuple(s)))
+                 for fit, aic, s in zip(current, initial_aic, steps))
+
+
+def stepwise_aic(y, X_full=None, response_name: str = "y", predictor_names=None):
+    """Greedy AIC search of one response y, (final fit, trace): stepwise_columns for one column."""
+    return stepwise_columns(np.reshape(y, (-1, 1)), X_full, [response_name], predictor_names)[0]
 
 
 def residual_matrix(fits) -> np.ndarray:

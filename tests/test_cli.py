@@ -605,6 +605,18 @@ class TestAnalyze:
         assert note in (workdir / "rep" / fname).read_text().splitlines()[0]
         assert summary in (workdir / "rep" / "summary.md").read_text().splitlines()
 
+    @pytest.mark.parametrize("prefix", ["--wea", "--we"])
+    def test_a_unique_flag_prefix_takes_a_negative_value(self, workdir, prefix):
+        # argparse accepts any unique prefix of a flag, so its value is joined to it too
+        write_spread_panel(workdir / "spreads.csv")
+        write_macro_panel(workdir / "macro.csv")
+        data = ["--spreads", "spreads.csv", "--macro", "macro.csv"]
+        assert run("analyze", *data, "--weak", "-1e-3", "--out", "full") == 0
+        assert run("analyze", *data, prefix, "-1e-3", "--out", "prefix") == 0
+        full = {f.name: f.read_bytes() for f in (workdir / "full").iterdir()}
+        assert {f.name: f.read_bytes() for f in (workdir / "prefix").iterdir()} == full
+        assert b"weak=-0.001" in full["diagnostic_grades.csv"]
+
     def test_johansen_command_reads_lags_as_analyze_does(self, workdir):
         write_spread_panel(workdir / "spreads.csv")
         for flags, order in (([], "2"), (["--lags", "0"], "1"), (["--lags", "3"], "4")):

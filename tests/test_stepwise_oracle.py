@@ -1,11 +1,12 @@
 """The stepwise search against an exhaustive oracle that fits every move with ols.
 
-`stepwise_aic` scores moves from centred cross-products and refits with ols
-only the moves that can still win. The oracle below is the search without the
-scorer: every add and drop of every pass is an ols fit. On a seeded corpus the
-two must give the same trace and bit-identical fits, the scorer's error
-bound must hold wherever it calls a move resolved, and no move that ols
-rejects may be resolved.
+`stepwise_aic` scores moves from centred cross-products and refits, through
+ols's own least-squares path, only the moves that can still win. The oracle
+below is the search without the scorer: every add and drop of every pass is
+an ols fit. On a seeded corpus the two must give the same trace and
+bit-identical fits, the scorer's error bound must hold wherever it calls a
+move resolved, and no move that ols rejects may be resolved. The lockstep
+`stepwise_columns` must give each column what `stepwise_aic` gives it alone.
 """
 
 import functools
@@ -233,15 +234,16 @@ def test_every_move_ols_rejects_is_unresolved():
 def test_search_goes_on_past_a_move_ols_rejects(monkeypatch):
     """A pass whose refits include a move ols rejects skips it and still takes a move."""
     raised = []
+    fit_columns = regress._fit_columns  # every least-squares fit, each stepwise refit included
 
-    def recording_ols(*args, **kwargs):
+    def recording_fit(*args, **kwargs):
         try:
-            return cf.ols(*args, **kwargs)
+            return fit_columns(*args, **kwargs)
         except (cf.DataError, cf.NumericalError):
-            raised.append(kwargs["predictor_names"])
+            raised.append(args[-1])
             raise
 
-    monkeypatch.setattr(regress, "ols", recording_ols)
+    monkeypatch.setattr(regress, "_fit_columns", recording_fit)
     went_on = 0
     for label, y, X, ofit, otrace, _, rejected in oracle_runs():
         # rejected for collinearity (not for too few rows) in a pass that took a move
@@ -284,3 +286,70 @@ def test_large_level_column_fits(level, spread):
     fit, trace = cf.stepwise_aic(y, X)
     assert trace == otrace
     assert_bitwise_equal_fits(fit, ofit, "large level")
+
+
+def shared_design_groups():
+    """(label, Y, X, oracle traces, collinear) with the corpus responses on one design as Y.
+
+    Each group also gets pure noise, which the search leaves near the start, a
+    response that one column of the design drives, and a constant column. The
+    oracle traces belong to the corpus columns, which come first. collinear
+    tells whether ols rejects a collinear move in a pass where a corpus search moves on.
+    """
+    groups = {}
+    for label, y, X, _, otrace, _, rejected in oracle_runs():
+        collinear = any(i < len(otrace.steps) and len(c) + 2 <= len(y) for i, c in rejected)
+        groups.setdefault(id(X), (label, X, []))[2].append((y, otrace, collinear))
+    for i, (label, X, columns) in enumerate(groups.values()):
+        rng = np.random.default_rng([84, i])
+        noise = rng.standard_normal(len(X))
+        extra = [noise, X[:, -1] + 0.5 * X[:, -1].std() * noise, np.full(len(X), 2.5)]
+        yield (label, np.column_stack([y for y, _, _ in columns] + extra), X,
+               [t for _, t, _ in columns], any(c for _, _, c in columns))
+
+
+def assert_columns_match(results, expected, order, label):
+    assert len(results) == len(order), label
+    for c, (fit, trace) in zip(order, results):
+        assert trace == expected[c][1], f"{label}: column {c}"
+        assert_bitwise_equal_fits(fit, expected[c][0], f"{label}: column {c}")
+
+
+def test_stepwise_columns_is_each_column_searched_alone():
+    """Columns sharing one design give each column's own stepwise_aic, bit for bit.
+
+    Also for the columns in any order and for any subset of them, so no search
+    depends on which others run next to it or stop before it.
+    """
+    rng = np.random.default_rng(85)
+    uneven = collinear = 0
+    for label, Y, X, otraces, rejects in shared_design_groups():
+        names = [f"r{c}" for c in range(Y.shape[1])]
+        expected = [cf.stepwise_aic(Y[:, c], X, response_name=names[c])
+                    for c in range(Y.shape[1])]
+        assert [trace for _, trace in expected[:len(otraces)]] == otraces, label
+        assert expected[-1][1].steps == (), label  # the constant column
+        for order in (np.arange(Y.shape[1]), rng.permutation(Y.shape[1]),
+                      rng.permutation(Y.shape[1])[:rng.integers(1, Y.shape[1])]):
+            results = regress.stepwise_columns(Y[:, order], X, [names[c] for c in order])
+            assert_columns_match(results, expected, order, label)
+        uneven += len({len(trace.steps) for _, trace in expected}) > 1
+        collinear += rejects
+    # searches that stop at different passes, and designs where ols rejects a move
+    print(f"{uneven} groups stop at different passes; {collinear} reject a collinear move")
+    assert uneven > 300 and collinear > 40
+
+
+def test_stepwise_columns_on_a_tiled_section_design():
+    """Grouped responses stacked end to end on the design tiled to match, as `analyze` fits."""
+    ds = synthgen.generate(synthgen.default_spec(seed=3, n_periods=63))
+    size, T = 3, 63
+    Y = ds.responses.T.reshape(-1, size * T).T  # group g stacks responses 3g, 3g+1, 3g+2
+    X = np.tile(ds.proxies, (size, 1))
+    names = [f"group {g}" for g in range(Y.shape[1])]
+    expected = [exhaustive_stepwise(Y[:, g], X, response_name=names[g])
+                for g in range(Y.shape[1])]
+    assert all(trace.steps for _, trace in expected)
+    for order in (np.arange(Y.shape[1]), np.array([2, 0, 3, 1]), np.array([1])):
+        results = regress.stepwise_columns(Y[:, order], X, [names[g] for g in order])
+        assert_columns_match(results, expected, order, "tiled")
