@@ -335,33 +335,32 @@ def cross_loadings(solution: CcaSolution, Z, k_max: int = None) -> np.ndarray:
 # table layouts
 # ---------------------------------------------------------------------------
 
-def eigen_table_rows(rows, decimals: int = 5):
+def eigen_table_rows(rows):
     header = ["", "CanCor", "CanCorSq", "Eigenvalue", "Percentage", "Cumulative"]
-    out = [[str(r.k), format(r.correlation, f".{decimals}f"), format(r.squared, f".{decimals}f"),
-            format(r.eigenvalue, f".{decimals}f"), format(r.percentage, f".{decimals}f"),
-            format(r.cumulative, f".2f")] for r in rows]
+    out = [[str(r.k), format(r.correlation, ".5f"), format(r.squared, ".5f"),
+            format(r.eigenvalue, ".5f"), format(r.percentage, ".5f"),
+            format(r.cumulative, ".2f")] for r in rows]
     return header, out
 
 
-def wilks_table_rows(rows, correlations, decimals: int = 4):
+def wilks_table_rows(rows, correlations):
     header = ["", "CanCor", "LR Statistic", "Approx F", "NumDF", "DenDF", "Pr(>F)"]
     out = []
     for r, rho in zip(rows, correlations):
-        out.append([str(r.k), format(rho, f".{decimals}f"), format(r.lambda_stat, f".{decimals}f"),
+        out.append([str(r.k), format(rho, ".4f"), format(r.lambda_stat, ".4f"),
                     format(r.f_approx, ".2f"), format(r.num_df, ".0f"),
-                    format(r.den_df, ".2f"), format(r.p_value, f".{decimals}f")])
+                    format(r.den_df, ".2f"), format(r.p_value, ".4f")])
     return header, out
 
 
-def redundancy_table_rows(rows, decimals: int = 4):
+def redundancy_table_rows(rows):
     header = ["", "Redundancy"]
-    return header, [[str(r.k), format(r.redundancy, f".{decimals}f")] for r in rows]
+    return header, [[str(r.k), format(r.redundancy, ".4f")] for r in rows]
 
 
-def cross_loadings_table_rows(matrix, names, decimals: int = 4):
+def cross_loadings_table_rows(matrix, names):
     matrix = np.asarray(matrix, dtype=float)
     header = [""] + [f"U{k + 1}" for k in range(matrix.shape[1])]
-    rows = [[str(names[j])] + [format(matrix[j, k], f".{decimals}f")
-                               for k in range(matrix.shape[1])]
+    rows = [[str(names[j])] + [format(matrix[j, k], ".4f") for k in range(matrix.shape[1])]
             for j in range(matrix.shape[0])]
     return header, rows

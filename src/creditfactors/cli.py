@@ -86,8 +86,7 @@ def load_config(path) -> dict:
             key, sep, value = line.partition("=")
             if not sep:
                 raise UsageError(f"{path}:{i}: expected 'key = value', got {line!r}")
-            key = key.strip()
-            value = value.strip()
+            key, value = key.strip(), value.strip()
             if key not in CONFIG_KEYS:
                 raise UsageError(f"{path}:{i}: unknown setting {key!r}")
             cfg[key] = value
@@ -201,16 +200,16 @@ def cmd_johansen(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    import dataclasses  # simulate alone reads, draws from and echoes a model spec
-    import json
+    import json  # simulate alone reads, draws from and echoes a model spec
 
     from . import synthgen
     s = Settings(args)
     spec_path = s.require("spec")
     spec = _load_model_spec(spec_path)
     seed = s.get("seed")
-    if seed is not None:
-        spec = dataclasses.replace(spec, seed=seed)
+    if seed is not None:  # rebuilt outside _load_model_spec, so a bad seed names no file
+        fields = {name: getattr(spec, name) for name in spec.__slots__}
+        spec = synthgen.FactorModelSpec(**fields | {"seed": seed})
     if spec.n_periods > _SIM_MONTHS:  # before the draw, which allocates n_periods rows
         raise DataError(f"{spec_path}: n_periods must be at most {_SIM_MONTHS}, "
                         f"the months from {_SIM_START} to 9999-12")
@@ -226,7 +225,7 @@ def cmd_simulate(args) -> int:
             names = tuple(f"{prefix}{j + 1}" for j in range(matrix.shape[1]))
             panel = panel_mod.AlignedPanel(_SIM_START, names, matrix)
             files.append((fname, panel_mod.panel_csv_text(panel, note)))
-    echo = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+    echo = {name: getattr(spec, name) for name in spec.__slots__}
     echo = {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in echo.items()}
     files.append(("spec_echo.json", json.dumps(echo, indent=2, sort_keys=True) + "\n"))
     return _commit(s.given.get("out", "."), files)
@@ -238,7 +237,6 @@ _PRESETS = {"default": "default_spec", "no_missing_factor": "scenario_no_missing
 
 
 def _load_model_spec(path) -> "synthgen.FactorModelSpec":
-    import dataclasses
     import json
 
     from . import synthgen
@@ -254,23 +252,22 @@ def _load_model_spec(path) -> "synthgen.FactorModelSpec":
             name = raw["preset"]
             if name not in _PRESETS:
                 raise DataError(f"unknown preset {name!r} (expected one of {sorted(_PRESETS)})")
-            kwargs = {key: int(raw[key]) for key in ("seed", "n_periods") if key in raw}
+            kwargs = {"seed": 0} | {k: int(raw[k]) for k in ("seed", "n_periods") if k in raw}
             extra = set(raw) - {"preset", "seed", "n_periods"}
             if extra:
                 raise DataError(f"unexpected keys with preset: {sorted(extra)}")
-            kwargs.setdefault("seed", 0)
             return getattr(synthgen, _PRESETS[name])(**kwargs)
         # every field of the spec is a key; a null, absent or empty missing_loadings means none
-        fields = dataclasses.fields(synthgen.FactorModelSpec)
-        missing = {f.name for f in fields} - {"missing_loadings"} - set(raw)
+        fields = synthgen.FactorModelSpec.__slots__
+        missing = set(fields) - {"missing_loadings"} - set(raw)
         if missing:
             raise DataError(f"missing keys: {sorted(missing)}")
-        extra = set(raw) - {f.name for f in fields}
+        extra = set(raw) - set(fields)
         if extra:
             raise DataError(f"unknown keys: {sorted(extra)}")
-        # the scalar fields are cast to their declared int or float; the arrays pass as given
-        kwargs = {f.name: f.type(raw[f.name]) if f.type in (int, float) else raw.get(f.name)
-                  for f in fields}
+        # the scalars are cast to their annotated int or float; the arrays pass as given
+        casts = synthgen.FactorModelSpec.__init__.__annotations__
+        kwargs = {f: casts[f](raw[f]) if f in casts else raw.get(f) for f in fields}
         if kwargs["missing_loadings"] in (None, []):
             kwargs["missing_loadings"] = np.zeros((len(raw["intercepts"]), 0))
         return synthgen.FactorModelSpec(**kwargs)
@@ -521,8 +518,7 @@ def cmd_analyze(args) -> int:
              "retained factor score series")):
         run.files.append((fname, panel_mod.panel_csv_text(p, comment), note))
 
-    summary = _summary_md(run)
-    files = [(fname, text) for fname, text, _ in run.files] + [("summary.md", summary)]
+    files = [(fname, text) for fname, text, _ in run.files] + [("summary.md", _summary_md(run))]
     out = run.s.given.get("out", "report")
     stale = sorted(set(os.listdir(out)) - set(dict(files))) if os.path.isdir(out) else []
     if stale:  # a bundle never shares its directory with files it does not list
@@ -558,8 +554,7 @@ def _summary_md(run: Run) -> str:
                      f"PC1 share {report.pc1_variance_share:.3f})")
     lines += ["", "## Files", ""]
     lines += [f"- `{fname}`: {note}" for fname, _, note in run.files]
-    lines.append("")
-    return "\n".join(lines)
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +562,11 @@ def _summary_md(run: Run) -> str:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):  # the subcommands' parsers are Parsers too
+        def error(self, message):  # argparse's own usage errors, reported in main's one line
+            raise UsageError(message)
+
+    parser = Parser(
         prog="creditfactors",
         description="Latent-factor analysis pipelines for monthly spread panels.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
@@ -616,8 +615,8 @@ def main(argv=None) -> int:
         keys = {k for k in CONFIG_KEYS | {"config"} if k.startswith(word[2:])}
         flag = word.startswith("--") and (word[2:] in keys or len(keys) == 1) and words
         argv.append(f"{word}={words.pop(0)}" if flag else word)
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         with np.errstate(all="ignore"):  # a failure is reported by its one-line message alone
             return args.func(args)
     except UsageError as exc:

@@ -196,13 +196,10 @@ def missing_factor_diagnostic(fits_before, design, responses,
     )
 
 
-def diagnostic_table_rows(report: DiagnosticReport, decimals: int = 3):
+def diagnostic_table_rows(report: DiagnosticReport):
     header = ["", "Adj. R2 (factors)", "Adj. R2 (factors + PC1)", "Delta"]
-    rows = [[name,
-             format(b, f".{decimals}f"),
-             format(a, f".{decimals}f"),
-             format(d, f".{decimals}f")]
+    rows = [[name, format(b, ".3f"), format(a, ".3f"), format(d, ".3f")]
             for name, b, a, d in zip(report.responses, report.adj_r2_before,
                                      report.adj_r2_after, report.deltas)]
-    rows.append(["mean", "", "", format(report.mean_delta, f".{decimals}f")])
+    rows.append(["mean", "", "", format(report.mean_delta, ".3f")])
     return header, rows

@@ -352,7 +352,7 @@ def residual_matrix(fits) -> np.ndarray:
     return np.column_stack([f.residuals for f in fits])
 
 
-def fit_table(fits, predictors=None, decimals: int = 3):
+def fit_table(fits, predictors=None):
     """Two-line report layout: a coefficient row over its t-statistic row.
 
     Returns (header, rows) of strings. Predictors a fit did not select are
@@ -373,12 +373,12 @@ def fit_table(fits, predictors=None, decimals: int = 3):
         for name in predictors:
             if name in f.predictor_names:
                 i = f.predictor_names.index(name)
-                coef_row.append(format(f.coefficients[i], f".{decimals}f"))
-                t_row.append(format(f.t_statistics[i], f".{decimals}f"))
+                coef_row.append(format(f.coefficients[i], ".3f"))
+                t_row.append(format(f.t_statistics[i], ".3f"))
             else:
                 coef_row.append("")
                 t_row.append("")
-        coef_row.append(format(f.adj_r_squared, f".{decimals}f"))
+        coef_row.append(format(f.adj_r_squared, ".3f"))
         t_row.append("")
         rows.append(coef_row)
         rows.append(t_row)

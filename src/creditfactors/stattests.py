@@ -218,20 +218,20 @@ def johansen_trace(panel, lag_order: int = 2) -> JohansenResult:
 # table layouts
 # ---------------------------------------------------------------------------
 
-def adf_table(results: dict, decimals: int = 2):
+def adf_table(results: dict):
     """(header, rows) with one series per row: statistic and p-value."""
     header = ["", "Test Statistic", "p-value"]
-    rows = [[name, format(res.statistic, f".{decimals}f"), format(res.p_value, f".{decimals}f")]
+    rows = [[name, format(res.statistic, ".2f"), format(res.p_value, ".2f")]
             for name, res in results.items()]
     return header, rows
 
 
-def johansen_table(result: JohansenResult, decimals: int = 2):
+def johansen_table(result: JohansenResult):
     """(header, rows) with one null hypothesis per row."""
     header = ["", "Test Statistic", "Critical Value (5%)", "Rejected"]
     rows = []
     for h, stat, cv, rej in zip(result.hypotheses, result.trace_statistics,
                                 result.critical_values_5pct, result.rejected):
-        rows.append([h, format(stat, f".{decimals}f"), format(cv, f".{decimals}f"),
+        rows.append([h, format(stat, ".2f"), format(cv, ".2f"),
                      "yes" if rej else "no"])
     return header, rows

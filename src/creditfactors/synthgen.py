@@ -13,46 +13,44 @@ analytic covariance blocks, which makes the sampling error of any estimator
 measurable. Everything is deterministic given the spec's seed.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._linalg import canonical_pairs
+from ._record import Record, readonly
 from .errors import DataError, NumericalError
 
 _RANK_TOL = 1e-8
 
 
-def _frozen_array(obj, field, value, ndim):
-    arr = np.array(value, dtype=float)
+def _array(field, value, ndim) -> np.ndarray:
+    """A read-only float copy of value, which must be ndim-D and finite."""
+    arr = readonly(value)
     if arr.ndim != ndim:
         raise DataError(f"{field} must be {ndim}-D, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise DataError(f"{field} must be finite")
-    arr.setflags(write=False)
-    object.__setattr__(obj, field, arr)
     return arr
 
 
-@dataclass(frozen=True)
-class FactorModelSpec:
-    """Population description of one synthetic dataset."""
+class FactorModelSpec(Record):
+    """Population description of one synthetic dataset.
 
-    intercepts: np.ndarray        # (n,)
-    proxied_loadings: np.ndarray  # (n, r): loadings on proxied factors
-    missing_loadings: np.ndarray  # (n, m - r): loadings on unproxied factors
-    proxy_projection: np.ndarray  # (k, r): f1 = proxies @ proxy_projection + noise
-    proxy_noise_scale: float
-    idio_variances: np.ndarray    # (n,), all positive
-    n_periods: int
-    seed: int
+    intercepts (n,); proxied_loadings (n, r) and missing_loadings (n, m - r), the loadings
+    on proxied and unproxied factors; proxy_projection (k, r): f1 = proxies @ proxy_projection
+    + noise; idio_variances (n,), all positive. A spec file's scalars are cast to __init__'s
+    annotations.
+    """
 
-    def __post_init__(self):
-        intercepts = _frozen_array(self, "intercepts", self.intercepts, 1)
-        b1 = _frozen_array(self, "proxied_loadings", self.proxied_loadings, 2)
-        b2 = _frozen_array(self, "missing_loadings", self.missing_loadings, 2)
-        theta = _frozen_array(self, "proxy_projection", self.proxy_projection, 2)
-        idio = _frozen_array(self, "idio_variances", self.idio_variances, 1)
+    __slots__ = ("intercepts", "proxied_loadings", "missing_loadings", "proxy_projection",
+                 "proxy_noise_scale", "idio_variances", "n_periods", "seed")
+
+    def __init__(self, intercepts, proxied_loadings, missing_loadings, proxy_projection,
+                 proxy_noise_scale: float, idio_variances, n_periods: int, seed: int):
+        intercepts = _array("intercepts", intercepts, 1)
+        b1 = _array("proxied_loadings", proxied_loadings, 2)
+        b2 = _array("missing_loadings", missing_loadings, 2)
+        theta = _array("proxy_projection", proxy_projection, 2)
+        idio = _array("idio_variances", idio_variances, 1)
         n, r = b1.shape
         if intercepts.shape != (n,):
             raise DataError(f"intercepts shape {intercepts.shape} does not match {n} responses")
@@ -69,16 +67,17 @@ class FactorModelSpec:
             raise DataError("need at least one proxy")
         if np.any(idio <= 0):
             raise DataError("idio_variances must all be positive")
-        if not 0 <= self.proxy_noise_scale < np.inf:
+        if not 0 <= proxy_noise_scale < np.inf:
             raise DataError("proxy_noise_scale must be finite and nonnegative")
-        if self.n_periods < 2:
+        if n_periods < 2:
             raise DataError("n_periods must be at least 2")
-        if self.seed < 0:
-            raise DataError(f"seed must be nonnegative, got {self.seed}")
+        if seed < 0:
+            raise DataError(f"seed must be nonnegative, got {seed}")
         if np.linalg.matrix_rank(b1, tol=_RANK_TOL) < r:
             raise DataError("proxied_loadings must have full column rank")
         if b2.shape[1] and np.linalg.matrix_rank(b2, tol=_RANK_TOL) < b2.shape[1]:
             raise DataError("missing_loadings must have full column rank")
+        self._set(intercepts, b1, b2, theta, proxy_noise_scale, idio, n_periods, seed)
 
     @property
     def n_responses(self) -> int:
@@ -97,21 +96,20 @@ class FactorModelSpec:
         return self.proxy_projection.shape[0]
 
 
-@dataclass(frozen=True)
-class SyntheticDataset:
-    """One draw of the factor model, with every latent piece kept."""
+class SyntheticDataset(Record):
+    """One draw of the factor model, with every latent piece kept.
 
-    responses: np.ndarray       # (T, n)
-    proxies: np.ndarray         # (T, k)
-    proxied_factors: np.ndarray  # (T, r)
-    missing_factors: np.ndarray  # (T, m - r)
-    idiosyncratic: np.ndarray   # (T, n)
-    spec: FactorModelSpec
+    responses and idiosyncratic are (T, n), proxies (T, k), proxied_factors (T, r)
+    and missing_factors (T, m - r).
+    """
 
-    def __post_init__(self):
-        for field in ("responses", "proxies", "proxied_factors",
-                      "missing_factors", "idiosyncratic"):
-            _frozen_array(self, field, getattr(self, field), 2)
+    __slots__ = ("responses", "proxies", "proxied_factors", "missing_factors", "idiosyncratic",
+                 "spec")
+
+    def __init__(self, responses, proxies, proxied_factors, missing_factors, idiosyncratic,
+                 spec: FactorModelSpec):
+        arrays = responses, proxies, proxied_factors, missing_factors, idiosyncratic
+        self._set(*(_array(field, value, 2) for field, value in zip(self.__slots__, arrays)), spec)
 
 
 def generate(spec: FactorModelSpec) -> SyntheticDataset:
@@ -167,11 +165,11 @@ def population_cca(spec: FactorModelSpec) -> np.ndarray:
 # canned specifications
 # ---------------------------------------------------------------------------
 
-def _fixed_projection(k: int, r: int, scale: float = 1.0) -> np.ndarray:
-    """Deterministic k x r projection with orthonormal columns times scale."""
+def _fixed_projection(k: int, r: int) -> np.ndarray:
+    """Deterministic k x r projection with orthonormal columns."""
     rng = np.random.default_rng(20240901)
     q, _ = np.linalg.qr(rng.standard_normal((k, r)))
-    return scale * q[:, :r]
+    return q[:, :r]
 
 _SCENARIO_LOADINGS = np.array([
     [1.2, -0.7],
@@ -186,32 +184,28 @@ _SCENARIO_IDIO = np.array([0.40, 0.50, 0.45, 0.55, 0.50, 0.40])
 _SCENARIO_MISSING = np.array([[1.9], [-1.8], [1.75], [1.95], [-2.0], [1.8]])
 
 
-def scenario_no_missing_factor(seed: int, n_periods: int = 240) -> FactorModelSpec:
-    """Six responses driven entirely by two well-proxied factors."""
+def _scenario(seed: int, n_periods: int, missing_loadings) -> FactorModelSpec:
+    """The six-response scenario system with the given unproxied loadings."""
     return FactorModelSpec(
         intercepts=_SCENARIO_INTERCEPTS,
         proxied_loadings=_SCENARIO_LOADINGS,
-        missing_loadings=np.zeros((6, 0)),
+        missing_loadings=missing_loadings,
         proxy_projection=_fixed_projection(5, 2),
         proxy_noise_scale=0.3,
         idio_variances=_SCENARIO_IDIO,
         n_periods=n_periods,
         seed=seed,
     )
+
+
+def scenario_no_missing_factor(seed: int, n_periods: int = 240) -> FactorModelSpec:
+    """Six responses driven entirely by two well-proxied factors."""
+    return _scenario(seed, n_periods, np.zeros((6, 0)))
 
 
 def scenario_missing_factor(seed: int, n_periods: int = 240) -> FactorModelSpec:
     """Same system plus one unproxied factor loading strongly on all responses."""
-    return FactorModelSpec(
-        intercepts=_SCENARIO_INTERCEPTS,
-        proxied_loadings=_SCENARIO_LOADINGS,
-        missing_loadings=_SCENARIO_MISSING,
-        proxy_projection=_fixed_projection(5, 2),
-        proxy_noise_scale=0.3,
-        idio_variances=_SCENARIO_IDIO,
-        n_periods=n_periods,
-        seed=seed,
-    )
+    return _scenario(seed, n_periods, _SCENARIO_MISSING)
 
 
 def default_spec(seed: int = 0, n_periods: int = 63) -> FactorModelSpec:

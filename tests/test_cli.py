@@ -162,6 +162,18 @@ class TestSimulate:
         echo = json.loads((workdir / "s" / "spec_echo.json").read_text())
         assert echo["seed"] == 9
 
+    @pytest.mark.parametrize("spec, seed, message", [
+        ({"preset": "default"}, "-1", "seed must be nonnegative, got -1"),
+        ({"preset": "default", "seed": -5}, "3", "spec.json: seed must be nonnegative, got -5"),
+    ], ids=["flag", "file"])
+    def test_a_bad_seed_names_the_file_only_when_the_file_holds_it(self, workdir, capsys,
+                                                                    spec, seed, message):
+        # the file's spec is built and checked before --seed replaces its seed
+        (workdir / "spec.json").write_text(json.dumps(spec))
+        assert run("simulate", "--spec", "spec.json", "--seed", seed, "--out", "s") == 3
+        assert capsys.readouterr().err.splitlines() == [f"data error: {message}"]
+        assert not (workdir / "s").exists()
+
     def test_explicit_matrices(self, workdir):
         (workdir / "spec.json").write_text(json.dumps({
             "intercepts": [0.0, 1.0],
@@ -316,10 +328,10 @@ class TestConfig:
         (workdir / "run.cfg").write_text("macro = macro.csv\nalign = intersect\n")
         assert run("analyze", "--config", "run.cfg", "--spreads", "spreads.csv") == 2
         assert "'align'" in capsys.readouterr().err
-        with pytest.raises(SystemExit) as exc:
-            run("analyze", "--spreads", "spreads.csv", "--macro", "macro.csv",
-                "--align", "intersect")
-        assert exc.value.code == 2
+        assert run("analyze", "--spreads", "spreads.csv", "--macro", "macro.csv",
+                   "--align", "intersect") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "usage error: unrecognized arguments: --align intersect"]
 
 
 class TestExitCodes:
@@ -492,10 +504,30 @@ class TestExitCodes:
         assert run("factor-regress", *data, "--out", "fr") == 0
         assert os.listdir(workdir / "fr") == ["factor_regressions.csv"]
 
-    def test_unknown_subcommand_exits_with_usage(self, workdir):
-        with pytest.raises(SystemExit) as exc:
-            run("frobnicate")
-        assert exc.value.code == 2
+    def test_unknown_subcommand_exits_with_usage(self, workdir, capsys):
+        assert run("frobnicate") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "usage error: argument command: invalid choice: 'frobnicate'"), err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "--spreads", "s.csv", "--macro", "m.csv", "--s", "-1"],
+         "ambiguous option: --s could match --spreads, --strong"),
+        (["analyze", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        ([], "the following arguments are required: command"),
+    ], ids=["ambiguous-prefix", "unknown-flag", "no-command"])
+    def test_argparse_errors_print_one_line(self, workdir, capsys, argv, message):
+        # argparse printed its usage block (seven lines for the ambiguous prefix) before
+        # the error and raised SystemExit(2) out of main
+        assert run(*argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
+
+    def test_help_still_prints_help_and_exits_0(self, workdir, capsys):
+        for argv in (["--help"], ["analyze", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                run(*argv)
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: creditfactors")
 
 
 class TestAnalyze:

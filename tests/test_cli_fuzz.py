@@ -32,7 +32,7 @@ BAD_BYTES = [b"\xff\xfe", b"\x00", b"\xef\xbb\xbf", b"\r", b"\x80abc"]
 
 
 def run_main(argv_of, files):
-    """Write files ({name: bytes}) to a fresh directory and run main on them."""
+    """Write files ({name: bytes}) to a fresh directory and run main on them: (exit, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for name, data in files.items():
@@ -48,7 +48,7 @@ def run_main(argv_of, files):
     if code != cli.EXIT_OK:
         assert stderr.getvalue().strip(), "a failing exit must say why"
         assert not out_left, f"exit {code} left --out behind: {stderr.getvalue()}"
-    return code
+    return code, stderr.getvalue()
 
 
 def _month(t, start=(2005, 1)):
@@ -195,6 +195,7 @@ LOANS = b"date,rate,grade,term\n2005-01,8.1,A,36\n2005-01,9.2,B,36\n"
 YIELDS = b"date,maturity_months,yield\n2005-01,36,2.1\n"
 SPREADS = as_csv(panel_rows(3, 30, "S", 1))
 MACRO = as_csv(panel_rows(2, 30, "Z", 2))
+SPEC = b'{"preset": "missing_factor", "n_periods": 24}'
 
 
 @FUZZ
@@ -256,3 +257,54 @@ def test_config_files_keep_the_exit_contract(config):
 def test_simulate_keeps_the_exit_contract(spec):
     run_main(lambda p: ["simulate", "--spec", p["spec.json"], "--out", p["out"]],
              {"spec.json": spec})
+
+
+COMMANDS = ["aggregate", "spreads", "adf", "johansen", "ols", "stepwise", "cca",
+            "factor-regress", "diagnose", "analyze", "simulate"]
+FLAGS = ["--config", "--out"] + [f"--{key}" for key in sorted(cli._SETTINGS)]
+FLAG_WORDS = sorted(set(FLAGS) | {flag[:i] for flag in FLAGS for i in range(3, len(flag))}
+                    | {"--bogus", "--align", "--Factors"})  # prefixes: unique and ambiguous
+ARGV_WORDS = sorted(set(COMMANDS) | {"frobnicate"} | set(FLAG_WORDS)
+                    | {"--out=", "--weak=", "--factors=", "-1e-3", "-inf", "-1", "0", "1", "x",
+                       "levels", "spreads.csv", "macro.csv", "spec.json", "out"})
+# flag-value pairs a command accepts; file words become the files' paths
+PAIRS = {"adf": [["--panel", "macro.csv"], ["--lags", "1"]],
+         "johansen": [["--panel", "macro.csv"], ["--lags", "1"]],
+         "simulate": [["--spec", "spec.json"], ["--seed", "3"]]}
+ANALYSIS_PAIRS = [["--spreads", "spreads.csv"], ["--macro", "macro.csv"], ["--factors", "1"],
+                  ["--weak", "-1e-3"], ["--transform", "levels"]]
+
+
+@st.composite
+def argv_words(draw):
+    """Mostly a command and pairs it accepts, with stray and malformed words among them."""
+    words = [draw(st.sampled_from(COMMANDS + ["frobnicate"]))] if draw(st.integers(0, 9)) else []
+    pairs = PAIRS.get(words[0] if words else None, ANALYSIS_PAIRS) + [["--out", "out"]]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["valid"] * 6 + ["pair", "word"]))
+        if kind == "valid":
+            words += draw(st.sampled_from(pairs))
+        elif kind == "pair":
+            words += [draw(st.sampled_from(FLAG_WORDS)), draw(st.sampled_from(ARGV_WORDS))]
+        else:
+            words.append(draw(st.sampled_from(ARGV_WORDS)))
+    return words
+
+
+@FUZZ
+@given(words=argv_words())
+@example(words=["analyze", "--spreads", "spreads.csv", "--macro", "macro.csv", "--s", "-1"])
+def test_any_argv_keeps_the_exit_contract(words):
+    # argparse's own errors printed a usage block and raised SystemExit(2) out of main
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # a command run without --out writes here
+        try:
+            code, err = run_main(lambda p: [p.get(w, w) for w in words],
+                                 {"spreads.csv": SPREADS, "macro.csv": MACRO, "spec.json": SPEC})
+        except SystemExit as exc:
+            raise AssertionError(f"SystemExit({exc.code}) escaped main") from None
+        finally:
+            os.chdir(cwd)
+    if code != cli.EXIT_OK:
+        assert len(err.splitlines()) == 1, err

@@ -6,6 +6,7 @@ imported every module.
 
 import copy
 import os
+import pickle
 import subprocess
 import sys
 
@@ -41,6 +42,11 @@ def fresh(code):
                           timeout=120, env=dict(os.environ, PYTHONPATH=package_root))
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+def test_synthgen_import_loads_no_dataclasses():
+    assert fresh("import sys, creditfactors.synthgen; print('dataclasses' in sys.modules)") == \
+        "False"
 
 
 def test_cli_import_leaves_out_what_only_simulate_uses():
@@ -101,16 +107,17 @@ def every_record():
     sol = cf.cca_fit(Y, Z)
     scores = cf.FactorScores.from_solution(sol, r=1)
     fits = cf.factor_regressions(Y, scores)
-    return [month, loan, cf.LoanBook.from_records([loan]), cf.YieldCurvePoint(month, 36, 2.0),
-            cf.AlignedPanel(month, ("S1",), Y[:, :1]), fit, trace.steps[0], trace,
-            cf.adf_test(Y[:, 0]), cf.johansen_trace(Y[:, :2]), sol, cf.eigen_table(sol)[0],
-            cf.wilks_lambda(sol)[0], cf.redundancy(sol, Y)[0], scores,
+    spec = cf.scenario_missing_factor(seed=1, n_periods=12)
+    return [spec, cf.generate(spec), month, loan, cf.LoanBook.from_records([loan]),
+            cf.YieldCurvePoint(month, 36, 2.0), cf.AlignedPanel(month, ("S1",), Y[:, :1]),
+            fit, trace.steps[0], trace, cf.adf_test(Y[:, 0]), cf.johansen_trace(Y[:, :2]), sol,
+            cf.eigen_table(sol)[0], cf.wilks_lambda(sol)[0], cf.redundancy(sol, Y)[0], scores,
             cf.missing_factor_diagnostic(fits, scores.scores, Y)]
 
 
 def test_records_refuse_assignment_and_deletion():
     records = every_record()
-    assert len({type(r) for r in records}) == 16
+    assert len({type(r) for r in records}) == 18
     for record in records:
         name = type(record).__slots__[0]
         before = getattr(record, name)
@@ -132,3 +139,18 @@ def test_records_compare_by_value():
     args = [getattr(report, n) for n in type(report).__slots__]
     assert cf.DiagnosticReport(*args[:-1]) == report  # the augmented fits are not compared
     assert "augmented" not in repr(report)
+
+
+def test_a_spec_survives_deepcopy_and_pickle_and_is_checked_again():
+    spec, dataset = every_record()[:2]
+    for copied in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert repr(copied) == repr(spec)
+        assert not copied.intercepts.flags.writeable
+        assert copied.intercepts is not spec.intercepts
+    assert repr(copy.deepcopy(dataset)) == repr(dataset)
+    assert not pickle.loads(pickle.dumps(dataset)).responses.flags.writeable
+    bad = copy.copy(spec)
+    object.__setattr__(bad, "seed", -1)  # past the frozen guard, to the slot itself
+    for rebuild in (copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))):
+        with pytest.raises(cf.DataError, match="seed must be nonnegative, got -1"):
+            rebuild(bad)
