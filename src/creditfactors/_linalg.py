@@ -2,10 +2,20 @@
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import DataError, NumericalError
 
 # a matrix whose reciprocal condition number falls to this is rank deficient
 RCOND_MIN = 1e-10
+
+
+def finite_array(value, label, ndim=2) -> np.ndarray:
+    """value as a float array, which must be ndim-D and finite; else a DataError naming label."""
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim != ndim:
+        raise DataError(f"{label} must be {ndim}-D, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DataError(f"{label} must be finite, got a missing or infinite value")
+    return arr
 
 
 def unit_columns(X):

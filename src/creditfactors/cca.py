@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from ._linalg import canonical_pairs, unit_columns
+from ._linalg import canonical_pairs, finite_array, unit_columns
 from ._record import Record, readonly
 from .errors import DataError, NumericalError
 
@@ -47,15 +47,6 @@ class CcaSolution(Record):
         return len(self.correlations)
 
 
-def _validate_block(M, label):
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise DataError(f"{label} must be 2-D, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise DataError(f"{label} contains missing or infinite values; align first")
-    return M
-
-
 def _unit_block(M, label):
     """_linalg.unit_columns of M; errors on a constant column."""
     means, Ms, norms = unit_columns(M)
@@ -73,8 +64,7 @@ def cca_fit(Y, Z, ridge: float = 0.0) -> CcaSolution:
     only when a block is exactly collinear (a reciprocal condition number at
     or below RCOND_MIN), and it is recorded on the solution.
     """
-    Y = _validate_block(Y, "left set")
-    Z = _validate_block(Z, "right set")
+    Y, Z = finite_array(Y, "left set"), finite_array(Z, "right set")
     if Y.shape[0] != Z.shape[0]:
         raise DataError(f"row mismatch: left has {Y.shape[0]}, right has {Z.shape[0]}")
     T, p = Y.shape
@@ -135,7 +125,7 @@ class EigenRow(Record):
 def _correlations_of(source) -> np.ndarray:
     if isinstance(source, CcaSolution):
         return np.array(source.correlations, dtype=float)
-    rho = np.asarray(source, dtype=float).ravel()
+    rho = finite_array(source, "canonical correlations", ndim=1)
     if rho.size == 0:
         raise DataError("no correlations")
     if np.any(rho < 0):
@@ -311,7 +301,7 @@ def redundancy(solution: CcaSolution, Y) -> tuple:
     Row k is rho_k^2 times the mean squared loading corr(Y_j, U_k) over the
     left variables (so it equals the variance share of Y carried by V_k).
     """
-    Y = _validate_block(Y, "left set")
+    Y = finite_array(Y, "left set")
     if Y.shape[1] != solution.p:
         raise DataError(f"left set has {Y.shape[1]} columns, solution expects {solution.p}")
     loadings = _column_correlations(Y, solution.u_scores, "left set")
@@ -321,7 +311,7 @@ def redundancy(solution: CcaSolution, Y) -> tuple:
 
 def cross_loadings(solution: CcaSolution, Z, k_max: int = None) -> np.ndarray:
     """corr(Z_j, U_k) for the first k_max variates; shape (q, k_max)."""
-    Z = _validate_block(Z, "right set")
+    Z = finite_array(Z, "right set")
     if Z.shape[1] != solution.q:
         raise DataError(f"right set has {Z.shape[1]} columns, solution expects {solution.q}")
     m = solution.m

@@ -61,6 +61,9 @@ _SETTINGS = {
 }
 CONFIG_KEYS = set(_SETTINGS) | {"out"}
 
+# the characters str.splitlines breaks at, escaped as repr escapes them: a message is one line
+_ONE_LINE = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"})
+
 _SIM_START = panel_mod.Month(2000, 1)
 _SIM_MONTHS = panel_mod._END - _SIM_START.index  # from 2000-01 to 9999-12, the last date
 
@@ -620,13 +623,13 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):  # a failure is reported by its one-line message alone
             return args.func(args)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        print(f"usage error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+        print(f"data error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)
         return EXIT_DATA
     except (NumericalError, np.linalg.LinAlgError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
+        print(f"numerical error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

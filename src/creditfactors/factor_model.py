@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ._linalg import RCOND_MIN
+from ._linalg import RCOND_MIN, finite_array
 from ._record import Record, readonly
 from .cca import CcaSolution
 from .errors import DataError, NumericalError
@@ -31,9 +31,7 @@ class FactorScores(Record):
     __slots__ = ("scores", "r", "source")
 
     def __init__(self, scores, r: int, source: CcaSolution = None):
-        arr = readonly(scores)
-        if arr.ndim != 2:
-            raise DataError(f"scores must be 2-D, got shape {arr.shape}")
+        arr = readonly(finite_array(scores, "scores"))
         if arr.shape[1] != r:
             raise DataError(f"r={r} but scores have {arr.shape[1]} columns")
         self._set(arr, r, source)
@@ -50,14 +48,9 @@ class FactorScores(Record):
 
 
 def _responses_of(data):
-    if isinstance(data, AlignedPanel):
-        if not data.is_complete():
-            raise DataError("response panel has missing values; align(intersect) first")
-        return np.asarray(data.values, dtype=float), list(data.names)
-    M = np.asarray(data, dtype=float)
-    if M.ndim != 2:
-        raise DataError(f"responses must be 2-D, got shape {M.shape}")
-    return M, [f"y{j + 1}" for j in range(M.shape[1])]
+    panel = isinstance(data, AlignedPanel)
+    M = finite_array(data.values if panel else data, "responses")
+    return M, list(data.names) if panel else [f"y{j + 1}" for j in range(M.shape[1])]
 
 
 def factor_regressions(responses, factors: FactorScores) -> tuple:
@@ -68,15 +61,11 @@ def factor_regressions(responses, factors: FactorScores) -> tuple:
 
 def _pc1(residuals):
     """residual_pc1, plus the singular values of the centred residuals."""
-    R = np.asarray(residuals, dtype=float)
-    if R.ndim != 2:
-        raise DataError(f"residual matrix must be 2-D, got shape {R.shape}")
+    R = finite_array(residuals, "residual matrix")
     if R.shape[1] < 2:
         raise DataError("need at least two residual series")
     if R.shape[0] < 3:
         raise DataError("need at least three rows")
-    if np.isnan(R).any():
-        raise DataError("residual matrix contains missing values")
     if not np.any(R):
         raise NumericalError("degenerate residuals (all zero)")
     centered = R - R.mean(axis=0)
@@ -118,8 +107,7 @@ def augment_with_pc1(fits, design, responses):
     if any(f.predictor_names != fits[0].predictor_names for f in fits):
         raise DataError("fits do not share one design")
     X = np.asarray(design, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = finite_array(X[:, None] if X.ndim == 1 else X, "design")
     R = residual_matrix(fits)  # checks that every fit has the same rows
     if X.shape[0] != R.shape[0]:
         raise DataError(f"design rows {X.shape[0]} do not match fit rows {R.shape[0]}")

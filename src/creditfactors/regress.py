@@ -18,7 +18,7 @@ models on the same response are meaningful.
 
 import numpy as np
 
-from ._linalg import RCOND_MIN, unit_columns
+from ._linalg import RCOND_MIN, finite_array, unit_columns
 from ._record import Record, readonly
 from .errors import DataError, NumericalError
 
@@ -63,20 +63,11 @@ class RegressionFit(Record):
 
 
 def _as_design(Y, X):
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2:
-        raise DataError(f"response matrix must be 2-D, got shape {Y.shape}")
-    if X is None:
-        X = np.empty((Y.shape[0], 0))
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.ndim != 2:
-        raise DataError(f"predictor matrix must be 2-D, got shape {X.shape}")
+    Y = finite_array(Y, "response matrix")
+    X = np.empty((Y.shape[0], 0)) if X is None else np.asarray(X, dtype=float)
+    X = finite_array(X[:, None] if X.ndim == 1 else X, "predictor matrix")
     if X.shape[0] != Y.shape[0]:
         raise DataError(f"response has {Y.shape[0]} rows but predictors have {X.shape[0]}")
-    if not (np.isfinite(Y).all() and np.isfinite(X).all()):
-        raise DataError("regression inputs contain NaN or infinite values; align or trim first")
     return Y, X
 
 

@@ -10,7 +10,7 @@ levels) and compares against embedded 5% critical values for up to six series.
 
 import numpy as np
 
-from ._linalg import RCOND_MIN, canonical_pairs, unit_columns
+from ._linalg import RCOND_MIN, canonical_pairs, finite_array, unit_columns
 from ._record import Record, readonly
 from .errors import DataError, NumericalError
 from .panel import AlignedPanel
@@ -83,9 +83,7 @@ def adf_test(series, lag_order: int = None, kind: str = REGRESSION_CONSTANT_TREN
     trend. The statistic is the t-ratio on the lagged level. lag_order
     defaults to floor((n-1)^(1/3)).
     """
-    y = np.asarray(series, dtype=float).ravel()
-    if np.isnan(y).any():
-        raise DataError("series has missing values; trim or align first")
+    y = finite_array(series, "series", ndim=1)
     n = y.size
     if kind not in REGRESSION_KINDS:
         raise DataError(f"unknown regression kind {kind!r}")
@@ -152,14 +150,7 @@ def johansen_trace(panel, lag_order: int = 2) -> JohansenResult:
     neither the statistic nor the rank check (reciprocal condition number
     above RCOND_MIN) depends on a series' level or units.
     """
-    if isinstance(panel, AlignedPanel):
-        X = np.asarray(panel.values, dtype=float)
-    else:
-        X = np.asarray(panel, dtype=float)
-    if X.ndim != 2:
-        raise DataError(f"panel must be 2-D, got shape {X.shape}")
-    if np.isnan(X).any():
-        raise DataError("panel has missing values; align(intersect) first")
+    X = finite_array(panel.values if isinstance(panel, AlignedPanel) else panel, "panel")
     n, k = X.shape
     if not 2 <= k <= 6:
         raise DataError(f"need 2..6 series (critical values embedded up to 6), got {k}")

@@ -15,21 +15,11 @@ measurable. Everything is deterministic given the spec's seed.
 
 import numpy as np
 
-from ._linalg import canonical_pairs
+from ._linalg import canonical_pairs, finite_array
 from ._record import Record, readonly
 from .errors import DataError, NumericalError
 
 _RANK_TOL = 1e-8
-
-
-def _array(field, value, ndim) -> np.ndarray:
-    """A read-only float copy of value, which must be ndim-D and finite."""
-    arr = readonly(value)
-    if arr.ndim != ndim:
-        raise DataError(f"{field} must be {ndim}-D, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise DataError(f"{field} must be finite")
-    return arr
 
 
 class FactorModelSpec(Record):
@@ -46,11 +36,11 @@ class FactorModelSpec(Record):
 
     def __init__(self, intercepts, proxied_loadings, missing_loadings, proxy_projection,
                  proxy_noise_scale: float, idio_variances, n_periods: int, seed: int):
-        intercepts = _array("intercepts", intercepts, 1)
-        b1 = _array("proxied_loadings", proxied_loadings, 2)
-        b2 = _array("missing_loadings", missing_loadings, 2)
-        theta = _array("proxy_projection", proxy_projection, 2)
-        idio = _array("idio_variances", idio_variances, 1)
+        intercepts = readonly(finite_array(intercepts, "intercepts", ndim=1))
+        b1 = readonly(finite_array(proxied_loadings, "proxied_loadings"))
+        b2 = readonly(finite_array(missing_loadings, "missing_loadings"))
+        theta = readonly(finite_array(proxy_projection, "proxy_projection"))
+        idio = readonly(finite_array(idio_variances, "idio_variances", ndim=1))
         n, r = b1.shape
         if intercepts.shape != (n,):
             raise DataError(f"intercepts shape {intercepts.shape} does not match {n} responses")
@@ -109,7 +99,7 @@ class SyntheticDataset(Record):
     def __init__(self, responses, proxies, proxied_factors, missing_factors, idiosyncratic,
                  spec: FactorModelSpec):
         arrays = responses, proxies, proxied_factors, missing_factors, idiosyncratic
-        self._set(*(_array(field, value, 2) for field, value in zip(self.__slots__, arrays)), spec)
+        self._set(*(readonly(finite_array(a, f)) for f, a in zip(self.__slots__, arrays)), spec)
 
 
 def generate(spec: FactorModelSpec) -> SyntheticDataset:

@@ -522,6 +522,20 @@ class TestExitCodes:
         assert run(*argv) == 2
         assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "--bogus\nx"], "usage error: unrecognized arguments: --bogus\\nx"),
+        (["analyze", "--bogus\u2028x"], "usage error: unrecognized arguments: --bogus\\u2028x"),
+        (["adf", "--panel", "p.csv", "--config", "a\nb"],
+         "usage error: config file not found: a\\nb"),
+        (["adf", "--panel", "bad\nname.csv"],
+         "data error: bad\\nname.csv:2: unparseable number 'x'"),
+    ], ids=["argv-word", "argv-word-u2028", "config-path", "panel-file-name"])
+    def test_line_breaks_in_a_message_are_escaped(self, workdir, capsys, argv, message):
+        # each printed its message over two lines
+        (workdir / "bad\nname.csv").write_text("date,a,b\n2005-01,x,1\n")
+        assert run(*argv) in (2, 3)
+        assert capsys.readouterr().err.splitlines() == [message]
+
     def test_help_still_prints_help_and_exits_0(self, workdir, capsys):
         for argv in (["--help"], ["analyze", "--help"]):
             with pytest.raises(SystemExit) as exc:

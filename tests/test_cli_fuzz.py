@@ -12,6 +12,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import tempfile
 
 import numpy as np
@@ -266,7 +267,8 @@ FLAG_WORDS = sorted(set(FLAGS) | {flag[:i] for flag in FLAGS for i in range(3, l
                     | {"--bogus", "--align", "--Factors"})  # prefixes: unique and ambiguous
 ARGV_WORDS = sorted(set(COMMANDS) | {"frobnicate"} | set(FLAG_WORDS)
                     | {"--out=", "--weak=", "--factors=", "-1e-3", "-inf", "-1", "0", "1", "x",
-                       "levels", "spreads.csv", "macro.csv", "spec.json", "out"})
+                       "levels", "spreads.csv", "macro.csv", "spec.json", "out",
+                       "--bogus\nx", "x\ny", "--bogus\u2028x", "x\u2028y"})
 # flag-value pairs a command accepts; file words become the files' paths
 PAIRS = {"adf": [["--panel", "macro.csv"], ["--lags", "1"]],
          "johansen": [["--panel", "macro.csv"], ["--lags", "1"]],
@@ -294,6 +296,9 @@ def argv_words(draw):
 @FUZZ
 @given(words=argv_words())
 @example(words=["analyze", "--spreads", "spreads.csv", "--macro", "macro.csv", "--s", "-1"])
+# a word holding a line break printed the message over two lines
+@example(words=["analyze", "--bogus\nx"])
+@example(words=["analyze", "--bogus\u2028x"])
 def test_any_argv_keeps_the_exit_contract(words):
     # argparse's own errors printed a usage block and raised SystemExit(2) out of main
     cwd = os.getcwd()
@@ -308,3 +313,98 @@ def test_any_argv_keeps_the_exit_contract(words):
             os.chdir(cwd)
     if code != cli.EXIT_OK:
         assert len(err.splitlines()) == 1, err
+
+
+# series names of the shape strategy: <term>-<grade> names, from which even and uneven
+# grade and term groups are drawn
+TERM_GRADE = [f"{term}-{grade}" for term in (36, 60) for grade in "ABCD"]
+SHAPE_FLAGS = st.fixed_dictionaries({}, optional={"--factors": st.integers(1, 4).map(str),
+                                                  "--transform": st.sampled_from(["levels",
+                                                                                  "diff"])})
+
+
+@st.composite
+def panel_shapes(draw):
+    """Valid spread and macro panels of drawn widths, lengths, names and calendars, and flags."""
+    scheme = draw(st.sampled_from(["even", "uneven", "generic"]))
+    if scheme == "even":  # every grade under every term
+        terms = draw(st.sampled_from([("36",), ("60",), ("36", "60")]))
+        grades = sorted(draw(st.permutations("ABCD"))[draw(st.integers(0, 3)):])
+        y_names = [f"{t}-{g}" for t in terms for g in grades]
+    elif scheme == "uneven":
+        y_names = draw(st.permutations(TERM_GRADE))[draw(st.integers(0, 7)):]
+    else:
+        y_names = [f"S{j + 1}" for j in range(8 - draw(st.integers(0, 7)))]
+    z_names = [f"Z{j + 1}" for j in range(8 - draw(st.integers(0, 7)))]
+    clash = draw(st.sampled_from([None] * 8 + ["shared", "intercept"]))
+    if clash:  # a name in both files, or the intercept's name in either file
+        names = z_names if clash == "shared" else draw(st.sampled_from([y_names, z_names]))
+        names[draw(st.integers(0, len(names) - 1))] = (
+            draw(st.sampled_from(y_names)) if clash == "shared" else "(Intercept)")
+    # T crosses the ADF minimum, 5 rows per Johansen series and T > k for the widest fit;
+    # the macro calendar starts up to half a year off and runs up to half a year longer or
+    # shorter, so the files overlap in part
+    T = 72 - draw(st.integers(0, 70))
+    start, extra = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    files = {}
+    for fname, names, first, rows in (("spreads.csv", y_names, 0, T),
+                                      ("macro.csv", z_names, start, max(T + extra, 1))):
+        values = rng.normal(size=(rows, len(names))).cumsum(axis=0)
+        files[fname] = as_csv([["date"] + names] + [[_month(first + t)] + [repr(float(v))
+                                                                         for v in values[t]]
+                                                   for t in range(rows)])
+    return files, draw(SHAPE_FLAGS)
+
+
+def _words(flags, skip=None):
+    """argv words of a {flag: value} dict, leaving out the flag skip."""
+    return [word for flag, value in flags.items() if flag != skip for word in (flag, value)]
+
+
+def _run_to(out, argv):
+    """main on argv, which writes to directory out: (exit, stderr).
+
+    A failure says why in one line and leaves no out behind.
+    """
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    assert code in EXIT_CODES, stderr.getvalue()
+    if code != cli.EXIT_OK:
+        assert len(stderr.getvalue().splitlines()) == 1, stderr.getvalue()
+        assert not os.path.exists(out), stderr.getvalue()
+    return code, stderr.getvalue()
+
+
+@settings(FUZZ, max_examples=40)
+@given(shape=panel_shapes())
+def test_every_panel_shape_keeps_the_exit_contract(shape):
+    files, flags = shape
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in files.items():
+            with open(os.path.join(tmp, name), "wb") as fh:
+                fh.write(data)
+        data = ["--spreads", os.path.join(tmp, "spreads.csv"),
+                "--macro", os.path.join(tmp, "macro.csv")]
+        rep = os.path.join(tmp, "rep")
+        code, _ = _run_to(rep, ["analyze", *data, *_words(flags), "--out", rep])
+        bundle = sorted(os.listdir(rep)) if code == cli.EXIT_OK else []
+        if bundle:  # summary.md lists every other file of the bundle, and no more
+            with open(os.path.join(rep, "summary.md")) as fh:
+                files_part = fh.read().split("## Files")[1]
+            listed = [line.split("`")[1] for line in files_part.splitlines() if line[:3] == "- `"]
+            assert sorted(listed + ["summary.md"]) == bundle
+        for command, (_, renamed) in cli.VIEWS.items():
+            taken = _words(flags, skip="--factors" if command in ("ols", "stepwise") else None)
+            out = os.path.join(tmp, "out")
+            code, err = _run_to(out, [command, *data, *taken, "--out", out])
+            if "ols_full_responses.csv" in bundle:  # one group per response, as in a view
+                assert code == cli.EXIT_OK, err
+                assert sorted(os.listdir(out)) == sorted(renamed.values())
+                for analyze_name, view_name in renamed.items():
+                    with open(os.path.join(rep, analyze_name), "rb") as a, \
+                            open(os.path.join(out, view_name), "rb") as v:
+                        assert v.read() == a.read(), view_name
+            if os.path.exists(out):
+                shutil.rmtree(out)
