@@ -34,13 +34,12 @@ class CcaSolution(Record):
     """
 
     __slots__ = ("p", "q", "n_obs", "correlations", "a_weights", "b_weights", "u_scores",
-                 "v_scores", "y_means", "y_scales", "z_means", "z_scales", "ridge")
+                 "v_scores", "ridge")
 
     def __init__(self, p: int, q: int, n_obs: int, correlations, a_weights, b_weights,
-                 u_scores, v_scores, y_means, y_scales, z_means, z_scales, ridge: float):
+                 u_scores, v_scores, ridge: float):
         self._set(p, q, n_obs, *map(readonly, (correlations, a_weights, b_weights, u_scores,
-                                               v_scores, y_means, y_scales, z_means, z_scales)),
-                  ridge)
+                                               v_scores)), ridge)
 
     @property
     def m(self) -> int:
@@ -48,12 +47,12 @@ class CcaSolution(Record):
 
 
 def _unit_block(M, label):
-    """_linalg.unit_columns of M; errors on a constant column."""
-    means, Ms, norms = unit_columns(M)
+    """The centred, unit-norm columns of M (_linalg.unit_columns); errors on a constant column."""
+    _, Ms, norms = unit_columns(M)
     dead = np.flatnonzero(norms == 0)
     if dead.size:
         raise NumericalError(f"constant column(s) in {label}: indices {[int(i) for i in dead]}")
-    return means, Ms, norms
+    return Ms
 
 
 def cca_fit(Y, Z, ridge: float = 0.0) -> CcaSolution:
@@ -76,8 +75,7 @@ def cca_fit(Y, Z, ridge: float = 0.0) -> CcaSolution:
     if not 0 <= ridge < math.inf:
         raise DataError(f"ridge must be finite and nonnegative, got {ridge}")
 
-    y_means, Ys, y_norms = _unit_block(Y, "left set")
-    z_means, Zs, z_norms = _unit_block(Z, "right set")
+    Ys, Zs = _unit_block(Y, "left set"), _unit_block(Z, "right set")
     root = math.sqrt(ridge)
     hint = "supply a small ridge (e.g. 1e-8) to proceed" if ridge == 0 else ""
     _, a, b, u, v = canonical_pairs(np.vstack([Ys, root * np.eye(p + q, p)]),
@@ -104,8 +102,6 @@ def cca_fit(Y, Z, ridge: float = 0.0) -> CcaSolution:
         correlations=rho,
         a_weights=a, b_weights=b,
         u_scores=u, v_scores=v,
-        y_means=y_means, y_scales=y_norms / math.sqrt(T - 1),
-        z_means=z_means, z_scales=z_norms / math.sqrt(T - 1),
         ridge=float(ridge),
     )
 
@@ -292,7 +288,7 @@ def _column_correlations(A, B, label):
     """corr(A_j, B_k) matrix; errors on constant columns of either."""
     if A.shape[0] != B.shape[0]:
         raise DataError(f"{label}: row count {A.shape[0]} does not match scores {B.shape[0]}")
-    return _unit_block(A, label)[1].T @ _unit_block(B, "variate scores")[1]
+    return _unit_block(A, label).T @ _unit_block(B, "variate scores")
 
 
 def redundancy(solution: CcaSolution, Y) -> tuple:

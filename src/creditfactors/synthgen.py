@@ -15,11 +15,9 @@ measurable. Everything is deterministic given the spec's seed.
 
 import numpy as np
 
-from ._linalg import canonical_pairs, finite_array
+from ._linalg import RCOND_MIN, canonical_pairs, finite_array
 from ._record import Record, readonly
 from .errors import DataError, NumericalError
-
-_RANK_TOL = 1e-8
 
 
 class FactorModelSpec(Record):
@@ -63,10 +61,10 @@ class FactorModelSpec(Record):
             raise DataError("n_periods must be at least 2")
         if seed < 0:
             raise DataError(f"seed must be nonnegative, got {seed}")
-        if np.linalg.matrix_rank(b1, tol=_RANK_TOL) < r:
-            raise DataError("proxied_loadings must have full column rank")
-        if b2.shape[1] and np.linalg.matrix_rank(b2, tol=_RANK_TOL) < b2.shape[1]:
-            raise DataError("missing_loadings must have full column rank")
+        for label, b in (("proxied_loadings", b1), ("missing_loadings", b2)):
+            s = np.linalg.svd(b, compute_uv=False)  # min(rows, columns) values, descending
+            if b.shape[1] and (s.size < b.shape[1] or not s[-1] > RCOND_MIN * s[0]):
+                raise DataError(f"{label} must have full column rank")
         self._set(intercepts, b1, b2, theta, proxy_noise_scale, idio, n_periods, seed)
 
     @property

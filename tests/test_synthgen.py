@@ -20,6 +20,12 @@ def small_spec(seed=0, n_periods=500, noise=0.3):
     )
 
 
+def respec(spec, **changes):
+    """spec with the given fields replaced, built and checked again."""
+    fields = {name: getattr(spec, name) for name in cf.FactorModelSpec.__slots__}
+    return cf.FactorModelSpec(**{**fields, **changes})
+
+
 class TestGenerate:
     def test_same_seed_reproduces_every_byte(self):
         a = cf.generate(small_spec(seed=7))
@@ -81,6 +87,24 @@ class TestSpecValidation:
                 proxy_projection=[[1.0, 0.0], [0.0, 1.0]],
                 proxy_noise_scale=0.1, idio_variances=[0.5, 0.5],
                 n_periods=10, seed=0)
+
+    @pytest.mark.parametrize("make", [cf.default_spec, lambda: cf.scenario_missing_factor(7)])
+    @pytest.mark.parametrize("unit", [1e-9, 1e-6, 1e6])
+    def test_rank_rule_is_relative_to_the_largest_singular_value(self, make, unit):
+        # the same model in other units passes the rank rule and keeps its correlations
+        base = make()
+        rescaled = respec(base, proxied_loadings=unit * base.proxied_loadings,
+                          missing_loadings=unit * base.missing_loadings,
+                          idio_variances=unit ** 2 * base.idio_variances)
+        np.testing.assert_allclose(cf.population_cca(rescaled), cf.population_cca(base),
+                                   rtol=0, atol=1e-12)
+        # a third column 1e6 times the second plus a 1e-3 ramp: condition number ~1e14
+        desk = cf.default_spec()
+        b = unit * np.array(desk.proxied_loadings)
+        b[:, 2] = 1e6 * b[:, 1] + unit * 1e-3 * np.arange(12)
+        assert np.linalg.cond(b) > 1e13
+        with pytest.raises(cf.DataError, match="^proxied_loadings must have full column rank$"):
+            respec(desk, proxied_loadings=b)
 
     def test_too_few_periods_rejected(self):
         with pytest.raises(cf.DataError, match="n_periods"):
