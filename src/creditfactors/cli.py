@@ -326,7 +326,7 @@ class Run:
         self.Z = np.column_stack([self.combined.column(n) for n in self.z_names])
         self.groupings = _column_groups(self.y_names) if stack else {}
         stacks = {name: groups for name, groups in self.groupings.items()
-                  if len({len(members) for members in groups.values()}) == 1}
+                  if len(groups) > 1 and len({len(members) for members in groups.values()}) == 1}
         self.sections = [Section(name, groups, self.combined) for name, groups in
                          (stacks or {"responses": {n: [n] for n in self.y_names}}).items()]
         self.files = []  # (file name, text, summary note), in rendering order
@@ -533,6 +533,7 @@ def cmd_analyze(args) -> int:
 
 def _summary_md(run: Run) -> str:
     unstacked = [name for name in run.groupings if name not in run.reports]
+    one_group = [name for name in unstacked if len(run.groupings[name]) == 1]
     lines = ["# Analysis report", "", "## Settings", ""]
     lines.append(f"- observations used: {run.combined.n_obs} "
                  f"({run.combined.start} to {run.combined.end})")
@@ -542,8 +543,10 @@ def _summary_md(run: Run) -> str:
     lags = "auto" if run.lags is None else run.lags
     lines.append(f"- unit-root regression: {run.s.get('kind')}, lags {lags}")
     lines.append(f"- diagnostic thresholds: strong {run.strong}, weak {run.weak}")
-    if unstacked:
-        lines.append(f"- left unstacked because group sizes differ: {', '.join(unstacked)}")
+    for reason, names in (("group sizes differ", [n for n in unstacked if n not in one_group]),
+                          ("it has one group", one_group)):
+        if names:
+            lines.append(f"- left unstacked because {reason}: {', '.join(names)}")
     lines += ["", "## Key results", ""]
     top = ", ".join(format(r, ".4f") for r in run.factors.source.correlations[:3])
     lines.append(f"- leading canonical correlations: {top}")

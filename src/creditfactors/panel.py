@@ -43,9 +43,13 @@ class Month(Record):
     __slots__ = ("year", "month")
 
     def __init__(self, year: int, month: int):
-        if not 1 <= int(month) <= 12:
+        for label, value in (("month", month), ("year", year)):
+            if not isinstance(value, (int, np.integer)):
+                raise DataError(f"{label} must be an integer, got {value!r}")
+        year, month = int(year), int(month)
+        if not 1 <= month <= 12:
             raise DataError(f"month out of range: {month}")
-        if not 0 <= int(year) <= 9999:  # the years a 'YYYY' date can name
+        if not 0 <= year <= 9999:  # the years a 'YYYY' date can name
             raise DataError(f"year out of range: {year}")
         self._set(year, month)
 

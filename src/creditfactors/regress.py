@@ -71,6 +71,12 @@ def _as_design(Y, X):
     return Y, X
 
 
+def _response_column(y) -> np.ndarray:
+    """One response of shape (T,) or (T, 1) as a T x 1 column; any other shape is a DataError."""
+    y = np.asarray(y, dtype=float)
+    return finite_array(y[:, 0] if y.shape[1:] == (1,) else y, "response", ndim=1)[:, None]
+
+
 def _predictor_names(predictor_names, p):
     if predictor_names is None:
         return [f"x{j + 1}" for j in range(p)]
@@ -162,7 +168,7 @@ def _fit_columns(Y, means, Xs, norms, response_names, slope_names) -> tuple:
 
 def ols(y, X=None, response_name: str = "y", predictor_names=None) -> RegressionFit:
     """Least squares of one response y on an intercept and X: ols_columns for one column."""
-    return ols_columns(np.reshape(y, (-1, 1)), X, [response_name], predictor_names)[0]
+    return ols_columns(_response_column(y), X, [response_name], predictor_names)[0]
 
 
 class StepwiseStep(Record):
@@ -326,7 +332,7 @@ def stepwise_columns(Y, X, response_names, predictor_names=None) -> tuple:
 
 def stepwise_aic(y, X_full=None, response_name: str = "y", predictor_names=None):
     """Greedy AIC search of one response y, (final fit, trace): stepwise_columns for one column."""
-    return stepwise_columns(np.reshape(y, (-1, 1)), X_full, [response_name], predictor_names)[0]
+    return stepwise_columns(_response_column(y), X_full, [response_name], predictor_names)[0]
 
 
 def residual_matrix(fits) -> np.ndarray:

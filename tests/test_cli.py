@@ -51,6 +51,22 @@ def write_macro_panel(path, T=40, q=3, seed=202):
     return panel
 
 
+def write_loan_book(workdir, T=24, seed=101):
+    """loans.csv with two to four loans in each month and bucket, and a yields.csv that
+    holds every maturity they need; the loan rows are not in date order."""
+    rng = np.random.default_rng(seed)
+    months = [str(cf.Month(2010, 1).plus(t)) for t in range(T)]
+    rows = [f"{m}-{rng.integers(1, 29):02d},{8 + 2 * 'ABC'.index(grade) + rng.normal():.2f},"
+            f"{grade},{term}"
+            for m in months for grade in "ABC" for term in (36, 60)
+            for _ in range(rng.integers(2, 5))]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    (workdir / "loans.csv").write_text("date,rate,grade,term\n" + "\n".join(rows) + "\n")
+    (workdir / "yields.csv").write_text("date,maturity_months,yield\n" + "".join(
+        f"{m},{term},{1.5 + 0.01 * term + 0.1 * rng.normal():.4f}\n"
+        for m in months for term in (12, 36, 60, 120)))
+
+
 class TestAggregate:
     def test_three_loans_by_hand(self, workdir):
         (workdir / "loans.csv").write_text(
@@ -114,6 +130,40 @@ class TestAggregate:
         assert run("aggregate", "--loans", "loans.csv", "--yields", "yields.csv",
                    "--out", "out") == 3
         assert capsys.readouterr().err.strip().splitlines() == [f"data error: {message}"]
+        assert not (workdir / "out").exists()
+
+
+class TestSpreads:
+    def test_rate_panel_route_matches_aggregate_byte_for_byte(self, workdir):
+        write_loan_book(workdir)
+        rates = cf.aggregate_loans(cf.read_loans_csv(workdir / "loans.csv"))
+        cf.write_panel_csv(rates, workdir / "rates.csv")
+        assert run("aggregate", "--loans", "loans.csv", "--yields", "yields.csv",
+                   "--out", "agg") == 0
+        assert run("spreads", "--panel", "rates.csv", "--yields", "yields.csv",
+                   "--out", "spr") == 0
+        assert os.listdir(workdir / "spr") == ["spreads.csv"]
+        assert (workdir / "spr" / "spreads.csv").read_bytes() == \
+               (workdir / "agg" / "spreads.csv").read_bytes()
+
+    def test_missing_yield_names_month_and_maturity(self, workdir, capsys):
+        (workdir / "rates.csv").write_text("date,36-A,60-A\n2010-01,9.0,11.0\n"
+                                           "2010-02,9.5,11.5\n")
+        (workdir / "yields.csv").write_text("date,maturity_months,yield\n2010-01,36,2.0\n"
+                                            "2010-01,60,3.0\n2010-02,36,2.1\n")
+        assert run("spreads", "--panel", "rates.csv", "--yields", "yields.csv",
+                   "--out", "out") == 3
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "data error: no yield for 2010-02 at maturity 60 months"]
+        assert not (workdir / "out").exists()
+
+    def test_series_without_term_grade_name_exit_3(self, workdir, capsys):
+        (workdir / "rates.csv").write_text("date,36-A,alpha\n2010-01,9.0,11.0\n")
+        (workdir / "yields.csv").write_text("date,maturity_months,yield\n2010-01,36,2.0\n")
+        assert run("spreads", "--panel", "rates.csv", "--yields", "yields.csv",
+                   "--out", "out") == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "'alpha' does not follow the '<term>-<grade>' naming" in err[0]
         assert not (workdir / "out").exists()
 
 
@@ -621,6 +671,24 @@ class TestAnalyze:
         summary = (workdir / "rep" / "summary.md").read_text()
         assert f"- left unstacked because group sizes differ: {unstacked}\n" in summary
 
+    @pytest.mark.parametrize("names, stacked, one_group", [
+        (["36-A", "36-B", "36-C", "36-D"], "grades", "terms"),
+        (["12-A", "36-A", "60-A", "84-A"], "terms", "grades"),
+    ])
+    def test_one_group_is_left_unstacked(self, workdir, capsys, names, stacked, one_group):
+        # a single stacked column is one response, and the diagnostic needs two
+        write_named_spreads(workdir / "spreads.csv", names, T=60)
+        write_macro_panel(workdir / "macro.csv", T=60)
+        data = ["--spreads", "spreads.csv", "--macro", "macro.csv", "--factors", "1"]
+        assert run("diagnose", *data, "--out", "view") == 0
+        assert run("analyze", *data, "--out", "rep") == 0, capsys.readouterr().err
+        produced = set(os.listdir(workdir / "rep"))
+        assert {name for name in produced if name.startswith("diagnostic_")} == \
+               {f"diagnostic_{stacked}.csv"}
+        summary = (workdir / "rep" / "summary.md").read_text()
+        assert f"- left unstacked because it has one group: {one_group}\n" in summary
+        assert "group sizes differ" not in summary
+
     def test_lags_setting_reaches_every_lagged_test(self, workdir):
         write_spread_panel(workdir / "spreads.csv")
         write_macro_panel(workdir / "macro.csv")
@@ -825,6 +893,36 @@ class TestViews:
             else:  # a label row per series (then unlabelled t-statistics, or the mean)
                 labels = [row[0] for row in rows if row[0]]
                 assert labels == names + ["mean"] * (name == "diagnostic.csv"), name
+
+
+ANALYSIS = ["--spreads", "spreads.csv", "--macro", "macro.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["aggregate", "--loans", "loans.csv", "--yields", "yields.csv"],
+    ["spreads", "--panel", "rates.csv", "--yields", "yields.csv"],
+    ["adf", "--panel", "spreads.csv"],
+    ["johansen", "--panel", "spreads.csv"],
+    ["ols", *ANALYSIS],
+    ["stepwise", *ANALYSIS],
+    ["cca", *ANALYSIS, "--factors", "1"],
+    ["factor-regress", *ANALYSIS, "--factors", "1"],
+    ["diagnose", *ANALYSIS, "--factors", "1"],
+    ["analyze", *ANALYSIS, "--factors", "1"],
+    ["simulate", "--spec", "spec.json"],
+], ids=lambda argv: argv[0])
+def test_every_command_writes_the_files_it_prints(workdir, capsys, argv):
+    write_loan_book(workdir)
+    cf.write_panel_csv(cf.aggregate_loans(cf.read_loans_csv(workdir / "loans.csv")),
+                       workdir / "rates.csv")
+    write_spread_panel(workdir / "spreads.csv")
+    write_macro_panel(workdir / "macro.csv")
+    (workdir / "spec.json").write_text('{"preset": "default", "n_periods": 30}')
+    assert run(*argv, "--out", "out") == 0
+    printed = [line[len("wrote "):] for line in capsys.readouterr().out.splitlines()
+               if line.startswith("wrote ")]
+    assert printed and sorted(printed) == sorted(os.path.join("out", name)
+                                                 for name in os.listdir(workdir / "out"))
 
 
 def test_import_loads_no_scipy():

@@ -86,3 +86,34 @@ def test_a_bad_array_raises_a_data_error_naming_it(entry, label, valid, call, ki
     with pytest.raises(cf.DataError) as exc:
         call(bad)
     assert str(exc.value) == message
+
+
+# ols and stepwise_aic take one response, a vector or a one-column matrix; the table's
+# ndim case (a valid value with an axis appended) would be that accepted column
+RESPONSE_CALLS = {"ols": lambda y: cf.ols(y, X),
+                  "stepwise_aic": lambda y: cf.stepwise_aic(y, X)[0]}
+
+
+@pytest.mark.parametrize("entry", RESPONSE_CALLS)
+def test_one_response_is_a_vector_or_a_column(entry):
+    fit, column = RESPONSE_CALLS[entry](Y[:, 0]), RESPONSE_CALLS[entry](Y[:, :1])
+    assert fit.n_obs == column.n_obs == T
+    np.testing.assert_array_equal(fit.coefficients, column.coefficients)
+
+
+@pytest.mark.parametrize("shape", [(T // 2, 2), (T, 2), (1, T), (T, 1, 1), ()])
+@pytest.mark.parametrize("entry", RESPONSE_CALLS)
+def test_any_other_response_shape_raises_a_data_error(entry, shape):
+    # a (T/2, 2) response was fitted end to end as one T-row series
+    with pytest.raises(cf.DataError) as exc:
+        RESPONSE_CALLS[entry](np.zeros(shape))
+    assert str(exc.value) == f"response must be 1-D, got shape {shape}"
+
+
+@pytest.mark.parametrize("entry", RESPONSE_CALLS)
+def test_a_non_finite_response_raises_a_data_error_naming_it(entry):
+    bad = Y[:, :1].copy()
+    bad[1, 0] = np.nan
+    with pytest.raises(cf.DataError) as exc:
+        RESPONSE_CALLS[entry](bad)
+    assert str(exc.value) == "response must be finite, got a missing or infinite value"

@@ -46,6 +46,22 @@ class TestMonth:
                 make()
 
 
+    @pytest.mark.parametrize("year, month_, message", [
+        (2010, 1.5, "month must be an integer, got 1.5"),
+        (2010.0, 1, "year must be an integer, got 2010.0"),
+        ("2010", "1", "month must be an integer, got '1'"),
+    ], ids=["float-month", "float-year", "strings"])
+    def test_fields_must_be_integers(self, year, month_, message):
+        # these built a record whose str() and index then raised ValueError or TypeError
+        with pytest.raises(cf.DataError) as exc:
+            cf.Month(year, month_)
+        assert str(exc.value) == message
+
+    def test_numpy_integers_are_stored_as_int(self):
+        m = cf.Month(np.int64(2010), np.int32(3))
+        assert (type(m.year), type(m.month)) == (int, int)
+        assert m == month("2010-03") and str(m) == "2010-03"
+
 # ---------------------------------------------------------------------------
 # loan aggregation
 # ---------------------------------------------------------------------------

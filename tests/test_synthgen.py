@@ -88,7 +88,8 @@ class TestSpecValidation:
                 proxy_noise_scale=0.1, idio_variances=[0.5, 0.5],
                 n_periods=10, seed=0)
 
-    @pytest.mark.parametrize("make", [cf.default_spec, lambda: cf.scenario_missing_factor(7)])
+    @pytest.mark.parametrize("make", [cf.default_spec, lambda: cf.scenario_missing_factor(7)],
+                             ids=["default", "missing_factor"])
     @pytest.mark.parametrize("unit", [1e-9, 1e-6, 1e6])
     def test_rank_rule_is_relative_to_the_largest_singular_value(self, make, unit):
         # the same model in other units passes the rank rule and keeps its correlations
@@ -98,6 +99,9 @@ class TestSpecValidation:
                           idio_variances=unit ** 2 * base.idio_variances)
         np.testing.assert_allclose(cf.population_cca(rescaled), cf.population_cca(base),
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("unit", [1e-9, 1.0, 1e6])
+    def test_near_collinear_loadings_rejected_in_any_units(self, unit):
         # a third column 1e6 times the second plus a 1e-3 ramp: condition number ~1e14
         desk = cf.default_spec()
         b = unit * np.array(desk.proxied_loadings)
