@@ -81,18 +81,23 @@ def load_config(path) -> dict:
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
     cfg = {}
-    with open(path) as fh:
-        for i, line in enumerate(panel_mod._decoded(fh, path), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise UsageError(f"{path}:{i}: expected 'key = value', got {line!r}")
-            key, value = key.strip(), value.strip()
-            if key not in CONFIG_KEYS:
-                raise UsageError(f"{path}:{i}: unknown setting {key!r}")
-            cfg[key] = value
+    try:
+        with open(path) as fh:
+            for i, line in enumerate(panel_mod._decoded(fh, path), start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                key, sep, value = line.partition("=")
+                if not sep:
+                    raise UsageError(f"{path}:{i}: expected 'key = value', got {line!r}")
+                key, value = key.strip(), value.strip()
+                if key not in CONFIG_KEYS:
+                    raise UsageError(f"{path}:{i}: unknown setting {key!r}")
+                cfg[key] = value
+    except OSError as exc:  # a directory, say
+        raise UsageError(f"{path}: cannot read config file ({exc.strerror})") from None
+    except DataError as exc:  # a byte that does not decode
+        raise UsageError(str(exc)) from None
     return cfg
 
 
@@ -349,10 +354,7 @@ def _summary_table(p: panel_mod.AlignedPanel):
     rows = []
     for name in p.names:
         col = p.column(name)
-        vals = col[~np.isnan(col)]
-        if vals.size == 0:
-            rows.append([name, "0", "", "", "", ""])
-            continue
+        vals = col[~np.isnan(col)]  # Run refuses a series with no observations
         sd = format(vals.std(ddof=1), ".4f") if vals.size > 1 else ""
         rows.append([name, str(vals.size), format(vals.mean(), ".4f"), sd,
                      format(vals.min(), ".4f"), format(vals.max(), ".4f")])

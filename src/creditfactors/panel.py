@@ -6,12 +6,13 @@ monthly series on a single contiguous grid. All rates, yields, and spreads are
 percent per annum. Missing entries are NaN. Panels are immutable; every
 transform returns a new panel.
 
-Panel, loan and yield files share one CSV core that yields CHUNK_ROWS rows at a time as
-columns; each reader converts them in bulk and re-reads only the rows it flags. Loan and
-yield files stream from disk; a panel file is decoded whole before its first row. A loan file
-whose header is exactly date, rate, grade and term, in any order, is read CHUNK_ROWS lines at a
-time by numpy's C reader until a chunk holds a quote, a blank line, a wrong cell count or a cell
-it cannot prove valid; from there on the CSV core reads it, as it reads any other loan file.
+Panel, loan and yield files share one CSV core that yields CHUNK_ROWS rows at a time as columns;
+each reader converts them in bulk and re-reads only the rows it flags. Loan and yield files stream
+from disk; a panel file is decoded whole first. A panel or plain loan date in ASCII digits takes
+its month from one array rule. A plain loan file, whose header is exactly date, rate, grade and
+term in any order, is read CHUNK_ROWS lines at a time by numpy's C reader, which parses rate and
+term, until a chunk holds a quote, a blank line, a NUL, a U+001C-U+001F or non-ASCII character, a
+wrong cell count or a cell it cannot prove valid; from there on the CSV core reads it.
 """
 
 import csv
@@ -439,38 +440,42 @@ def _codes(cells, table: dict, code) -> np.ndarray:
     return np.fromiter(map(table.__getitem__, cells), np.int64, len(cells))
 
 
-_LOANS = ("date", "rate", "grade", "term")
-# U widths: a date, grade or term that fills its width is invalid; the code tables are sorted
-_LOAN_WIDTHS = {"date": 11, "rate": 32, "grade": 2, "term": 3}
-_CODES = {"grade": np.array(GRADES), "term": np.array([str(t) for t in TERMS])}
+def _month_index(dates) -> np.ndarray:
+    """Month.index of each YYYY-MM or YYYY-MM-DD in ASCII digits, else -1 (U drops an end NUL)."""
+    dates = np.asarray(dates)
+    width = max(dates.itemsize // 4, 10)  # room for YYYY-MM-DD; a longer date keeps its tail
+    points = dates.astype(f"U{width}").view(np.uint32).reshape(len(dates), width)
+    form = np.where((points >= ord("0")) & (points <= ord("9")), ord("0"), points)
+    form = form.view(f"U{width}")[:, 0]  # each date with its digits set to 0
+    digits = points[:, :7].astype(np.int64) - ord("0")
+    month = digits[:, 5] * 10 + digits[:, 6]
+    ok = ((form == "0000-00") | (form == "0000-00-00")) & (month >= 1) & (month <= 12)
+    return np.where(ok, digits[:, :4] @ [12000, 1200, 120, 12] + month - 1, -1)
+
+
+# the loan columns in the CSV core's order -> plain-path dtype; a cell that fills a U is invalid
+_LOANS = {"date": "U11", "rate": "f8", "grade": "U2", "term": "i8"}
+_CODES = {"grade": np.array(GRADES), "term": np.array(TERMS)}  # sorted, as searchsorted needs
 
 
 def _plain_loans(chunk, order):
     """(months, buckets, rates) of lines of a loan file with columns in order; None unless
-    every line is four unquoted cells that fit their widths and that read_loans_csv accepts."""
-    if min(map(len, chunk), default=0) < 3 or "\0" in "".join(chunk):  # blank; U drops a NUL
+    every line is four unquoted cells that numpy reads as read_loans_csv does and accepts."""
+    text = "".join(chunk)  # unlike Python, numpy drops a NUL that ends a U cell, strips \x1c-\x1f
+    if (min(map(len, chunk), default=0) < 3 or not text.isascii()  # around a number and reads
+            or any(c in text for c in "\0\x1c\x1d\x1e\x1f")):  # int digits past ASCII
         return None
     try:
-        dtype = [(name, f"U{_LOAN_WIDTHS[name]}") for name in order]
+        dtype = [(name, _LOANS[name]) for name in order]
         cells = np.loadtxt(chunk, dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
-        rate_text = cells["rate"].tolist()
-        rates = np.fromiter(map(float, rate_text), float, len(cells))
-    except ValueError:  # a quoted newline, a wrong cell count or a rate float refuses
+    except ValueError:  # a quoted newline, a wrong cell count or a number numpy refuses
         return None
-    points = np.ascontiguousarray(cells["date"]).view(np.uint32).reshape(len(cells), -1)
-    form = np.where((points >= ord("0")) & (points <= ord("9")), ord("0"), points)
-    form = form.view(cells["date"].dtype)[:, 0]  # each date with its digits set to 0
-    digits = points[:, :7].astype(np.int64) - ord("0")
-    month = digits[:, 5] * 10 + digits[:, 6]
+    months, rates = _month_index(cells["date"]), cells["rate"]
     at = {name: np.searchsorted(_CODES[name], cells[name]).clip(max=len(_CODES[name]) - 1)
           for name in ("grade", "term")}
-    ok = (((form == "0000-00") | (form == "0000-00-00")) & (month >= 1) & (month <= 12)
-          & (_CODES["grade"][at["grade"]] == cells["grade"])
+    ok = ((months >= 0) & (_CODES["grade"][at["grade"]] == cells["grade"])
           & (_CODES["term"][at["term"]] == cells["term"]) & np.isfinite(rates) & (rates > 0))
-    if not ok.all() or max(map(len, rate_text)) == _LOAN_WIDTHS["rate"]:  # a rate cut short
-        return None
-    months = digits[:, :4] @ [12000, 1200, 120, 12] + month - 1
-    return months, at["term"] * len(GRADES) + at["grade"], rates
+    return (months, at["term"] * len(GRADES) + at["grade"], rates) if ok.all() else None
 
 
 def read_loans_csv(path) -> LoanBook:
@@ -568,16 +573,10 @@ def read_panel_csv(path) -> AlignedPanel:
                             "regression intercept")
         return range(len(row))
 
-    names, month_of, parts = [], {}, []  # header() sets the names
+    names, parts = [], []  # header() sets the names
     for at, (dates, *cols) in _csv_chunks(path, lines[skip:], skip + 1, header, False, "data"):
-        n = len(dates)
-        # a date that is the YYYY-MM grid label of the first takes its month from its place;
-        # if the first is bad, -1 labels it '-001-12', which is no date Month.parse takes
-        first = _codes(dates[:1], month_of, lambda d: Month.parse(d).index)[0]
-        grid, idx = _month_labels(first, n), np.arange(first, first + n)
-        off = [i for i, (d, g) in enumerate(zip(dates, grid)) if d != g] if dates != grid else []
-        idx[off] = _codes([dates[i] for i in off], month_of, lambda d: Month.parse(d).index)
-        vals, bad = np.full((n, len(cols)), np.nan), (idx < 0) | (idx >= _END)  # past 9999-12: no date
+        n, idx = len(dates), _month_index(dates)  # a NUL in a date flags every row
+        vals, bad = np.full((n, len(cols)), np.nan), (idx < 0) | ("\0" in "".join(dates))
         for j, col in enumerate(cols):
             try:
                 try:

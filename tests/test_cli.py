@@ -362,6 +362,15 @@ class TestConfig:
         (workdir / "run.cfg").write_text("transform levels\n")
         assert run("ols", "--config", "run.cfg", "--spreads", "spreads.csv") == 2
 
+    def test_unreadable_config_file_exit_2(self, workdir, capsys):
+        write_spread_panel(workdir / "spreads.csv")
+        (workdir / "cfgdir").mkdir()
+        (workdir / "bad.cfg").write_bytes(b"macro = macro.csv\nfactors = \xff\n")
+        for config, message in (("cfgdir", "cfgdir: cannot read config file (Is a directory)"),
+                                ("bad.cfg", "bad.cfg: cannot decode text (invalid start byte)")):
+            assert run("ols", "--config", config, "--spreads", "spreads.csv") == 2
+            assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
+
     def test_bad_config_value_exit_2(self, workdir):
         write_spread_panel(workdir / "spreads.csv")
         write_macro_panel(workdir / "macro.csv")

@@ -206,6 +206,21 @@ class TestDiagnostic:
             report = cf.missing_factor_diagnostic(fits, fs.scores, ds.responses)
             assert report.verdict == cf.VERDICT_NONE
 
+    def test_component_on_most_but_not_all_responses_is_inconclusive(self):
+        # a residual component loads on four of six responses: more than ceil(6/3) gain at
+        # least the strong threshold but not all, and the mean gain is well above weak
+        for seed in range(3):
+            rng = np.random.default_rng([96, seed])
+            T, X, common = 200, rng.normal(size=(200, 2)), rng.normal(size=200)
+            loads = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+            Y = X @ np.full((2, 6), 0.5) + np.outer(common, loads) + 0.3 * rng.normal(size=(T, 6))
+            fits = [cf.ols(Y[:, j], X, response_name=f"y{j}") for j in range(6)]
+            report = cf.missing_factor_diagnostic(fits, X, Y, thresholds=(0.30, 0.10))
+            deltas = np.array(report.deltas)
+            assert np.all(deltas[:4] >= 0.30 + 0.2) and np.all(deltas[4:] <= 0.30 - 0.2), deltas
+            assert report.mean_delta >= 0.10 + 0.2, report.mean_delta
+            assert report.verdict == cf.VERDICT_INCONCLUSIVE
+
     def test_report_is_internally_consistent(self):
         spec = cf.scenario_missing_factor(0)
         ds = cf.generate(spec)

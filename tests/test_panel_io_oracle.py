@@ -1,9 +1,9 @@
 """The bulk panel reader and writer against the row-by-row code they replaced.
 
-`read_panel_csv` converts the cells of each chunk of rows at once, takes a
-date's month from its place when it is the month grid label of the chunk's
-first, and re-reads only the rows the bulk pass flags; `panel_csv_text` joins
-the float reprs of a row. The row-by-row versions below are the oracles. On
+`read_panel_csv` converts the cells of each chunk of rows at once, reads each
+`YYYY-MM` or `YYYY-MM-DD` date in ASCII digits by one array rule, and re-reads
+only the rows the bulk pass flags; `panel_csv_text` joins the float reprs of a
+row. The row-by-row versions below are the oracles. On
 seeded valid panels the two writers must give the same text and the two
 readers bit-identical panels; on seeded malformed files the two readers must
 fail with the same `DataError` message, or both succeed alike, at any chunk size.
@@ -300,3 +300,27 @@ def test_bulk_grid_takes_only_dates_the_parser_takes(tmp_path, start):
         cf.write_panel_csv(AlignedPanel(start, ("x",), np.arange(4.0)[:, None]), path)
     assert outcome(cf.read_panel_csv, path) == outcome(oracle_read_panel_csv, path)
     assert panel._month_labels(start.index, n) == [str(start.plus(t)) for t in range(n)]
+
+
+ODD_DATES = {  # a spelling of a month that the array rule leaves to Month.parse
+    "NUL": "{}\0", "NUL after a day": "{}-01\0", "no-break space": "\xa0{}",
+    "long day": "{}-0155", "Arabic-Indic digits": "{}",
+}
+
+
+@pytest.mark.parametrize("row", [0, 1, 3, 5], ids=["first", "second", "next first", "last"])
+@pytest.mark.parametrize("odd", list(ODD_DATES))
+def test_an_odd_date_reads_as_the_oracle_reads_it(tmp_path, monkeypatch, odd, row):
+    # at three rows a chunk, rows 0 and 3 open a chunk; numpy's U dtype drops a NUL that ends
+    # a date, so a chunk whose dates hold one is read again row by row
+    monkeypatch.setattr(panel, "CHUNK_ROWS", 3)
+    dates = [str(Month(2010, 1).plus(t)) for t in range(6)]
+    dates[row] = ODD_DATES[odd].format(dates[row])
+    if odd == "Arabic-Indic digits":
+        dates[row] = dates[row].translate({ord("0") + d: 0x660 + d for d in range(10)})
+    path = tmp_path / "p.csv"
+    path.write_text("date,x\n" + "".join(f"{d},{t}.5\n" for t, d in enumerate(dates)),
+                    newline="")
+    theirs = outcome(oracle_read_panel_csv, path)
+    assert theirs[0] == ("error" if "NUL" in odd or odd == "long day" else "ok"), theirs
+    assert outcome(cf.read_panel_csv, path) == theirs
