@@ -442,11 +442,9 @@ def _codes(cells, table: dict, code) -> np.ndarray:
 
 def _month_index(dates) -> np.ndarray:
     """Month.index of each YYYY-MM or YYYY-MM-DD in ASCII digits, else -1 (U drops an end NUL)."""
-    dates = np.asarray(dates)
-    width = max(dates.itemsize // 4, 10)  # room for YYYY-MM-DD; a longer date keeps its tail
-    points = dates.astype(f"U{width}").view(np.uint32).reshape(len(dates), width)
+    points = np.ascontiguousarray(dates, "U11").view(np.uint32).reshape(-1, 11)  # a cut date fails
     form = np.where((points >= ord("0")) & (points <= ord("9")), ord("0"), points)
-    form = form.view(f"U{width}")[:, 0]  # each date with its digits set to 0
+    form = form.view("U11")[:, 0]  # each date with its digits set to 0
     digits = points[:, :7].astype(np.int64) - ord("0")
     month = digits[:, 5] * 10 + digits[:, 6]
     ok = ((form == "0000-00") | (form == "0000-00-00")) & (month >= 1) & (month <= 12)
@@ -575,8 +573,10 @@ def read_panel_csv(path) -> AlignedPanel:
 
     names, parts = [], []  # header() sets the names
     for at, (dates, *cols) in _csv_chunks(path, lines[skip:], skip + 1, header, False, "data"):
-        n, idx = len(dates), _month_index(dates)  # a NUL in a date flags every row
-        vals, bad = np.full((n, len(cols)), np.nan), (idx < 0) | ("\0" in "".join(dates))
+        n, idx = len(dates), _month_index(dates)  # a NUL in a date: Month.parse reads them all
+        off = np.flatnonzero((idx < 0) | ("\0" in "".join(dates)))
+        idx[off] = _codes([dates[i] for i in off], {}, lambda d: Month.parse(d).index)
+        vals, bad = np.full((n, len(cols)), np.nan), idx < 0
         for j, col in enumerate(cols):
             try:
                 try:

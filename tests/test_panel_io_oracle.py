@@ -324,3 +324,34 @@ def test_an_odd_date_reads_as_the_oracle_reads_it(tmp_path, monkeypatch, odd, ro
     theirs = outcome(oracle_read_panel_csv, path)
     assert theirs[0] == ("error" if "NUL" in odd or odd == "long day" else "ok"), theirs
     assert outcome(cf.read_panel_csv, path) == theirs
+
+
+def test_a_date_at_the_field_limit_reads_in_small_memory(tmp_path):
+    """The array rule reads 11 characters of each date, however long the longest one is."""
+    import tracemalloc
+    dates = [str(Month(2010, 1).plus(t)) for t in range(16)]
+    dates[5] = "1" * csv.field_size_limit()  # the longest cell csv yields
+    path = tmp_path / "p.csv"
+    path.write_text("date,x\n" + "".join(f"{d},{t}.5\n" for t, d in enumerate(dates)))
+    theirs = outcome(oracle_read_panel_csv, path)
+    assert theirs[0] == "error" and "unparseable date '1111" in theirs[1]
+    tracemalloc.start()
+    try:
+        assert outcome(cf.read_panel_csv, path) == theirs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak  # a 16 x 131,072 UCS4 copy of the dates alone is 8 MiB
+
+
+def test_a_date_left_to_the_parser_keeps_its_values_in_the_bulk_pass(tmp_path, monkeypatch):
+    """A padded date, or one in other digits, is parsed alone; no value of its row is re-read."""
+    reparsed = []
+    monkeypatch.setattr(panel, "_cell_value", reparsed.append)
+    dates = [f" {Month(2010, 1).plus(t)}" for t in range(6)]
+    dates[4] = dates[4].translate({ord("0") + d: 0x660 + d for d in range(10)})
+    path = tmp_path / "p.csv"
+    path.write_text("date,x\n" + "".join(f"{d},{t}.5\n" for t, d in enumerate(dates)))
+    p = cf.read_panel_csv(path)
+    assert not reparsed
+    assert p.start == Month(2010, 1) and p.values.ravel().tolist() == [t + 0.5 for t in range(6)]
