@@ -569,6 +569,7 @@ def _summary_md(run: Run) -> str:
 # parser and entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache  # parse_args leaves the parser as it found it, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     class Parser(argparse.ArgumentParser):  # the subcommands' parsers are Parsers too
         def error(self, message):  # argparse's own usage errors, reported in main's one line

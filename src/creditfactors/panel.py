@@ -6,13 +6,10 @@ monthly series on a single contiguous grid. All rates, yields, and spreads are
 percent per annum. Missing entries are NaN. Panels are immutable; every
 transform returns a new panel.
 
-Panel, loan and yield files share one CSV core that yields CHUNK_ROWS rows at a time as columns;
-each reader converts them in bulk and re-reads only the rows it flags. Loan and yield files stream
-from disk; a panel file is decoded whole first. A panel or plain loan date in ASCII digits takes
-its month from one array rule. A plain loan file, whose header is exactly date, rate, grade and
-term in any order, is read CHUNK_ROWS lines at a time by numpy's C reader, which parses rate and
-term, until a chunk holds a quote, a blank line, a NUL, a U+001C-U+001F or non-ASCII character, a
-wrong cell count or a cell it cannot prove valid; from there on the CSV core reads it.
+Loan and yield files stream from disk; a panel file is decoded whole first. numpy's C reader reads
+a plain file (a loan or yield header that is exactly its columns, or a one-line panel header)
+CHUNK_ROWS lines at a time, passing the rows it cannot prove valid to the CSV core and going on
+with the next chunk; from a quote on, the core reads all lines. It yields rows as columns.
 """
 
 import csv
@@ -20,7 +17,7 @@ import functools
 import io
 import math
 import re
-from itertools import chain, islice
+from itertools import chain, count, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -366,18 +363,14 @@ def _decoded(fh, path):
         raise DataError(f"{path}: cannot decode text ({exc.reason})") from None
 
 
-def _csv_chunks(path, lines, first, columns, pad, what):
-    """(line numbers, [cells of each taken column]) for every CHUNK_ROWS rows of CSV lines.
-
-    lines are the decoded text lines of path from line `first` on. columns(header,
-    line) checks the header row (None if there is none) and returns the indices of
-    the columns to take. Blank lines are skipped but counted; unless what is None
-    (rows before line `first` were read), a file with no other row fails. A short
-    row is padded with "" if pad, else it fails as a long row does. A failing row, a
-    malformed cell or an undecodable byte fails after the rows before it are yielded.
-    """
+def _csv_chunks(path, lines, first, columns, pad):
+    """(line numbers, [cells of each taken column]) for every CHUNK_ROWS rows of the decoded lines
+    of path from line first on. columns(header row or None, line) checks the header and returns
+    the indices of the columns to take. Blank lines are skipped but counted. A short row is padded
+    with "" if pad, else fails as a long row does. A bad row, cell or byte fails after the rows
+    before it are yielded."""
     reader, skip = csv.reader(lines), first - 1
-    rows, at, fault, empty = [], [], None, True
+    rows, at, fault = [], [], None
     try:
         header = next(reader, None)
         take, width = columns(header, skip + reader.line_num), len(header)
@@ -393,7 +386,7 @@ def _csv_chunks(path, lines, first, columns, pad, what):
             at.append(skip + reader.line_num)
             if len(rows) == CHUNK_ROWS:
                 yield at, [[row[j] for row in rows] for j in take]
-                rows, at, empty = [], [], False
+                rows, at = [], []
     except DataError as exc:
         fault = exc
     except csv.Error as exc:  # a cell past csv.field_size_limit, say
@@ -402,24 +395,79 @@ def _csv_chunks(path, lines, first, columns, pad, what):
         yield at, [[row[j] for row in rows] for j in take]
     if fault is not None:
         raise fault
-    if empty and not rows and what is not None:
-        raise DataError(f"{path}: no {what} rows")
-
-
-def _record_chunks(path, lines, first, columns, what):
-    """_csv_chunks of a record file: the last column of each name in columns, short rows padded."""
-    def header(row, line):
-        if row is None or not set(columns).issubset(row):
-            raise DataError(f"{path}: expected header with columns {','.join(columns)}")
-        return [max(j for j, name in enumerate(row) if name == col) for col in columns]
-
-    return _csv_chunks(path, lines, first, header, True, what)
 
 
 def _raising(exc):
     """No lines, then exc: hands a fault that a line iterator raised on to the CSV core."""
     raise exc
     yield
+
+
+def _plain_chunk(lines, text, dtype):
+    """np.loadtxt of lines (joined, text) as unquoted cells of dtype; None where numpy refuses them
+    or may read them otherwise than the CSV core: a blank line (numpy skips it), a line past the
+    field limit, a NUL, any of U+001C-U+001F or a character past ASCII (see README)."""
+    limit, odd = csv.field_size_limit(), any(c in text for c in "\0\x1c\x1d\x1e\x1f")
+    if (odd or not text.isascii() or not text.strip("\r\n")
+            or len(text) > limit and max(map(len, lines)) > limit):
+        return None
+    try:
+        cells = np.loadtxt(lines, dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+    except ValueError:  # a wrong cell count or a number numpy refuses
+        return None
+    return cells if len(cells) == len(lines) else None
+
+
+def _chunk_parts(path, lines, first, dtype, plain, core, what):
+    """The parts of path's lines after line first; none is a DataError. plain(_plain_chunk cells)
+    gives a chunk's part and a mask of its rows that core(lines, first), the CSV core, reads alike;
+    the core reads the lines from the first unmasked row to the last. Without a dtype, or from a
+    chunk with a quote (it may open a cell that spans lines) or a bad byte on, it reads them all."""
+    parts = []
+    for first in count(first, CHUNK_ROWS):
+        chunk = []
+        try:
+            chunk.extend(islice(lines, CHUNK_ROWS))
+        except UnicodeDecodeError as exc:  # extend keeps the lines read before the fault
+            lines, dtype = _raising(exc), None
+        if not chunk and dtype is not None:  # every line is read
+            break
+        text = "".join(chunk)
+        if dtype is None or '"' in text:
+            parts += core(chain(chunk, _decoded(lines, path)), first)
+            break
+        cells = _plain_chunk(chunk, text, dtype)
+        part, ok = (None, np.zeros(len(chunk), bool)) if cells is None else plain(cells)
+        bad = np.flatnonzero(~ok).tolist()
+        i, j = (bad[0], bad[-1] + 1) if bad else (len(chunk),) * 2
+        if i:
+            parts.append(tuple(col[:i] for col in part))
+        if bad:
+            parts += core(chunk[i:j], first + i)
+        if j < len(chunk):
+            parts.append(tuple(col[j:] for col in part))
+    if not parts:
+        raise DataError(f"{path}: no {what} rows")
+    return parts
+
+
+def _record_parts(path, columns, what, plain, core):
+    """_chunk_parts of a loan or yield file, short rows padded. columns maps each column to its
+    plain dtype; a header of exactly those columns, in any order, has the chunks tried plain."""
+    with open(path, newline="") as fh:
+        head = list(_decoded(islice(fh, 1), path))
+        order = head[0].rstrip("\r\n").split(",") if head else []
+
+        def header(row, line):
+            if row is None or not set(columns).issubset(row):
+                raise DataError(f"{path}: expected header with columns {','.join(columns)}")
+            return [max(j for j, name in enumerate(row) if name == col) for col in columns]
+
+        def read(lines, first):  # the header is line first
+            return core(_csv_chunks(path, chain(head, lines), first, header, True))
+
+        dtype = [(n, columns[n]) for n in order] if sorted(order) == sorted(columns) else None
+        return _chunk_parts(path, fh, 1, dtype, plain, read, what)
 
 
 def _at(path, line, make):
@@ -441,92 +489,66 @@ def _codes(cells, table: dict, code) -> np.ndarray:
 
 
 def _month_index(dates) -> np.ndarray:
-    """Month.index of each YYYY-MM or YYYY-MM-DD in ASCII digits, else -1 (U drops an end NUL)."""
-    points = np.ascontiguousarray(dates, "U11").view(np.uint32).reshape(-1, 11)  # a cut date fails
-    form = np.where((points >= ord("0")) & (points <= ord("9")), ord("0"), points)
-    form = form.view("U11")[:, 0]  # each date with its digits set to 0
-    digits = points[:, :7].astype(np.int64) - ord("0")
+    """Month.index of each YYYY-MM or YYYY-MM-DD in ASCII digits of an S11 or U11 array, else -1;
+    it reads code points, NUL past a date's end, so a date that fills all 11 fails."""
+    text = np.ascontiguousarray(dates)
+    points = text.view(f"u{text.itemsize // 11}").reshape(-1, 11)
+    digit = points - ord("0")  # unsigned: below 10 only for a digit
+    form = (points - (digit < 10) * digit).view(text.dtype)[:, 0]  # each digit as '0'
+    digits = digit[:, :7].astype(np.int64)
     month = digits[:, 5] * 10 + digits[:, 6]
-    ok = ((form == "0000-00") | (form == "0000-00-00")) & (month >= 1) & (month <= 12)
+    forms = np.array(["0000-00", "0000-00-00"], text.dtype)
+    ok = ((form == forms[0]) | (form == forms[1])) & (month >= 1) & (month <= 12)
     return np.where(ok, digits[:, :4] @ [12000, 1200, 120, 12] + month - 1, -1)
-
-
-# the loan columns in the CSV core's order -> plain-path dtype; a cell that fills a U is invalid
-_LOANS = {"date": "U11", "rate": "f8", "grade": "U2", "term": "i8"}
-_CODES = {"grade": np.array(GRADES), "term": np.array(TERMS)}  # sorted, as searchsorted needs
-
-
-def _plain_loans(chunk, order):
-    """(months, buckets, rates) of lines of a loan file with columns in order; None unless
-    every line is four unquoted cells that numpy reads as read_loans_csv does and accepts."""
-    text = "".join(chunk)  # unlike Python, numpy drops a NUL that ends a U cell, strips \x1c-\x1f
-    if (min(map(len, chunk), default=0) < 3 or not text.isascii()  # around a number and reads
-            or any(c in text for c in "\0\x1c\x1d\x1e\x1f")):  # int digits past ASCII
-        return None
-    try:
-        dtype = [(name, _LOANS[name]) for name in order]
-        cells = np.loadtxt(chunk, dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
-    except ValueError:  # a quoted newline, a wrong cell count or a number numpy refuses
-        return None
-    months, rates = _month_index(cells["date"]), cells["rate"]
-    at = {name: np.searchsorted(_CODES[name], cells[name]).clip(max=len(_CODES[name]) - 1)
-          for name in ("grade", "term")}
-    ok = ((months >= 0) & (_CODES["grade"][at["grade"]] == cells["grade"])
-          & (_CODES["term"][at["term"]] == cells["term"]) & np.isfinite(rates) & (rates > 0))
-    return (months, at["term"] * len(GRADES) + at["grade"], rates) if ok.all() else None
 
 
 def read_loans_csv(path) -> LoanBook:
     """Loan-level CSV with header date,rate,grade,term (one loan per row)."""
-    with open(path, newline="") as fh:
-        parts = list(_loan_parts(path, _decoded(fh, path)))
-    return LoanBook(*(np.concatenate(col) for col in zip(*parts)))
+    def plain(cells):  # the part and which rows the CSV core reads alike
+        grade_of = np.full(257, -1)  # the GRADES code of a grade's two bytes as one number
+        grade_of[[ord(g) for g in GRADES]] = range(len(GRADES))
+        grade = grade_of[np.ascontiguousarray(cells["grade"]).view("<u2").clip(max=256)]
+        months, rate = _month_index(cells["date"]), cells["rate"]
+        term = np.select([cells["term"] == t for t in TERMS], range(len(TERMS)), -1)
+        ok = (months >= 0) & (grade >= 0) & (term >= 0) & np.isfinite(rate) & (rate > 0)
+        return (months, term * len(GRADES) + grade, rate), ok
 
+    def core(chunks):
+        month_of, grade_of, term_of = {}, {}, {}
+        for at, (dates, rates, grades, terms) in chunks:
+            months = _codes(dates, month_of, lambda d: Month.parse(d).index)
+            grade = _codes(grades, grade_of, lambda g: GRADES.index(g.strip()))
+            term = _codes(terms, term_of, lambda t: TERMS.index(int(t)))
+            try:
+                rate = np.fromiter(map(float, rates), float, len(rates))
+            except ValueError:  # a cell is not a number: flag every row, the loop finds it
+                rate = np.full(len(rates), np.nan)
+            bad = (months < 0) | (grade < 0) | (term < 0) | ~(np.isfinite(rate) & (rate > 0))
+            for i in np.flatnonzero(bad):  # raises at the first row that really fails
+                d, r, g, t = dates[i], rates[i], grades[i], terms[i]
+                _at(path, at[i], lambda: LoanRecord(Month.parse(d), float(r), g.strip(), int(t)))
+            yield months, term * len(GRADES) + grade, rate  # term-major, as _BUCKETS
 
-def _loan_parts(path, lines):
-    """(months, buckets, rates) of each chunk of a loan file's decoded lines: from _plain_loans
-    until it refuses a chunk, then from the CSV core, so every message and line number holds."""
-    head = list(islice(lines, 1))
-    order = head[0].rstrip("\r\n").split(",") if head else []
-    chunk, first = [], 1  # first: the number of the line before chunk
-    while sorted(order) == sorted(_LOANS):
-        try:
-            chunk.extend(islice(lines, CHUNK_ROWS))
-        except DataError as exc:  # extend keeps the lines read before the fault
-            lines = _raising(exc)
-            break
-        if not chunk and first > 1:  # every line was plain
-            return
-        part = _plain_loans(chunk, order)
-        if part is None:
-            break
-        yield part
-        chunk, first = [], first + len(chunk)
-    month_of, grade_of, term_of = {}, {}, {}
-    for at, (dates, rates, grades, terms) in _record_chunks(
-            path, chain(head, chunk, lines), first, _LOANS, "loan" if first == 1 else None):
-        months = _codes(dates, month_of, lambda d: Month.parse(d).index)
-        grade = _codes(grades, grade_of, lambda g: GRADES.index(g.strip()))
-        term = _codes(terms, term_of, lambda t: TERMS.index(int(t)))
-        try:
-            rate = np.fromiter(map(float, rates), float, len(rates))
-        except ValueError:  # a cell is not a number: flag every row, the loop finds it
-            rate = np.full(len(rates), np.nan)
-        bad = (months < 0) | (grade < 0) | (term < 0) | ~(np.isfinite(rate) & (rate > 0))
-        for i in np.flatnonzero(bad):  # raises at the first row that really fails
-            d, r, g, t = dates[i], rates[i], grades[i], terms[i]
-            _at(path, at[i], lambda: LoanRecord(Month.parse(d), float(r), g.strip(), int(t)))
-        yield months, term * len(GRADES) + grade, rate  # term-major, as _BUCKETS
+    # the loan columns in the CSV core's order -> plain dtype; a cell that fills an S is invalid
+    columns = {"date": "S11", "rate": "f8", "grade": "S2", "term": "i8"}
+    return LoanBook(*map(np.concatenate, zip(*_record_parts(path, columns, "loan", plain, core))))
 
 
 def read_yields_csv(path) -> list:
     """Yield-curve CSV with header date,maturity_months,yield."""
-    with open(path, newline="") as fh:
-        return [_at(path, line, lambda: YieldCurvePoint(
-                    month=Month.parse(d), maturity_months=int(m), yield_pct=float(y)))
-                for lines, cols in _record_chunks(path, _decoded(fh, path), 1,
-                                                  ("date", "maturity_months", "yield"), "yield")
-                for line, d, m, y in zip(lines, *cols)]
+    def plain(cells):  # the part (None for a row the CSV core may read otherwise) and its mask
+        cols = _month_index(cells["date"]), cells["maturity_months"], cells["yield"]
+        ok = (cols[0] >= 0) & (cols[1] > 0) & np.isfinite(cols[2])
+        return ([YieldCurvePoint(Month.from_index(i), m, y) if k else None
+                 for k, i, m, y in zip(ok.tolist(), *(c.tolist() for c in cols))],), ok
+
+    def core(chunks):
+        for lines, cols in chunks:
+            yield [_at(path, line, lambda: YieldCurvePoint(Month.parse(d), int(m), float(y)))
+                   for line, d, m, y in zip(lines, *cols)],
+
+    columns = {"date": "S11", "maturity_months": "i8", "yield": "f8"}
+    return [pt for part, in _record_parts(path, columns, "yield", plain, core) for pt in part]
 
 
 def _month_labels(start: int, n: int) -> list:
@@ -565,32 +587,42 @@ def read_panel_csv(path) -> AlignedPanel:
             raise DataError(f"{path}: first column must be 'date'")
         if len(row) < 2:
             raise DataError(f"{path}: no series columns")
-        names.extend(_at(path, line, lambda: _series_names(row[1:])))
+        names[:] = _at(path, line, lambda: _series_names(row[1:]))
         if INTERCEPT in names:
             raise DataError(f"{path}:{line}: series name {INTERCEPT!r} is reserved for the "
                             "regression intercept")
         return range(len(row))
 
-    names, parts = [], []  # header() sets the names
-    for at, (dates, *cols) in _csv_chunks(path, lines[skip:], skip + 1, header, False, "data"):
-        n, idx = len(dates), _month_index(dates)  # a NUL in a date: Month.parse reads them all
-        off = np.flatnonzero((idx < 0) | ("\0" in "".join(dates)))
-        idx[off] = _codes([dates[i] for i in off], {}, lambda d: Month.parse(d).index)
-        vals, bad = np.full((n, len(cols)), np.nan), idx < 0
-        for j, col in enumerate(cols):
-            try:
+    def read(rows, first):  # the CSV core from the header, line first
+        for at, (dates, *cols) in _csv_chunks(path, chain(head, rows), first, header, False):
+            n, idx = len(dates), _month_index(np.array(dates, "U11"))
+            off = np.flatnonzero((idx < 0) | ("\0" in "".join(dates)))  # U drops an end NUL
+            idx[off] = _codes([dates[i] for i in off], {}, lambda d: Month.parse(d).index)
+            vals, bad, empty = np.full((n, len(cols)), np.nan), idx < 0, {"": "nan"}
+            for j, col in enumerate(cols):
                 try:
-                    vals[:, j] = np.fromiter(map(float, col), float, n)
-                except ValueError:  # an empty cell reads as nan; a bad one fails again
-                    vals[:, j] = np.fromiter(map(float, map({"": "nan"}.get, col, col)), float, n)
-            except ValueError:  # a cell is not a number: flag every row, the loop finds it
-                bad[:] = True
-        for i, j in zip(*np.unravel_index(np.flatnonzero(~np.isfinite(vals)), vals.shape)):
-            bad[i] |= cols[j][i] != ""  # only an empty cell may read as non-finite
-        for i in np.flatnonzero(bad).tolist():  # raises at the first row that really fails
-            idx[i], vals[i] = _at(path, at[i], lambda: (
-                Month.parse(dates[i]).index, [_cell_value(col[i]) for col in cols]))
-        parts.append((idx, vals))
+                    try:
+                        vals[:, j] = np.fromiter(map(float, col), float, n)
+                    except ValueError:  # an empty cell reads as nan; a bad one fails again
+                        vals[:, j] = np.fromiter(map(float, map(empty.get, col, col)), float, n)
+                except ValueError:  # a cell is not a number: flag every row, the loop finds it
+                    bad[:] = True
+            for i, j in zip(*np.unravel_index(np.flatnonzero(~np.isfinite(vals)), vals.shape)):
+                bad[i] |= cols[j][i] != ""  # only an empty cell may read as non-finite
+            for i in np.flatnonzero(bad).tolist():  # raises at the first row that really fails
+                idx[i], vals[i] = _at(path, at[i], lambda: (
+                    Month.parse(dates[i]).index, [_cell_value(col[i]) for col in cols]))
+            yield idx, vals
+
+    def plain(cells):  # the part and which rows the CSV core reads alike
+        idx, vals = _month_index(cells["date"]), cells["values"]
+        return (idx, vals), (idx >= 0) & np.isfinite(vals).all(axis=1)
+
+    names, head, dtype = [], lines[skip:skip + 1], None  # header() sets names
+    if head and '"' not in head[0]:  # a one-line header: the core checks it, then chunks go plain
+        list(read((), skip + 1))
+        dtype = [("date", "S11"), ("values", "f8", (len(names),))]
+    parts = _chunk_parts(path, iter(lines[skip + 1:]), skip + 1, dtype, plain, read, "data")
     index, values = (np.concatenate(part) for part in zip(*parts))  # months span chunk edges
     gap = np.flatnonzero(np.diff(index) != 1)
     if len(gap):

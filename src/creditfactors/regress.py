@@ -6,8 +6,8 @@ and ols is its one-column view. stepwise_columns runs the greedy search of
 every such column in lockstep, and stepwise_aic is its one-column view: each
 pass scores every column's moves from the cross-products of those same
 columns in one scorer call per subset size, and refits only the moves that
-can still win, on slices of the same columns through ols's own path, so its
-fits and AIC values are ols's own.
+can still win, up to the AIC, through ols's own SVD and solve on slices of the
+same columns; ols's path fits each final model, so fits and AICs are ols's own.
 
 Conventions: t-statistics are classical (homoskedastic) ratios, adjusted R^2 is
 1 - (1 - R^2)(T - 1)/(T - p - 1) for p slope predictors next to an intercept,
@@ -107,15 +107,11 @@ def ols_columns(Y, X, response_names, predictor_names=None) -> tuple:
     return _fit_columns(Y, *unit_columns(X), response_names, slope_names)
 
 
-def _fit_columns(Y, means, Xs, norms, response_names, slope_names) -> tuple:
-    """ols_columns after its checks, on X's unit columns Xs and their means and norms.
-
-    Every least-squares fit goes through here, ols's and each stepwise refit alike.
-    """
-    T, p = Xs.shape
-    k = p + 1
+def _svd(Xs, norms, response_names, slope_names):
+    """u, s, vt of X's unit columns Xs, which every least-squares fit solves on; a reciprocal
+    condition number of RCOND_MIN or less raises NumericalError naming the collinear columns."""
     u, s, vt = np.linalg.svd(Xs, full_matrices=False)
-    if p and s[-1] <= RCOND_MIN * s[0]:
+    if Xs.shape[1] and s[-1] <= RCOND_MIN * s[0]:
         # columns on the near-null singular vector; a constant one is collinear with the intercept
         null_vec = np.abs(vt[-1])
         flagged = [INTERCEPT] * bool((norms == 0).any()) + [
@@ -123,6 +119,28 @@ def _fit_columns(Y, means, Xs, norms, response_names, slope_names) -> tuple:
         raise NumericalError(
             f"rank deficient design for {', '.join(map(repr, response_names))}; "
             f"collinear columns: {', '.join(flagged)}")
+    return u, s, vt
+
+
+def _solve(y, Xs, u, s, vt):
+    """(yc, gamma, residuals, RSS, AIC) of one response y on an intercept and Xs = u diag(s) vt:
+    yc is y centred, gamma the slopes on Xs, None for a constant y, which the intercept alone
+    fits exactly (solving would leak noise-scale slopes whose t-statistics are meaningless)."""
+    T, k = Xs.shape[0], Xs.shape[1] + 1
+    yc = y - y.mean()
+    gamma = None if np.all(y == y[0]) else vt.T @ ((u.T @ yc) / s)
+    resid = np.zeros(T) if gamma is None else yc - Xs @ gamma
+    rss = float(resid @ resid)
+    with np.errstate(divide="ignore"):
+        return yc, gamma, resid, rss, float(T * np.log(rss / T) + 2 * k)
+
+
+def _fit_columns(Y, means, Xs, norms, response_names, slope_names) -> tuple:
+    """ols_columns after its checks, on X's unit columns Xs and their means and norms; ols's
+    fits and the final fit of each stepwise search are made here."""
+    T, p = Xs.shape
+    k = p + 1
+    u, s, vt = _svd(Xs, norms, response_names, slope_names)
     condition = float(s[0] / s[-1]) if p else 1.0
     # diagonal of (Xc'Xc)^-1 for the slopes, and 1/T + xbar'(Xc'Xc)^-1 xbar for the intercept
     vs = vt / s[:, None]
@@ -132,20 +150,10 @@ def _fit_columns(Y, means, Xs, norms, response_names, slope_names) -> tuple:
     fits = []
     for j, response_name in enumerate(response_names):
         y = np.ascontiguousarray(Y[:, j])
-        y_mean = y.mean()
-        yc = y - y_mean
+        yc, gamma, resid, rss, aic = _solve(y, Xs, u, s, vt)
         coef = np.zeros(k)
-        if np.all(y == y[0]):
-            # the intercept alone fits a constant response exactly; solving would
-            # leak noise-scale slopes whose t-statistics are meaningless
-            coef[0] = y[0]
-            resid, rss = np.zeros(T), 0.0
-        else:
-            gamma = vt.T @ ((u.T @ yc) / s)
-            coef[1:] = gamma / norms
-            coef[0] = y_mean - means @ coef[1:]
-            resid = yc - Xs @ gamma
-            rss = float(resid @ resid)
+        coef[1:] = 0.0 if gamma is None else gamma / norms
+        coef[0] = y[0] if gamma is None else y.mean() - means @ coef[1:]
 
         tss = float(yc @ yc)
         r2 = 0.0 if tss == 0.0 else 1.0 - rss / tss
@@ -155,7 +163,6 @@ def _fit_columns(Y, means, Xs, norms, response_names, slope_names) -> tuple:
         se = np.sqrt(sigma2 * var_factors)
         with np.errstate(divide="ignore", invalid="ignore"):
             tstats = coef / se
-            aic = float(T * np.log(rss / T) + 2 * k)
         tstats = np.where(np.isnan(tstats), 0.0, tstats)
 
         fits.append(RegressionFit(
@@ -264,8 +271,9 @@ def stepwise_columns(Y, X, response_names, predictor_names=None) -> tuple:
     The searches run in lockstep on the one design: a pass scores the moves of
     every column still searching in one _subset_scorer call per subset size,
     then each column refits only its moves that can still win, on slices of
-    the design's unit columns through _fit_columns, ols's own path. So each
-    fit and AIC of a trace is the one an ols fit of every move would give, and
+    the design's unit columns through _svd and _solve, ols's own path, up to
+    the AIC, and fits its final model with _fit_columns. So each fit and AIC
+    of a trace is the one an ols fit of every move would give, and
     a search does not depend on which other columns share X. A move whose
     error bound reaches AIC_WINDOW is unresolved and always refitted. The rest
     are refitted in ascending fast AIC until one lies at or above the current
@@ -283,19 +291,20 @@ def stepwise_columns(Y, X, response_names, predictor_names=None) -> tuple:
     Y, X = _as_design(Y, X)
     T, p = X.shape
     names, response_names = _predictor_names(predictor_names, p), list(response_names)
-    current = list(ols_columns(Y, None, response_names))
-    initial_aic = [fit.aic for fit in current]
+    initial = ols_columns(Y, None, response_names)
+    current = [fit.aic for fit in initial]  # the AIC of each column's selected model
     means, Xs, norms = unit_columns(X)
     score = _subset_scorer(Y, X)
 
-    def refit(c, subset):
+    def refit(c, subset):  # the AIC of ols's fit of the move; inf if ols rejects it (collinear)
+        Xs_S = Xs.T[subset].T
         try:
-            return _fit_columns(Y[:, [c]], means[subset], Xs.T[subset].T, norms[subset],
-                                response_names[c:c + 1], tuple(names[j] for j in subset))[0]
+            svd = _svd(Xs_S, norms[subset], response_names[c:c + 1], [names[j] for j in subset])
         except NumericalError:
-            return None  # unusable move (collinear)
+            return np.inf
+        return _solve(np.ascontiguousarray(Y[:, c]), Xs_S, *svd)[-1]
 
-    selected, steps, active = [[] for _ in current], [[] for _ in current], range(len(current))
+    selected, steps, active = [[] for _ in initial], [[] for _ in initial], range(len(initial))
     while active:
         moves = {c: {j: [i for i in selected[c] if i != j] if j in selected[c]
                      else sorted(selected[c] + [j])
@@ -312,22 +321,23 @@ def stepwise_columns(Y, X, response_names, predictor_names=None) -> tuple:
         for c in active:
             exact = {j: refit(c, s) for j, s in moves[c].items() if not bound[c, j] < AIC_WINDOW}
             for j in sorted(set(moves[c]) - set(exact), key=lambda j: (fast[c, j], j)):
-                best = min((f.aic for f in exact.values() if f is not None), default=np.inf)
-                if fast[c, j] >= current[c].aic + AIC_WINDOW or fast[c, j] > best + AIC_WINDOW:
+                best = min(exact.values(), default=np.inf)
+                if fast[c, j] >= current[c] + AIC_WINDOW or fast[c, j] > best + AIC_WINDOW:
                     break
                 exact[j] = refit(c, moves[c][j])
-            wins = [j for j in sorted(exact)
-                    if exact[j] is not None and exact[j].aic < current[c].aic - 1e-10]
+            wins = [j for j in sorted(exact) if exact[j] < current[c] - 1e-10]
             if wins:
-                j = min(wins, key=lambda j: exact[j].aic)  # the earliest column on ties
+                j = min(wins, key=exact.__getitem__)  # the earliest column on ties
                 current[c] = exact[j]
                 steps[c].append(StepwiseStep(action="drop" if j in selected[c] else "add",
-                                             predictor=names[j], aic_after=current[c].aic))
+                                             predictor=names[j], aic_after=current[c]))
                 selected[c] = moves[c][j]
                 searching.append(c)
         active = searching
-    return tuple((fit, StepwiseTrace(initial_aic=aic, steps=tuple(s)))
-                 for fit, aic, s in zip(current, initial_aic, steps))
+    final = [_fit_columns(Y[:, [c]], means[s], Xs.T[s].T, norms[s], response_names[c:c + 1],
+                          tuple(names[j] for j in s))[0] if s else fit  # as ols fits them
+             for c, (fit, s) in enumerate(zip(initial, selected))]
+    return tuple((fit, StepwiseTrace(f.aic, s)) for fit, f, s in zip(final, initial, steps))
 
 
 def stepwise_aic(y, X_full=None, response_name: str = "y", predictor_names=None):

@@ -397,6 +397,33 @@ class TestExitCodes:
     def test_missing_input_file_exit_3(self, workdir):
         assert run("adf", "--panel", "missing.csv") == 3
 
+    @pytest.mark.parametrize("bad", [
+        ["nosuch"], ["adf", "--lags", "2", "--bogus"], ["adf", "--panel"],
+        ["analyze", "--spreads", "spreads.csv", "--factors", "1", "extra"],
+    ], ids=["command", "flag", "value", "word"])
+    def test_a_usage_error_leaves_the_parser_as_a_fresh_one(self, workdir, capsys, bad):
+        # main builds its parser once per process: a call after a usage error must print,
+        # write and exit as the same call on a fresh parser does
+        from creditfactors import cli
+        write_spread_panel(workdir / "spreads.csv")
+        good = ["adf", "--panel", "spreads.csv", "--out", "out"]
+
+        def outcome():
+            code, out = run(*good), capsys.readouterr()
+            files = {name: (workdir / "out" / name).read_bytes()
+                     for name in sorted(os.listdir(workdir / "out"))}
+            return code, out.out, out.err, files
+
+        cli.build_parser.cache_clear()
+        fresh = outcome()
+        assert fresh[0] == 0 and fresh[3]
+        cli.build_parser.cache_clear()
+        assert run(*bad) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+        parser = cli.build_parser()
+        assert outcome() == fresh
+        assert cli.build_parser() is parser  # both calls used the one parser
+
     def test_numerical_failure_exit_4(self, workdir):
         write_spread_panel(workdir / "spreads.csv")
         T = 40

@@ -26,6 +26,7 @@ import creditfactors as cf
 from creditfactors import panel
 from creditfactors.panel import AlignedPanel, DataError, Month, _at, _decoded, _series_names
 from test_cli_fuzz import BAD_BYTES, BAD_CELLS, BAD_DATES
+from test_record_io_oracle import spy_readers
 
 
 def oracle_read_panel_csv(path) -> AlignedPanel:
@@ -355,3 +356,39 @@ def test_a_date_left_to_the_parser_keeps_its_values_in_the_bulk_pass(tmp_path, m
     p = cf.read_panel_csv(path)
     assert not reparsed
     assert p.start == Month(2010, 1) and p.values.ravel().tolist() == [t + 0.5 for t in range(6)]
+
+
+ODD_ROWS = {  # a row the plain path leaves to the CSV core, and what the core then reads
+    "padded date": (" {},1.5,2.5\n", "line"), "empty cell": ("{},,2.5\n", "chunk"),
+    "blank line": ("\n{},1.5,2.5\n", "chunk"), "NUL date": ("{}\0,1.5,2.5\n", "chunk"),
+    "a value past the field limit": ("{}," + "0" * csv.field_size_limit() + "1.5,2.5\n", "chunk"),
+    "quote": ('{},"1.5",2.5\n', "rest"),
+}
+ODD_FAULTS = ("NUL date", "a value past the field limit")  # the oracle refuses these
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, panel.CHUNK_ROWS])
+@pytest.mark.parametrize("odd", list(ODD_ROWS))
+def test_the_plain_path_resumes_after_an_odd_chunk(tmp_path, monkeypatch, odd, chunk_rows):
+    # the last line of chunk 2 of 5 is odd (a blank line pushes a row into chunk 3). Where numpy
+    # reads the chunk, the CSV core reads only the odd line; otherwise it reads the chunk, and
+    # numpy reads the chunks after it; but a quote may open a cell that spans lines, so from a
+    # chunk with one on the core reads the rest of the file
+    monkeypatch.setattr(panel, "CHUNK_ROWS", chunk_rows)
+    dates = [str(Month(1000, 1).plus(t)) for t in range(5 * chunk_rows)]
+    lines = [f"{d},{t}.5,{-t}.25\n" for t, d in enumerate(dates)]
+    at, (row, reads) = 3 * chunk_rows - 1, ODD_ROWS[odd]
+    lines[at:at + 1] = row.format(dates[at]).splitlines(keepends=True)
+    path = tmp_path / "p.csv"
+    path.write_text("# a comment\ndate,x,y\n" + "".join(lines), newline="")
+    theirs = outcome(oracle_read_panel_csv, path)
+    assert theirs[0] == ("error" if odd in ODD_FAULTS else "ok"), theirs
+    parsed, cored = spy_readers(monkeypatch)
+    assert outcome(cf.read_panel_csv, path) == theirs
+    chunks = [lines[i:i + chunk_rows] for i in range(0, len(lines), chunk_rows)]
+    n = {"line": 1, "chunk": chunk_rows, "rest": len(lines) - 2 * chunk_rows}[reads]
+    start = 2 + 3 * chunk_rows - (chunk_rows if reads != "line" else 1)
+    assert cored == [(2, 1), (start, 1 + n)]  # the header alone, then the odd lines
+    ends = reads == "rest" or theirs[0] == "error"
+    assert {chunks.index(c) for c in parsed} - {2} == (
+        {0, 1} if ends else set(range(len(chunks))) - {2})

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from creditfactors import panel
+from creditfactors.cli import main
 from creditfactors.panel import (GRADES, TERMS, DataError, LoanBook, LoanRecord, Month,
                                  YieldCurvePoint, _at, _codes, _decoded)
 from test_cli_fuzz import BAD_BYTES, BAD_CELLS, BAD_DATES
@@ -335,6 +336,37 @@ def test_a_late_rate_fault_wins_over_a_later_undecodable_byte(tmp_path):
     assert outcome(panel.read_loans_csv, path) == theirs
 
 
+def yield_lines(n) -> list:
+    """n valid yield lines as the plain path reads them."""
+    return [f"{Month(2005, 1).plus(t // 3)},{12 * (t % 3 + 1)},{t % 7}.5\n" for t in range(n)]
+
+
+@pytest.mark.parametrize("chunk_rows", [PLAIN, panel.CHUNK_ROWS])
+@pytest.mark.parametrize("columns", [LOANS, YIELDS], ids=["loans", "yields"])
+def test_a_byte_past_a_quote_fails_to_decode_as_the_oracle_says(tmp_path, monkeypatch, columns,
+                                                                 chunk_rows):
+    # a quoted cell in the first chunk hands the CSV core the rest of the file; a byte that does
+    # not decode more than 8 KiB (the text layer's first read) further on must end the read with
+    # the oracle's DataError, and aggregate with exit 3, not a UnicodeDecodeError
+    monkeypatch.setattr(panel, "CHUNK_ROWS", chunk_rows)
+    monkeypatch.chdir(tmp_path)
+    files = {"loans.csv": "date,rate,grade,term\n2005-01,5.5,A,36\n",
+             "yields.csv": "date,maturity_months,yield\n2005-01,36,2\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    name, quoted, lines = {
+        LOANS: ("loans.csv", '2005-01,5.5,"A",36\n', plain_lines(panel.CHUNK_ROWS + 1000, 3)),
+        YIELDS: ("yields.csv", '2005-01,12,"5.5"\n', yield_lines(panel.CHUNK_ROWS + 1000)),
+    }[columns]
+    path = tmp_path / name
+    data = (files[name].splitlines(True)[0] + quoted + "".join(lines)).encode()
+    path.write_bytes(data + b"\xff" + "".join(lines[:5]).encode())
+    theirs = outcome(READERS[columns][1], path)
+    assert theirs == ("error", f"{path}: cannot decode text (invalid start byte)")
+    assert outcome(READERS[columns][0], path) == theirs
+    assert main(["aggregate", "--loans", "loans.csv", "--yields", "yields.csv"]) == 3
+
+
 @pytest.mark.parametrize("chunk_rows", [PLAIN, panel.CHUNK_ROWS])
 @pytest.mark.parametrize("extra", [0, 1])
 @pytest.mark.parametrize("end", ["\n", "\r\n"])
@@ -380,3 +412,74 @@ def test_numpy_reads_a_plain_number_as_python_does(cell):
         if len(cells):
             theirs = np.array([parse(cell)], dtype)  # raises if Python refuses the cell
             assert cells.tobytes() == theirs.tobytes(), (cell, dtype, cells, theirs)
+
+
+def spy_readers(monkeypatch):
+    """Lists that fill with the lines of each np.loadtxt call and with (first line, lines) of
+    each call of the CSV core."""
+    parsed, cored = [], []
+    load, core = np.loadtxt, panel._csv_chunks
+
+    def loadtxt(lines, *args, **kwargs):
+        parsed.append(list(lines))
+        return load(lines, *args, **kwargs)
+
+    def csv_chunks(path, lines, first, *args):
+        lines = list(lines)
+        cored.append((first, len(lines)))
+        return core(path, iter(lines), first, *args)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    monkeypatch.setattr(panel, "_csv_chunks", csv_chunks)
+    return parsed, cored
+
+
+ODD_LINES = {  # a line the plain path leaves to the CSV core, and what the core then reads
+    "grade ' D'": ("2005-01,5.5, D,36\n", "line"), "padded date": (" 2005-01,5.5,C,36\n", "line"),
+    "blank line": ("\n", "chunk"), "NUL date": ("2005-01\0,5.5,C,36\n", "chunk"),
+    "a rate past the field limit": ("2005-01," + "0" * csv.field_size_limit() + "5.5,C,36\n",
+                                    "chunk"),
+    "quote": ('2005-01,"5.5",C,36\n', "rest"),
+}
+ODD_FAULTS = ("NUL date", "a rate past the field limit")  # the oracle refuses these
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, panel.CHUNK_ROWS])
+@pytest.mark.parametrize("odd", list(ODD_LINES))
+def test_the_plain_path_resumes_after_an_odd_chunk(tmp_path, monkeypatch, odd, chunk_rows):
+    # the last line of chunk 2 of 5 is odd. Where numpy reads the chunk, the CSV core reads only
+    # the odd line, with its own line number; otherwise it reads the chunk. numpy reads the
+    # chunks after it; but a quote may open a cell that spans lines, so from a chunk with one
+    # on the core reads the rest of the file
+    monkeypatch.setattr(panel, "CHUNK_ROWS", chunk_rows)
+    lines = plain_lines(5 * chunk_rows, 21)
+    lines[3 * chunk_rows - 1], reads = ODD_LINES[odd]
+    path = tmp_path / "loans.csv"
+    path.write_text("date,rate,grade,term\n" + "".join(lines), newline="")
+    theirs = outcome(oracle_read_loans_csv, path)
+    assert theirs[0] == ("error" if odd in ODD_FAULTS else "ok"), theirs
+    parsed, cored = spy_readers(monkeypatch)
+    assert outcome(panel.read_loans_csv, path) == theirs
+    chunks = [lines[i:i + chunk_rows] for i in range(0, len(lines), chunk_rows)]
+    n = {"line": 1, "chunk": chunk_rows, "rest": 3 * chunk_rows}[reads]
+    assert cored == [(1 + 3 * chunk_rows - (chunk_rows if reads != "line" else 1), 1 + n)]
+    ends = reads == "rest" or theirs[0] == "error"
+    assert {chunks.index(c) for c in parsed} - {2} == ({0, 1} if ends else {0, 1, 3, 4})
+
+
+@pytest.mark.parametrize("odd, reads", [(" 2005-06,24,5.5\n", 1), ("\n", 3)],
+                         ids=["padded date", "blank line"])
+def test_a_yield_file_resumes_after_an_odd_line(tmp_path, monkeypatch, odd, reads):
+    # yields share the plain path: a padded date leaves its one line to the CSV core, a blank
+    # line its chunk (numpy skips a blank line); numpy reads the chunk after it
+    monkeypatch.setattr(panel, "CHUNK_ROWS", 3)
+    lines = [f"{Month(2005, 1).plus(t)},{12 * (t % 3 + 1)},{t}.5\n" for t in range(9)]
+    lines[5] = odd
+    path = tmp_path / "yields.csv"
+    path.write_text("date,maturity_months,yield\n" + "".join(lines), newline="")
+    theirs = outcome(oracle_read_yields_csv, path)
+    assert theirs[0] == "ok" and len(theirs[1]) == 9 - (odd == "\n")
+    parsed, cored = spy_readers(monkeypatch)
+    assert outcome(panel.read_yields_csv, path) == theirs
+    assert cored == [(7 - reads, 1 + reads)]
+    assert parsed == [lines[0:3], lines[3:6], lines[6:9]]

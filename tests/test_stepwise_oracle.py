@@ -234,16 +234,16 @@ def test_every_move_ols_rejects_is_unresolved():
 def test_search_goes_on_past_a_move_ols_rejects(monkeypatch):
     """A pass whose refits include a move ols rejects skips it and still takes a move."""
     raised = []
-    fit_columns = regress._fit_columns  # every least-squares fit, each stepwise refit included
+    svd = regress._svd  # every least-squares decomposition, each stepwise refit included
 
-    def recording_fit(*args, **kwargs):
+    def recording_svd(*args, **kwargs):
         try:
-            return fit_columns(*args, **kwargs)
+            return svd(*args, **kwargs)
         except (cf.DataError, cf.NumericalError):
             raised.append(args[-1])
             raise
 
-    monkeypatch.setattr(regress, "_fit_columns", recording_fit)
+    monkeypatch.setattr(regress, "_svd", recording_svd)
     went_on = 0
     for label, y, X, ofit, otrace, _, rejected in oracle_runs():
         # rejected for collinearity (not for too few rows) in a pass that took a move
