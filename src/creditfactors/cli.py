@@ -17,6 +17,7 @@ import argparse
 import functools
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -626,7 +627,8 @@ def main(argv=None) -> int:
         argv.append(f"{word}={words.pop(0)}" if flag else word)
     try:
         args = build_parser().parse_args(argv)
-        with np.errstate(all="ignore"):  # a failure is reported by its one-line message alone
+        with np.errstate(all="ignore"), warnings.catch_warnings():  # a failure is reported by
+            warnings.simplefilter("ignore", RuntimeWarning)  # its one-line message alone
             return args.func(args)
     except UsageError as exc:
         print(f"usage error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)

@@ -6,10 +6,9 @@ monthly series on a single contiguous grid. All rates, yields, and spreads are
 percent per annum. Missing entries are NaN. Panels are immutable; every
 transform returns a new panel.
 
-Loan and yield files stream from disk; a panel file is decoded whole first. numpy's C reader reads
-a plain file (a loan or yield header that is exactly its columns, or a one-line panel header)
-CHUNK_ROWS lines at a time, passing the rows it cannot prove valid to the CSV core and going on
-with the next chunk; from a quote on, the core reads all lines. It yields rows as columns.
+Loan and yield files stream from disk, panel files are decoded whole. After the csv module reads a
+header, numpy's C reader tries the data CHUNK_ROWS lines at a time and hands the rows it cannot
+prove valid to the CSV core, which reads all lines from a quote or a bad byte on.
 """
 
 import csv
@@ -363,17 +362,26 @@ def _decoded(fh, path):
         raise DataError(f"{path}: cannot decode text ({exc.reason})") from None
 
 
-def _csv_chunks(path, lines, first, columns, pad):
-    """(line numbers, [cells of each taken column]) for every CHUNK_ROWS rows of the decoded lines
-    of path from line first on. columns(header row or None, line) checks the header and returns
-    the indices of the columns to take. Blank lines are skipped but counted. A short row is padded
-    with "" if pad, else fails as a long row does. A bad row, cell or byte fails after the rows
-    before it are yielded."""
+def _header(path, lines, first):
+    """(the first CSV row of the decoded lines of path from line first on, or None if there is
+    none, and the number of its last line); a bad cell or byte is a DataError."""
+    reader = csv.reader(lines)
+    try:
+        return next(reader, None), first - 1 + reader.line_num
+    except csv.Error as exc:  # a cell past csv.field_size_limit, say
+        raise DataError(f"{path}:{first - 1 + reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: cannot decode text ({exc.reason})") from None
+
+
+def _csv_chunks(path, lines, first, take, width, pad):
+    """(line numbers, [cells of each column in take]) for every CHUNK_ROWS data rows of width
+    cells in the decoded lines of path from line first on. Blank lines are skipped but counted.
+    A short row is padded with "" if pad, else fails as a long row does. A bad row, cell or byte
+    fails after the rows before it are yielded."""
     reader, skip = csv.reader(lines), first - 1
     rows, at, fault = [], [], None
     try:
-        header = next(reader, None)
-        take, width = columns(header, skip + reader.line_num), len(header)
         for row in reader:
             if len(row) != width:
                 if not row:
@@ -387,7 +395,7 @@ def _csv_chunks(path, lines, first, columns, pad):
             if len(rows) == CHUNK_ROWS:
                 yield at, [[row[j] for row in rows] for j in take]
                 rows, at = [], []
-    except DataError as exc:
+    except DataError as exc:  # a long row, or a byte that does not decode
         fault = exc
     except csv.Error as exc:  # a cell past csv.field_size_limit, say
         fault = DataError(f"{path}:{skip + reader.line_num}: {exc}")
@@ -421,15 +429,15 @@ def _plain_chunk(lines, text, dtype):
 def _chunk_parts(path, lines, first, dtype, plain, core, what):
     """The parts of path's lines after line first; none is a DataError. plain(_plain_chunk cells)
     gives a chunk's part and a mask of its rows that core(lines, first), the CSV core, reads alike;
-    the core reads the lines from the first unmasked row to the last. Without a dtype, or from a
-    chunk with a quote (it may open a cell that spans lines) or a bad byte on, it reads them all."""
+    the core reads the lines from the first unmasked row to the last. From a chunk with a quote (it
+    may open a cell that spans lines) or a bad byte on, it reads them all."""
     parts = []
     for first in count(first, CHUNK_ROWS):
         chunk = []
         try:
             chunk.extend(islice(lines, CHUNK_ROWS))
         except UnicodeDecodeError as exc:  # extend keeps the lines read before the fault
-            lines, dtype = _raising(exc), None
+            lines, dtype = _raising(exc), None  # no dtype: the rest is a decode fault
         if not chunk and dtype is not None:  # every line is read
             break
         text = "".join(chunk)
@@ -453,21 +461,15 @@ def _chunk_parts(path, lines, first, dtype, plain, core, what):
 
 def _record_parts(path, columns, what, plain, core):
     """_chunk_parts of a loan or yield file, short rows padded. columns maps each column to its
-    plain dtype; a header of exactly those columns, in any order, has the chunks tried plain."""
+    plain dtype, a repeated one its last; numpy reads any other as S0, so it counts every cell."""
     with open(path, newline="") as fh:
-        head = list(_decoded(islice(fh, 1), path))
-        order = head[0].rstrip("\r\n").split(",") if head else []
-
-        def header(row, line):
-            if row is None or not set(columns).issubset(row):
-                raise DataError(f"{path}: expected header with columns {','.join(columns)}")
-            return [max(j for j, name in enumerate(row) if name == col) for col in columns]
-
-        def read(lines, first):  # the header is line first
-            return core(_csv_chunks(path, chain(head, lines), first, header, True))
-
-        dtype = [(n, columns[n]) for n in order] if sorted(order) == sorted(columns) else None
-        return _chunk_parts(path, fh, 1, dtype, plain, read, what)
+        row, line = _header(path, fh, 1)
+        if row is None or not set(columns).issubset(row):
+            raise DataError(f"{path}: expected header with columns {','.join(columns)}")
+        take = {max(j for j, name in enumerate(row) if name == col): col for col in columns}
+        dtype = [(take.get(j, str(j)), columns.get(take.get(j), "S0")) for j in range(len(row))]
+        return _chunk_parts(path, fh, line + 1, dtype, plain, lambda lines, first: core(
+            _csv_chunks(path, lines, first, take, len(row), True)), what)
 
 
 def _at(path, line, make):
@@ -579,22 +581,21 @@ def read_panel_csv(path) -> AlignedPanel:
     with open(path, newline="") as fh:
         lines = list(_decoded(fh, path))  # a byte that does not decode fails before any row
     skip = next((i for i, ln in enumerate(lines) if not ln.startswith("#")), len(lines))
+    rows = iter(lines[skip:])
+    row, line = _header(path, rows, skip + 1)
+    if row is None:
+        raise DataError(f"{path}: empty file")
+    if not row or row[0] != "date":
+        raise DataError(f"{path}: first column must be 'date'")
+    if len(row) < 2:
+        raise DataError(f"{path}: no series columns")
+    names, take = _at(path, line, lambda: _series_names(row[1:])), range(len(row))
+    if INTERCEPT in names:
+        raise DataError(f"{path}:{line}: series name {INTERCEPT!r} is reserved for the "
+                        "regression intercept")
 
-    def header(row, line):
-        if row is None:
-            raise DataError(f"{path}: empty file")
-        if not row or row[0] != "date":
-            raise DataError(f"{path}: first column must be 'date'")
-        if len(row) < 2:
-            raise DataError(f"{path}: no series columns")
-        names[:] = _at(path, line, lambda: _series_names(row[1:]))
-        if INTERCEPT in names:
-            raise DataError(f"{path}:{line}: series name {INTERCEPT!r} is reserved for the "
-                            "regression intercept")
-        return range(len(row))
-
-    def read(rows, first):  # the CSV core from the header, line first
-        for at, (dates, *cols) in _csv_chunks(path, chain(head, rows), first, header, False):
+    def read(lines, first):  # the CSV core from line first on
+        for at, (dates, *cols) in _csv_chunks(path, lines, first, take, len(take), False):
             n, idx = len(dates), _month_index(np.array(dates, "U11"))
             off = np.flatnonzero((idx < 0) | ("\0" in "".join(dates)))  # U drops an end NUL
             idx[off] = _codes([dates[i] for i in off], {}, lambda d: Month.parse(d).index)
@@ -618,11 +619,8 @@ def read_panel_csv(path) -> AlignedPanel:
         idx, vals = _month_index(cells["date"]), cells["values"]
         return (idx, vals), (idx >= 0) & np.isfinite(vals).all(axis=1)
 
-    names, head, dtype = [], lines[skip:skip + 1], None  # header() sets names
-    if head and '"' not in head[0]:  # a one-line header: the core checks it, then chunks go plain
-        list(read((), skip + 1))
-        dtype = [("date", "S11"), ("values", "f8", (len(names),))]
-    parts = _chunk_parts(path, iter(lines[skip + 1:]), skip + 1, dtype, plain, read, "data")
+    dtype = [("date", "S11"), ("values", "f8", (len(names),))]
+    parts = _chunk_parts(path, rows, line + 1, dtype, plain, read, "data")
     index, values = (np.concatenate(part) for part in zip(*parts))  # months span chunk edges
     gap = np.flatnonzero(np.diff(index) != 1)
     if len(gap):

@@ -1,9 +1,14 @@
 """Panel construction, transforms, alignment, and CSV round trips."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
 import creditfactors as cf
+from creditfactors import panel
+from test_record_io_oracle import spy_readers
 
 
 def month(s):
@@ -462,14 +467,26 @@ class TestCsv:
         p = cf.read_panel_csv(path)
         assert p.column("x")[0] == 1.5
 
-    def test_name_with_a_hash_continuation_line_round_trips(self, tmp_path):
-        """Only the lines before the header are comments: a quoted name may hold '\\n#'."""
-        p = cf.AlignedPanel(month("2010-01"), ("a\n#b", "c"), [[1.0, 2.0], [3.0, np.nan]])
+    @pytest.mark.parametrize("header", ['date,"a\n#b",c', '"date","a","c"'],
+                             ids=["hash continuation", "quoted"])
+    def test_name_with_a_hash_continuation_line_round_trips(self, tmp_path, monkeypatch, header):
+        """Only the lines before the header are comments: a quoted name may hold '\\n#'. Such a
+        header, or a quoted one, is read once: numpy reads every chunk of a complete panel."""
+        names = tuple(next(csv.reader(io.StringIO(header))))[1:]
+        p = cf.AlignedPanel(month("2010-01"), names, [[1.0, 2.0], [3.0, np.nan]])
         path = tmp_path / "p.csv"
         cf.write_panel_csv(p, path, comment="n_obs=2")
         back = cf.read_panel_csv(path)
         assert back.names == p.names
         assert back.values.tobytes() == p.values.tobytes()
+        monkeypatch.setattr(panel, "CHUNK_ROWS", 2)
+        lines = [f"{month('2010-01').plus(t)},{t}.5,{t}.25\n" for t in range(5)]
+        path.write_text(f"# n_obs=5\n{header}\n" + "".join(lines), newline="")
+        parsed, cored = spy_readers(monkeypatch)
+        back = cf.read_panel_csv(path)
+        assert cored == [] and parsed == [lines[0:2], lines[2:4], lines[4:]]
+        assert back.names == names and back.start == month("2010-01")
+        assert back.values.tolist() == [[t + 0.5, t + 0.25] for t in range(5)]
 
     def test_panel_reader_reads_a_hash_line_after_the_header_as_a_row(self, tmp_path):
         path = tmp_path / "p.csv"

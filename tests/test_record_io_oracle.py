@@ -341,13 +341,24 @@ def yield_lines(n) -> list:
     return [f"{Month(2005, 1).plus(t // 3)},{12 * (t % 3 + 1)},{t % 7}.5\n" for t in range(n)]
 
 
+LATE_BYTE = ": cannot decode text (invalid start byte)"
+BYTE_FAULTS = {  # the bytes of a last header cell (None: a late byte), and the oracle's message
+    "byte past a quote": (None, LATE_BYTE), "header byte": (b"\xff", LATE_BYTE),
+    "header cell past the field limit": (b"7" * (csv.field_size_limit() + 1),
+                                         f":1: field larger than field limit "
+                                         f"({csv.field_size_limit()})"),
+}
+
+
 @pytest.mark.parametrize("chunk_rows", [PLAIN, panel.CHUNK_ROWS])
 @pytest.mark.parametrize("columns", [LOANS, YIELDS], ids=["loans", "yields"])
-def test_a_byte_past_a_quote_fails_to_decode_as_the_oracle_says(tmp_path, monkeypatch, columns,
-                                                                 chunk_rows):
+@pytest.mark.parametrize("fault", list(BYTE_FAULTS))
+def test_a_bad_byte_or_header_cell_fails_as_the_oracle_says(tmp_path, monkeypatch, fault,
+                                                            columns, chunk_rows):
     # a quoted cell in the first chunk hands the CSV core the rest of the file; a byte that does
     # not decode more than 8 KiB (the text layer's first read) further on must end the read with
-    # the oracle's DataError, and aggregate with exit 3, not a UnicodeDecodeError
+    # the oracle's DataError, and aggregate with exit 3, not a UnicodeDecodeError. So must a
+    # header cell that does not decode or is past the field limit, which the header read meets
     monkeypatch.setattr(panel, "CHUNK_ROWS", chunk_rows)
     monkeypatch.chdir(tmp_path)
     files = {"loans.csv": "date,rate,grade,term\n2005-01,5.5,A,36\n",
@@ -358,32 +369,47 @@ def test_a_byte_past_a_quote_fails_to_decode_as_the_oracle_says(tmp_path, monkey
         LOANS: ("loans.csv", '2005-01,5.5,"A",36\n', plain_lines(panel.CHUNK_ROWS + 1000, 3)),
         YIELDS: ("yields.csv", '2005-01,12,"5.5"\n', yield_lines(panel.CHUNK_ROWS + 1000)),
     }[columns]
-    path = tmp_path / name
-    data = (files[name].splitlines(True)[0] + quoted + "".join(lines)).encode()
-    path.write_bytes(data + b"\xff" + "".join(lines[:5]).encode())
+    path, (cell, message) = tmp_path / name, BYTE_FAULTS[fault]
+    header, body = files[name].splitlines(True)[0].encode(), "".join(lines).encode()
+    if cell is None:
+        path.write_bytes(header + quoted.encode() + body + b"\xff" + "".join(lines[:5]).encode())
+    else:
+        path.write_bytes(header.replace(b"\n", b",x" + cell + b"\n") + body)
     theirs = outcome(READERS[columns][1], path)
-    assert theirs == ("error", f"{path}: cannot decode text (invalid start byte)")
+    assert theirs == ("error", f"{path}{message}")
     assert outcome(READERS[columns][0], path) == theirs
     assert main(["aggregate", "--loans", "loans.csv", "--yields", "yields.csv"]) == 3
+
+
+PLAIN_HEADERS = {  # a header that holds the loan columns, and the cells it adds to each line
+    "plain": ("grade,rate,term,date", "", ""),
+    "quoted": ('"grade","rate",term,"date"', "", ""),
+    "extra column": ("id,grade,rate,term,date", "17,", ""),
+    "repeated rate": ("rate,grade,rate,term,date", "-1.0,", ""),  # a repeat means its last one
+    "trailing empty column": ("grade,rate,term,date,", "", ","),
+}
 
 
 @pytest.mark.parametrize("chunk_rows", [PLAIN, panel.CHUNK_ROWS])
 @pytest.mark.parametrize("extra", [0, 1])
 @pytest.mark.parametrize("end", ["\n", "\r\n"])
-def test_a_plain_book_never_reaches_the_csv_core(tmp_path, monkeypatch, chunk_rows, extra, end):
-    # a silent fall-back to the CSV core would still read the book right, so refuse it
+@pytest.mark.parametrize("header", list(PLAIN_HEADERS))
+def test_a_plain_book_never_reaches_the_csv_core(tmp_path, monkeypatch, header, chunk_rows,
+                                                 extra, end):
+    # whatever form the header takes, numpy reads every chunk: a silent fall-back to the CSV
+    # core would still read the book right, so refuse it
     monkeypatch.setattr(panel, "CHUNK_ROWS", chunk_rows)
     path = tmp_path / "loans.csv"
+    names, before, after = PLAIN_HEADERS[header]
     order = ("grade", "rate", "term", "date")
-    lines = plain_lines(3 * chunk_rows + extra, 7, order, end)
-    path.write_text(",".join(order) + end + "".join(lines), newline="")
+    lines = [before + line.removesuffix(end) + after + end
+             for line in plain_lines(3 * chunk_rows + extra, 7, order, end)]
+    path.write_text(names + end + "".join(lines), newline="")
     theirs = outcome(oracle_read_loans_csv, path)
-
-    def refuse(*args):
-        raise AssertionError("the CSV core read a plain loan file")
-
-    monkeypatch.setattr(panel, "_csv_chunks", refuse)
+    parsed, cored = spy_readers(monkeypatch)
     assert theirs[0] == "ok" and outcome(panel.read_loans_csv, path) == theirs
+    assert cored == [], "the CSV core read a plain loan file"
+    assert parsed == [lines[i:i + chunk_rows] for i in range(0, len(lines), chunk_rows)]
 
 
 ASCII_CELL = st.characters(max_codepoint=127, exclude_characters=",\n\r" + SEPARATORS)
@@ -462,7 +488,7 @@ def test_the_plain_path_resumes_after_an_odd_chunk(tmp_path, monkeypatch, odd, c
     assert outcome(panel.read_loans_csv, path) == theirs
     chunks = [lines[i:i + chunk_rows] for i in range(0, len(lines), chunk_rows)]
     n = {"line": 1, "chunk": chunk_rows, "rest": 3 * chunk_rows}[reads]
-    assert cored == [(1 + 3 * chunk_rows - (chunk_rows if reads != "line" else 1), 1 + n)]
+    assert cored == [(2 + 3 * chunk_rows - (chunk_rows if reads != "line" else 1), n)]
     ends = reads == "rest" or theirs[0] == "error"
     assert {chunks.index(c) for c in parsed} - {2} == ({0, 1} if ends else {0, 1, 3, 4})
 
@@ -481,5 +507,5 @@ def test_a_yield_file_resumes_after_an_odd_line(tmp_path, monkeypatch, odd, read
     assert theirs[0] == "ok" and len(theirs[1]) == 9 - (odd == "\n")
     parsed, cored = spy_readers(monkeypatch)
     assert outcome(panel.read_yields_csv, path) == theirs
-    assert cored == [(7 - reads, 1 + reads)]
+    assert cored == [(8 - reads, reads)]
     assert parsed == [lines[0:3], lines[3:6], lines[6:9]]
