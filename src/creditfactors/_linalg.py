@@ -6,6 +6,8 @@ from .errors import DataError, NumericalError
 
 # a matrix whose reciprocal condition number falls to this is rank deficient
 RCOND_MIN = 1e-10
+# a non-constant column's sum of squares is exact to rounding only in [_TINY, inf)
+_TINY = np.finfo(float).tiny
 
 
 def finite_array(value, label, ndim=2) -> np.ndarray:
@@ -18,17 +20,31 @@ def finite_array(value, label, ndim=2) -> np.ndarray:
     return arr
 
 
-def unit_columns(X):
+def check_squares(squares, name):
+    """NumericalError naming name unless squares, the centred sum of squares of a
+    non-constant column, is at least the smallest normal double and finite."""
+    if not _TINY <= squares < np.inf:
+        size = "small" if squares < _TINY else "large"
+        raise NumericalError(f"values of {name} are too {size} to square in double precision")
+
+
+def unit_columns(X, names=None):
     """Centre a copy of the T x p matrix X and scale each column to unit norm.
 
     Returns (means, Xs, norms), X = means + Xs * norms. Each column is reduced
     along its own row of X', so its results do not depend on which other
     columns share X. A constant column centres to exactly zero, with norm 0.
+    A non-constant column that check_squares refuses raises NumericalError,
+    named by names[j] if given, else as column j.
     """
     Xt = np.array(np.asarray(X, dtype=float).T, order="C")
-    means = np.where(Xt.min(axis=1) == Xt.max(axis=1), Xt[:, 0], Xt.mean(axis=1))
+    constant = Xt.min(axis=1) == Xt.max(axis=1)
+    means = np.where(constant, Xt[:, 0], Xt.mean(axis=1))
     Xt -= means[:, None]
-    norms = np.sqrt(np.einsum("ij,ij->i", Xt, Xt))
+    squares = np.einsum("ij,ij->i", Xt, Xt)
+    for j in np.flatnonzero(~constant & ~((squares >= _TINY) & (squares < np.inf))):
+        check_squares(squares[j], f"column {j}" if names is None else names[j])
+    norms = np.sqrt(squares)
     Xt /= np.where(norms > 0, norms, 1.0)[:, None]
     return means, Xt.T, norms
 

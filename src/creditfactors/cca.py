@@ -48,7 +48,7 @@ class CcaSolution(Record):
 
 def _unit_block(M, label):
     """The centred, unit-norm columns of M (_linalg.unit_columns); errors on a constant column."""
-    _, Ms, norms = unit_columns(M)
+    _, Ms, norms = unit_columns(M, [f"{label} column {j}" for j in range(M.shape[1])])
     dead = np.flatnonzero(norms == 0)
     if dead.size:
         raise NumericalError(f"constant column(s) in {label}: indices {[int(i) for i in dead]}")

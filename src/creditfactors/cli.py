@@ -17,7 +17,6 @@ import argparse
 import functools
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -493,8 +492,8 @@ def cmd_analyze(args) -> int:
             run.table(f"johansen_{label}.csv", table, result.n_obs, note,
                       f"cointegration trace tests ({label})")
 
-    # 4. predictor panel description
-    n_obs = run.combined.n_obs
+    # 4. predictor panel description, once the CCA fit's row check has refused a panel
+    n_obs = run.factors.source.n_obs  # too short for np.corrcoef, which only warns
     run.table("macro_summary.csv", _summary_table(run.combined.select(run.z_names)),
               n_obs, note="descriptive statistics of the predictor panel")
     corr = np.atleast_2d(np.corrcoef(run.Z, rowvar=False))  # 0-d for one predictor
@@ -627,8 +626,7 @@ def main(argv=None) -> int:
         argv.append(f"{word}={words.pop(0)}" if flag else word)
     try:
         args = build_parser().parse_args(argv)
-        with np.errstate(all="ignore"), warnings.catch_warnings():  # a failure is reported by
-            warnings.simplefilter("ignore", RuntimeWarning)  # its one-line message alone
+        with np.errstate(all="ignore"):  # a failure is reported by its one-line message alone
             return args.func(args)
     except UsageError as exc:
         print(f"usage error: {str(exc).translate(_ONE_LINE)}", file=sys.stderr)

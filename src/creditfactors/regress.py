@@ -18,7 +18,7 @@ models on the same response are meaningful.
 
 import numpy as np
 
-from ._linalg import RCOND_MIN, finite_array, unit_columns
+from ._linalg import RCOND_MIN, check_squares, finite_array, unit_columns
 from ._record import Record, readonly
 from .errors import DataError, NumericalError
 
@@ -93,8 +93,10 @@ def ols_columns(Y, X, response_names, predictor_names=None) -> tuple:
     columns Xs (_linalg.unit_columns), so neither fit nor rank guard depends
     on the predictors' units or levels: a constant column, or a reciprocal
     condition number of Xs below RCOND_MIN, raises NumericalError naming the
-    collinear columns. Each column of Y then goes through the same vector
-    arithmetic, so a fit does not depend on which other columns share X.
+    collinear columns, and a predictor or response too large or too small to
+    square (_linalg.check_squares) raises one naming it. Each column of Y then
+    goes through the same vector arithmetic, so a fit does not depend on which
+    other columns share X.
     """
     Y, X = _as_design(Y, X)
     T, p = X.shape
@@ -104,7 +106,7 @@ def ols_columns(Y, X, response_names, predictor_names=None) -> tuple:
     slope_names = tuple(_predictor_names(predictor_names, p))
     if T <= p + 1:
         raise DataError(f"need more observations than parameters (T={T}, parameters={p + 1})")
-    return _fit_columns(Y, *unit_columns(X), response_names, slope_names)
+    return _fit_columns(Y, *unit_columns(X, slope_names), response_names, slope_names)
 
 
 def _svd(Xs, norms, response_names, slope_names):
@@ -122,17 +124,23 @@ def _svd(Xs, norms, response_names, slope_names):
     return u, s, vt
 
 
-def _solve(y, Xs, u, s, vt):
-    """(yc, gamma, residuals, RSS, AIC) of one response y on an intercept and Xs = u diag(s) vt:
-    yc is y centred, gamma the slopes on Xs, None for a constant y, which the intercept alone
-    fits exactly (solving would leak noise-scale slopes whose t-statistics are meaningless)."""
+def _solve(y, Xs, u, s, vt, name):
+    """(TSS, gamma, residuals, RSS, AIC) of the response y named name on an intercept and
+    Xs = u diag(s) vt: gamma is the slopes on Xs, None for a constant y, which the intercept
+    alone fits exactly (solving would leak noise-scale slopes whose t-statistics are
+    meaningless). A non-constant y whose TSS check_squares refuses raises NumericalError."""
     T, k = Xs.shape[0], Xs.shape[1] + 1
     yc = y - y.mean()
-    gamma = None if np.all(y == y[0]) else vt.T @ ((u.T @ yc) / s)
+    with np.errstate(over="ignore"):  # check_squares refuses a TSS that overflowed
+        tss = float(yc @ yc)
+    gamma = None
+    if not np.all(y == y[0]):
+        check_squares(tss, f"response {name!r}")
+        gamma = vt.T @ ((u.T @ yc) / s)
     resid = np.zeros(T) if gamma is None else yc - Xs @ gamma
     rss = float(resid @ resid)
     with np.errstate(divide="ignore"):
-        return yc, gamma, resid, rss, float(T * np.log(rss / T) + 2 * k)
+        return tss, gamma, resid, rss, float(T * np.log(rss / T) + 2 * k)
 
 
 def _fit_columns(Y, means, Xs, norms, response_names, slope_names) -> tuple:
@@ -150,12 +158,11 @@ def _fit_columns(Y, means, Xs, norms, response_names, slope_names) -> tuple:
     fits = []
     for j, response_name in enumerate(response_names):
         y = np.ascontiguousarray(Y[:, j])
-        yc, gamma, resid, rss, aic = _solve(y, Xs, u, s, vt)
+        tss, gamma, resid, rss, aic = _solve(y, Xs, u, s, vt, response_name)
         coef = np.zeros(k)
         coef[1:] = 0.0 if gamma is None else gamma / norms
         coef[0] = y[0] if gamma is None else y.mean() - means @ coef[1:]
 
-        tss = float(yc @ yc)
         r2 = 0.0 if tss == 0.0 else 1.0 - rss / tss
         adj = 1.0 - (1.0 - r2) * (T - 1) / (T - k)
 
@@ -293,7 +300,7 @@ def stepwise_columns(Y, X, response_names, predictor_names=None) -> tuple:
     names, response_names = _predictor_names(predictor_names, p), list(response_names)
     initial = ols_columns(Y, None, response_names)
     current = [fit.aic for fit in initial]  # the AIC of each column's selected model
-    means, Xs, norms = unit_columns(X)
+    means, Xs, norms = unit_columns(X, names)
     score = _subset_scorer(Y, X)
 
     def refit(c, subset):  # the AIC of ols's fit of the move; inf if ols rejects it (collinear)
@@ -302,7 +309,7 @@ def stepwise_columns(Y, X, response_names, predictor_names=None) -> tuple:
             svd = _svd(Xs_S, norms[subset], response_names[c:c + 1], [names[j] for j in subset])
         except NumericalError:
             return np.inf
-        return _solve(np.ascontiguousarray(Y[:, c]), Xs_S, *svd)[-1]
+        return _solve(np.ascontiguousarray(Y[:, c]), Xs_S, *svd, response_names[c])[-1]
 
     selected, steps, active = [[] for _ in initial], [[] for _ in initial], range(len(initial))
     while active:

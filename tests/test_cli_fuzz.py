@@ -202,15 +202,27 @@ RATES = b"date,36-A,36-B\n2005-01,8.1,9.2\n"  # LOANS as a rate panel
 SPREADS = as_csv(panel_rows(3, 30, "S", 1))
 MACRO = as_csv(panel_rows(2, 30, "Z", 2))
 SPEC = b'{"preset": "missing_factor", "n_periods": 24}'
+HUGE_ROWS = panel_rows(3, 12, "S", 0)
+HUGE_ROWS[-1][1] = "1e308"  # the square of S1's last difference overflows
+HUGE_LAST_CELL = as_csv(HUGE_ROWS)
 
 
 @FUZZ
 @given(panel=panel_csv(n_cols=3), lags=st.sampled_from([[], ["--lags", "1"], ["--lags", "0"]]))
 @example(panel=b"\xff\xfe", lags=[])  # undecodable bytes escaped as UnicodeDecodeError
+@example(panel=HUGE_LAST_CELL, lags=[])  # adf exited 0 with a statistic built from an overflow
 def test_panel_commands_keep_the_exit_contract(panel, lags):
     for command in ("adf", "johansen"):
         run_main(lambda p: [command, "--panel", p["panel.csv"], "--out", p["out"], *lags],
                  {"panel.csv": panel})
+
+
+def test_values_too_large_to_square_exit_4():
+    code, err = run_main(lambda p: ["adf", "--panel", p["panel.csv"], "--out", p["out"]],
+                         {"panel.csv": HUGE_LAST_CELL})
+    assert code == cli.EXIT_NUMERICAL
+    assert err.splitlines() == ["numerical error: values of response 'diff' are too large "
+                                "to square in double precision"]
 
 
 @settings(FUZZ, max_examples=15)

@@ -138,6 +138,31 @@ def test_macro_column_units(tmp_path, desk, k):
     np.testing.assert_allclose(coef, coefficients(desk), rtol=1e-12, atol=1e-13)
 
 
+@pytest.mark.parametrize("scale, fault", [
+    (10.0 ** -200, "small"), (10.0 ** -175, "small"), (10.0 ** 175, "large"),
+    (10.0 ** 200, "large"), (2.0 ** -490, None), (2.0 ** 490, None)])
+@pytest.mark.parametrize("solver", ["adf_test", "cca_fit", "ols"])
+def test_values_that_cannot_be_squared_are_named(solver, scale, fault):
+    """A walk, CCA predictors or an OLS response in units whose squares leave double range.
+
+    Beyond about 10^-154 or 10^154 a centred sum of squares underflows or overflows,
+    and the solver says so, where such columns once looked constant or collinear (or
+    an ADF statistic was built from an overflow). A power of two is exact in floating
+    point, so 2^-490 and 2^490, about 10^-147 and 10^147, change no result bit.
+    """
+    fit = {"adf_test": lambda c: cf.adf_test(WALK * c).statistic,
+           "cca_fit": lambda c: cf.cca_fit(DESK.responses, DESK.proxies * c).correlations,
+           "ols": lambda c: cf.ols(DESK.responses[:, 0] * c, DESK.proxies).t_statistics}[solver]
+    if fault is None:
+        assert np.array_equal(fit(scale), fit(1.0))
+        return
+    with pytest.raises(cf.NumericalError) as info:
+        fit(scale)
+    message = str(info.value)
+    assert f"too {fault} to square in double precision" in message
+    assert "collinear" not in message and "constant" not in message
+
+
 @pytest.mark.parametrize("shift", [-1e3, 1e6, 1e8])
 def test_macro_column_level(tmp_path, desk, shift):
     """Z1 at another level: only Z1's values and the intercepts change.
