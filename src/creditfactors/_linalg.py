@@ -42,8 +42,8 @@ def unit_columns(X, names=None):
     means = np.where(constant, Xt[:, 0], Xt.mean(axis=1))
     Xt -= means[:, None]
     squares = np.einsum("ij,ij->i", Xt, Xt)
-    for j in np.flatnonzero(~constant & ~((squares >= _TINY) & (squares < np.inf))):
-        check_squares(squares[j], f"column {j}" if names is None else names[j])
+    for j in np.flatnonzero(~constant):
+        check_squares(squares[j], names[j] if names else f"column {j}")
     norms = np.sqrt(squares)
     Xt /= np.where(norms > 0, norms, 1.0)[:, None]
     return means, Xt.T, norms
