@@ -10,7 +10,7 @@ Commands render their files in memory and hand them to `_commit`, the one writer
 once all rendered, so a failing command writes nothing. `Run.sections` are the
 regression sections: for `analyze` the grade and term stacks whose groups have one
 size, else one group per response, as for every view. `ols`, `stepwise`, `cca`,
-`factor-regress` and `diagnose` are VIEWS: one `analyze` stage, some files renamed.
+`factor-regress` and `diagnose` are views: one `analyze` stage, some files renamed.
 """
 
 import argparse
@@ -429,23 +429,8 @@ def _diagnostic_tables(run: Run, section: Section):
               f"verdict={report.verdict}", f"missing-factor diagnostic ({section.name})")
 
 
-# Each single-stage command is a view of `analyze`: (stage, {analyze file: view file}).
-# The stage runs on the view's one section, one group per response, and the view keeps
-# the listed files.
-VIEWS = {
-    "ols": (_ols_table, {"ols_full_responses.csv": "ols.csv"}),
-    "stepwise": (_stepwise_tables, {"ols_stepwise_responses.csv": "stepwise.csv",
-                                    "ols_stepwise_trace_responses.csv": "stepwise_trace.csv"}),
-    "cca": (_cca_tables, {f"cca_{t}.csv": f"cca_{t}.csv"
-                          for t in ("eigen", "wilks", "redundancy", "cross_loadings")}),
-    "factor-regress": (_factor_tables,
-                       {"factor_regressions_responses.csv": "factor_regressions.csv"}),
-    "diagnose": (_diagnostic_tables, {"diagnostic_responses.csv": "diagnostic.csv"}),
-}
-
-
 def cmd_view(args) -> int:
-    stage, names = VIEWS[args.command]
+    *_, stage, names = COMMANDS[args.command]
     run = Run(args)
     stage(run, *run.sections)  # a view's one section: one group per response
     _commit(run.s.given.get("out", "."),
@@ -565,6 +550,36 @@ def _summary_md(run: Run) -> str:
     return "\n".join(lines) + "\n"
 
 
+# One row per subcommand: (handler, help, settings), and for a view of `analyze` also its
+# stage and {analyze file: view file}. A view runs the stage on its one section, one group
+# per response, and keeps the listed files under their new names.
+_INPUTS = ("spreads", "loans", "yields", "macro", "transform")
+_FIT = _INPUTS + ("factors", "ridge")
+COMMANDS = {
+    "aggregate": (cmd_aggregate, "average loans into bucket rates and subtract matching yields",
+                  ("loans", "yields")),
+    "spreads": (cmd_spreads, "turn an existing rate panel into spreads over the curve",
+                ("panel", "yields")),
+    "adf": (cmd_adf, "unit-root tests on every panel column", ("panel", "lags", "kind")),
+    "johansen": (cmd_johansen, "cointegration trace test on a panel", ("panel", "lags")),
+    "ols": (cmd_view, "regress every response on all predictors", _INPUTS, _ols_table,
+            {"ols_full_responses.csv": "ols.csv"}),
+    "stepwise": (cmd_view, "AIC stepwise selection per response", _INPUTS, _stepwise_tables,
+                 {"ols_stepwise_responses.csv": "stepwise.csv",
+                  "ols_stepwise_trace_responses.csv": "stepwise_trace.csv"}),
+    "cca": (cmd_view, "canonical correlations between responses and predictors", _FIT,
+            _cca_tables, {f"cca_{t}.csv": f"cca_{t}.csv"
+                          for t in ("eigen", "wilks", "redundancy", "cross_loadings")}),
+    "factor-regress": (cmd_view, "regress responses on retained factors", _FIT, _factor_tables,
+                       {"factor_regressions_responses.csv": "factor_regressions.csv"}),
+    "diagnose": (cmd_view, "missing-factor diagnostic from factor regressions",
+                 _FIT + ("strong", "weak"), _diagnostic_tables,
+                 {"diagnostic_responses.csv": "diagnostic.csv"}),
+    "analyze": (cmd_analyze, "full report bundle", _FIT + ("strong", "weak", "lags", "kind")),
+    "simulate": (cmd_simulate, "draw a synthetic dataset from a model spec", ("spec", "seed")),
+}
+
+
 # ---------------------------------------------------------------------------
 # parser and entry point
 # ---------------------------------------------------------------------------
@@ -580,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Latent-factor analysis pipelines for monthly spread panels.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name, func, help_text, flags):
+    for name, (func, help_text, flags, *_) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="settings file with 'key = value' lines")
         p.add_argument("--out", help="output directory")
@@ -590,30 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
             notes = "; ".join(n for n in (rule, default is not None and f"default {default}") if n)
             p.add_argument(f"--{flag}", help=f"{text} ({notes})" if notes else text)
         p.set_defaults(func=func)
-
-    add("aggregate", cmd_aggregate,
-        "average loans into bucket rates and subtract matching yields",
-        ["loans", "yields"])
-    add("spreads", cmd_spreads,
-        "turn an existing rate panel into spreads over the curve",
-        ["panel", "yields"])
-    add("adf", cmd_adf, "unit-root tests on every panel column",
-        ["panel", "lags", "kind"])
-    add("johansen", cmd_johansen, "cointegration trace test on a panel",
-        ["panel", "lags"])
-    inputs = ["spreads", "loans", "yields", "macro", "transform"]
-    add("ols", cmd_view, "regress every response on all predictors", inputs)
-    add("stepwise", cmd_view, "AIC stepwise selection per response", inputs)
-    add("cca", cmd_view, "canonical correlations between responses and predictors",
-        inputs + ["factors", "ridge"])
-    add("factor-regress", cmd_view, "regress responses on retained factors",
-        inputs + ["factors", "ridge"])
-    add("diagnose", cmd_view, "missing-factor diagnostic from factor regressions",
-        inputs + ["factors", "ridge", "strong", "weak"])
-    add("analyze", cmd_analyze, "full report bundle",
-        inputs + ["factors", "ridge", "strong", "weak", "lags", "kind"])
-    add("simulate", cmd_simulate, "draw a synthetic dataset from a model spec",
-        ["spec", "seed"])
     return parser
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import creditfactors as cf
-from creditfactors import tables
+from creditfactors import cli, tables
 from creditfactors.cli import main
 
 
@@ -959,6 +959,17 @@ def test_every_command_writes_the_files_it_prints(workdir, capsys, argv):
                if line.startswith("wrote ")]
     assert printed and sorted(printed) == sorted(os.path.join("out", name)
                                                  for name in os.listdir(workdir / "out"))
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_each_parser_takes_the_settings_of_its_row(command):
+    # a subcommand's parser is built from its COMMANDS row alone: the row's handler, and
+    # --config, --out and one flag per setting of the row, no more
+    handler, _, settings, *_ = cli.COMMANDS[command]
+    args = cli.build_parser().parse_args([command])
+    assert args.func is handler
+    assert set(vars(args)) == {"command", "func", "config", "out", *settings}
+    assert set(settings) <= set(cli._SETTINGS)
 
 
 def test_import_loads_no_scipy():

@@ -389,9 +389,10 @@ TOO_SHORT = re.compile(r"data error: (series too short for the test at lag order
                        r"|too few observations) \(n=\d+, need >= \d+\)\n")
 
 
-def _words(flags, skip=None):
-    """argv words of a {flag: value} dict, leaving out the flag skip."""
-    return [word for flag, value in flags.items() if flag != skip for word in (flag, value)]
+def _words(flags, settings=cli._SETTINGS):
+    """argv words of a {flag: value} dict, keeping the flags of the given settings."""
+    return [word for flag, value in flags.items() if flag[2:] in settings
+            for word in (flag, value)]
 
 
 def _run_to(out, argv):
@@ -428,8 +429,9 @@ def test_every_panel_shape_keeps_the_exit_contract(shape):
             listed = [line.split("`")[1] for line in files_part.splitlines() if line[:3] == "- `"]
             assert sorted(listed + ["summary.md"]) == bundle
         view_codes = set()
-        for command, (_, renamed) in cli.VIEWS.items():
-            taken = _words(flags, skip="--factors" if command in ("ols", "stepwise") else None)
+        views = {name: row for name, row in cli.COMMANDS.items() if row[0] is cli.cmd_view}
+        for command, (_, _, settings, _, renamed) in views.items():
+            taken = _words(flags, settings)  # ols and stepwise take no --factors
             out = os.path.join(tmp, "out")
             code, err = _run_to(out, [command, *data, *taken, "--out", out])
             view_codes.add(code)
