@@ -25,6 +25,7 @@ from . import factor_model as fm
 from . import panel as panel_mod
 from . import regress as regress_mod
 from . import stattests as st
+from ._linalg import check_squares
 from .errors import DataError, NumericalError
 from .tables import to_csv_text
 
@@ -178,9 +179,13 @@ def _write_spreads(s: Settings, spreads) -> int:
 
 def _adf_table(s: Settings, p: panel_mod.AlignedPanel):
     """Unit-root tests on p's columns under the `kind` and `lags` settings: (table, note)."""
-    kind, lags = s.get("kind"), s.get("lags")
-    results = {n: st.adf_test(p.complete_column(n), lag_order=lags, kind=kind)
-               for n in p.names}
+    kind, lags, results = s.get("kind"), s.get("lags"), {}
+    for n in p.names:
+        column = p.complete_column(n)  # whose errors name n already
+        try:
+            results[n] = st.adf_test(column, lag_order=lags, kind=kind)
+        except (DataError, NumericalError) as exc:  # same class, so the same exit code
+            raise type(exc)(f"unit-root test of series {n!r}: {exc}") from None
     return st.adf_table(results), f"kind={kind} lags={'auto' if lags is None else lags}"
 
 
@@ -355,6 +360,10 @@ def _summary_table(p: panel_mod.AlignedPanel):
     for name in p.names:
         col = p.column(name)
         vals = col[~np.isnan(col)]  # Run refuses a series with no observations
+        if vals.min() < vals.max():  # std squares the deviations: refuse what cannot be
+            with np.errstate(over="ignore"):
+                dev = vals - vals.mean()
+                check_squares(dev @ dev, f"series {name!r}")
         sd = format(vals.std(ddof=1), ".4f") if vals.size > 1 else ""
         rows.append([name, str(vals.size), format(vals.mean(), ".4f"), sd,
                      format(vals.min(), ".4f"), format(vals.max(), ".4f")])

@@ -18,6 +18,7 @@ import tempfile
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -217,12 +218,17 @@ def test_panel_commands_keep_the_exit_contract(panel, lags):
                  {"panel.csv": panel})
 
 
-def test_values_too_large_to_square_exit_4():
-    code, err = run_main(lambda p: ["adf", "--panel", p["panel.csv"], "--out", p["out"]],
-                         {"panel.csv": HUGE_LAST_CELL})
+@pytest.mark.parametrize("argv_of, message", [
+    (lambda p: ["adf", "--panel", p["panel.csv"]],
+     "unit-root test of series 'S1': values of response 'diff' are too large"),
+    (lambda p: ["analyze", "--spreads", p["panel.csv"], "--macro", p["macro.csv"]],
+     "values of series 'S1' are too large"),  # the spread levels' summary refuses S1 first
+], ids=["adf", "analyze"])
+def test_values_too_large_to_square_exit_4(argv_of, message):
+    code, err = run_main(lambda p: argv_of(p) + ["--out", p["out"]],
+                         {"panel.csv": HUGE_LAST_CELL, "macro.csv": MACRO})
     assert code == cli.EXIT_NUMERICAL
-    assert err.splitlines() == ["numerical error: values of response 'diff' are too large "
-                                "to square in double precision"]
+    assert err.splitlines() == [f"numerical error: {message} to square in double precision"]
 
 
 @settings(FUZZ, max_examples=15)
@@ -385,7 +391,8 @@ def panel_shapes(draw):
 
 # analyze alone runs the unit-root and cointegration tests, so a series too short for
 # them is the one failure of analyze that its views need not share
-TOO_SHORT = re.compile(r"data error: (series too short for the test at lag order \d+"
+TOO_SHORT = re.compile(r"data error: (unit-root test of series '.*': )?"
+                       r"(series too short for the test at lag order \d+"
                        r"|too few observations) \(n=\d+, need >= \d+\)\n")
 
 

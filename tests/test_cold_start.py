@@ -75,6 +75,12 @@ def test_public_names_resolve_lazily():
     assert fresh(code).split() == PUBLIC_NAMES
 
 
+def test_dir_lists_every_public_name():
+    # in this process too: the fresh interpreter above calls __dir__ outside the tracer
+    names = dir(cf)
+    assert set(cf.__all__) <= set(names) and "__version__" in names
+
+
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
         cf.frobnicate  # noqa: B018

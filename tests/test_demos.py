@@ -25,3 +25,12 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
                           env=env, cwd=tmp_path, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_markdown_table_pads_each_column_to_its_widest_cell():
+    # the demos print their tables with to_markdown, in subprocesses; this checks its layout
+    text = cf.to_markdown(["name", "t"], [["alpha", 1.5], ["b", -12]])
+    assert text == ("| name  | t   |\n"
+                    "|-------|-----|\n"
+                    "| alpha | 1.5 |\n"
+                    "| b     | -12 |\n")
