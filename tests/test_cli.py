@@ -940,7 +940,7 @@ class TestViews:
         write_named_spreads(workdir / "spreads.csv", ["alpha", "beta", "gamma"])
         write_macro_panel(workdir / "macro.csv")
         data = ["--spreads", "spreads.csv", "--macro", "macro.csv"]
-        factors = [] if command in ("ols", "stepwise") else ["--factors", "1"]
+        factors = ["--factors", "1"] if "factors" in cli.COMMANDS[command][2] else []
         assert run("analyze", *data, "--factors", "1", "--out", "rep") == 0
         assert run(command, *data, *factors, "--out", "view") == 0
         assert sorted(os.listdir(workdir / "view")) == sorted(files)
@@ -962,7 +962,7 @@ class TestViews:
         write_spread_panel(workdir / "spreads.csv")
         write_macro_panel(workdir / "macro.csv")
         data = ["--spreads", "spreads.csv", "--macro", "macro.csv"]
-        factors = [] if command in ("ols", "stepwise") else ["--factors", "1"]
+        factors = ["--factors", "1"] if "factors" in cli.COMMANDS[command][2] else []
         assert run("analyze", *data, "--factors", "1", "--out", "rep") == 0
         assert "ols_full_grades.csv" in os.listdir(workdir / "rep")
         assert run(command, *data, *factors, "--out", "view") == 0
