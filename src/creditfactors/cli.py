@@ -213,16 +213,10 @@ def cmd_johansen(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    import json  # simulate alone reads, draws from and echoes a model spec
-
-    from . import synthgen
+    from . import synthgen  # simulate alone reads, draws from and echoes a model spec
     s = Settings(args)
     spec_path = s.require("spec")
-    spec = _load_model_spec(spec_path)
-    seed = s.get("seed")
-    if seed is not None:  # rebuilt outside _load_model_spec, so a bad seed names no file
-        fields = {name: getattr(spec, name) for name in spec.__slots__}
-        spec = synthgen.FactorModelSpec(**fields | {"seed": seed})
+    spec = synthgen.read_spec(spec_path, seed=s.get("seed"))
     if spec.n_periods > _SIM_MONTHS:  # before the draw, which allocates n_periods rows
         raise DataError(f"{spec_path}: n_periods must be at most {_SIM_MONTHS}, "
                         f"the months from {_SIM_START} to 9999-12")
@@ -238,54 +232,8 @@ def cmd_simulate(args) -> int:
             names = tuple(f"{prefix}{j + 1}" for j in range(matrix.shape[1]))
             panel = panel_mod.AlignedPanel(_SIM_START, names, matrix)
             files.append((fname, panel_mod.panel_csv_text(panel, note)))
-    echo = {name: getattr(spec, name) for name in spec.__slots__}
-    echo = {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in echo.items()}
-    files.append(("spec_echo.json", json.dumps(echo, indent=2, sort_keys=True) + "\n"))
+    files.append(("spec_echo.json", synthgen.spec_json_text(spec)))
     return _commit(s.given.get("out", "."), files)
-
-
-# preset name -> the synthgen function that builds it
-_PRESETS = {"default": "default_spec", "no_missing_factor": "scenario_no_missing_factor",
-            "missing_factor": "scenario_missing_factor"}
-
-
-def _load_model_spec(path) -> "synthgen.FactorModelSpec":
-    import json
-
-    from . import synthgen
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(raw, dict):
-        raise DataError(f"{path}: expected a JSON object")
-    try:  # a TypeError, ValueError or OverflowError (DataError included) names the file
-        if "preset" in raw:
-            name = raw["preset"]
-            if name not in _PRESETS:
-                raise DataError(f"unknown preset {name!r} (expected one of {sorted(_PRESETS)})")
-            kwargs = {"seed": 0} | {k: int(raw[k]) for k in ("seed", "n_periods") if k in raw}
-            extra = set(raw) - {"preset", "seed", "n_periods"}
-            if extra:
-                raise DataError(f"unexpected keys with preset: {sorted(extra)}")
-            return getattr(synthgen, _PRESETS[name])(**kwargs)
-        # every field of the spec is a key; a null, absent or empty missing_loadings means none
-        fields = synthgen.FactorModelSpec.__slots__
-        missing = set(fields) - {"missing_loadings"} - set(raw)
-        if missing:
-            raise DataError(f"missing keys: {sorted(missing)}")
-        extra = set(raw) - set(fields)
-        if extra:
-            raise DataError(f"unknown keys: {sorted(extra)}")
-        # the scalars are cast to their annotated int or float; the arrays pass as given
-        casts = synthgen.FactorModelSpec.__init__.__annotations__
-        kwargs = {f: casts[f](raw[f]) if f in casts else raw.get(f) for f in fields}
-        if kwargs["missing_loadings"] in (None, []):
-            kwargs["missing_loadings"] = np.zeros((len(raw["intercepts"]), 0))
-        return synthgen.FactorModelSpec(**kwargs)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

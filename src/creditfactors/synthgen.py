@@ -13,6 +13,8 @@ analytic covariance blocks, which makes the sampling error of any estimator
 measurable. Everything is deterministic given the spec's seed.
 """
 
+import json
+
 import numpy as np
 
 from ._linalg import RCOND_MIN, canonical_pairs, finite_array
@@ -210,3 +212,57 @@ def default_spec(seed: int = 0, n_periods: int = 63) -> FactorModelSpec:
         n_periods=n_periods,
         seed=seed,
     )
+
+
+# ---------------------------------------------------------------------------
+# `simulate`'s spec file: a preset with an optional seed and n_periods, or every field
+# ---------------------------------------------------------------------------
+
+_PRESETS = {"default": default_spec, "no_missing_factor": scenario_no_missing_factor,
+            "missing_factor": scenario_missing_factor}
+
+
+def read_spec(path, seed=None) -> FactorModelSpec:
+    """The spec the JSON file at path describes, its seed replaced by seed if given. A fault
+    in the file raises DataError naming path; a bad seed names no file."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(raw, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    try:  # a TypeError, ValueError or OverflowError (DataError included) names the file
+        if "preset" in raw:
+            name = raw["preset"]
+            if name not in _PRESETS:
+                raise DataError(f"unknown preset {name!r} (expected one of {sorted(_PRESETS)})")
+            kwargs = {"seed": 0} | {k: int(raw[k]) for k in ("seed", "n_periods") if k in raw}
+            extra = set(raw) - {"preset", "seed", "n_periods"}
+            if extra:
+                raise DataError(f"unexpected keys with preset: {sorted(extra)}")
+            spec = _PRESETS[name](**kwargs)
+        else:  # every field is a key; a null, absent or empty missing_loadings means none
+            fields = FactorModelSpec.__slots__
+            missing = set(fields) - {"missing_loadings"} - set(raw)
+            if missing:
+                raise DataError(f"missing keys: {sorted(missing)}")
+            extra = set(raw) - set(fields)
+            if extra:
+                raise DataError(f"unknown keys: {sorted(extra)}")
+            # the scalars are cast to their annotated int or float; the arrays pass as given
+            casts = FactorModelSpec.__init__.__annotations__
+            kwargs = {f: casts[f](raw[f]) if f in casts else raw.get(f) for f in fields}
+            if kwargs["missing_loadings"] in (None, []):
+                kwargs["missing_loadings"] = np.zeros((len(raw["intercepts"]), 0))
+            spec = FactorModelSpec(**kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{path}: {exc}") from None
+    given = {name: getattr(spec, name) for name in spec.__slots__}
+    return spec if seed is None else FactorModelSpec(**given | {"seed": seed})
+
+
+def spec_json_text(spec: FactorModelSpec) -> str:
+    """spec as the JSON text read_spec reads back: every field, arrays as nested lists."""
+    fields = {name: np.asarray(getattr(spec, name)).tolist() for name in spec.__slots__}
+    return json.dumps(fields, indent=2, sort_keys=True) + "\n"
