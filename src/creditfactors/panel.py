@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._record import Record, readonly
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .regress import INTERCEPT
 
 GRADES = ("A", "B", "C", "D", "E", "F")
@@ -229,10 +229,10 @@ def _longest_true_run(mask: np.ndarray) -> tuple:
 def aggregate_loans(loans) -> AlignedPanel:
     """Average loan rates into one mean-rate series per term/grade bucket.
 
-    loans is a LoanBook or an iterable of LoanRecord. The grid spans the
-    earliest to the latest origination month. Buckets with no loans in a month
-    are missing (NaN), never zero; buckets with no loans anywhere produce no
-    column. Means are unweighted averages of the loan rates, summed in input order.
+    loans is a LoanBook or an iterable of LoanRecord. The grid spans the earliest to the latest
+    origination month. Buckets with no loans in a month are missing (NaN), never zero; buckets
+    with no loans anywhere produce no column. Means are unweighted averages of the loan rates,
+    summed in input order; a mean that overflows raises NumericalError.
     """
     book = loans if isinstance(loans, LoanBook) else LoanBook.from_records(loans)
     if not len(book):
@@ -246,7 +246,16 @@ def aggregate_loans(loans) -> AlignedPanel:
     means = np.divide(sums, counts, out=np.full(shape, np.nan), where=counts > 0)
     observed = np.flatnonzero(counts.any(axis=0))
     names = tuple("{1}-{0}".format(*_BUCKETS[j]) for j in observed)
-    return AlignedPanel(Month.from_index(lo), names, means[:, observed])
+    return _finite(AlignedPanel(Month.from_index(lo), names, means[:, observed]), "mean rate")
+
+
+def _finite(panel: AlignedPanel, what) -> AlignedPanel:
+    """panel, unless a value overflowed: then NumericalError naming its series and month."""
+    rows, cols = np.nonzero(np.isinf(panel.values))
+    if len(rows):
+        raise NumericalError(f"{what} of series {panel.names[cols[0]]!r} in "
+                             f"{panel.month_at(int(rows[0]))} overflows double precision")
+    return panel
 
 
 def term_of_series(name: str) -> int:
@@ -261,7 +270,8 @@ def to_spreads(panel: AlignedPanel, curve: Iterable[YieldCurvePoint]) -> Aligned
     """Subtract the matching-maturity risk-free yield from every rate.
 
     Every observed (month, term) cell needs a curve point; a missing one is an
-    error naming the month and maturity. Missing rates stay missing.
+    error naming the month and maturity. Missing rates stay missing; a spread that
+    overflows raises NumericalError.
     """
     lookup = {}
     for pt in curve:
@@ -280,8 +290,9 @@ def to_spreads(panel: AlignedPanel, curve: Iterable[YieldCurvePoint]) -> Aligned
         if len(missing):
             raise DataError(f"no yield for {panel.month_at(int(missing[0]))} at maturity {term} "
                             "months")
-        np.subtract(out[:, j], yields[term], out=out[:, j], where=observed)
-    return AlignedPanel(panel.start, panel.names, out)
+        with np.errstate(over="ignore"):  # _finite refuses an overflow, named
+            np.subtract(out[:, j], yields[term], out=out[:, j], where=observed)
+    return _finite(AlignedPanel(panel.start, panel.names, out), "spread")
 
 
 def first_difference(panel: AlignedPanel) -> AlignedPanel:

@@ -98,10 +98,13 @@ def adf_test(series, lag_order: int = None, kind: str = REGRESSION_CONSTANT_TREN
     if n < need:
         raise DataError(f"series too short for the test at lag order {lag_order} "
                         f"(n={n}, need >= {need})")
-    if np.ptp(y) == 0:
+    if y.min() == y.max():
         raise NumericalError("degenerate series (constant)")
-
-    dy = np.diff(y)
+    with np.errstate(over="ignore"):  # a difference that overflows cannot be squared either
+        dy = np.diff(y)
+    if not np.isfinite(dy).all():
+        raise NumericalError("values of response 'diff' are too large to square in double "
+                             "precision")
     p = lag_order
     rows = n - 1 - p
     response = dy[p:]

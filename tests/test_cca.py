@@ -320,10 +320,39 @@ class TestFTail:
         assert _f_sf(x, dfn, dfd) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_edge_cases_match_scipy(self):
-        values = (-math.inf, -1.0, 0.0, 1.0, math.inf, math.nan)
+        values = (-math.inf, -1.0, 0.0, 1.0, 1e308, math.inf, math.nan)  # 1e308: dfn*x = inf
         dfs = (-1.0, 0.0, 3.0, math.inf, math.nan)
         cases = [(x, dfn, dfd) for x in values for dfn in dfs for dfd in dfs
                  if (x, dfn, dfd) != (1.0, 3.0, 3.0)]
         got = [_f_sf(*case) for case in cases]
         expected = [float(stats.f.sf(*case)) for case in cases]
         np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda Y, Z, sol: cf.cca_fit(Y[:-1], Z), cf.DataError,
+     "row mismatch: left has 29, right has 30"),
+    (lambda Y, Z, sol: cf.cca_fit(Y[:, :0], Z), cf.DataError,
+     "both sets need at least one column"),
+    (lambda Y, Z, sol: cf.eigen_table([]), cf.DataError, "no correlations"),
+    (lambda Y, Z, sol: cf.eigen_table([0.5, -0.1]), cf.DataError,
+     "canonical correlations must be nonnegative"),
+    (lambda Y, Z, sol: cf.wilks_lambda([0.5, 0.1]), cf.DataError,
+     "raw correlations need explicit p, q, and n_obs"),
+    (lambda Y, Z, sol: cf.wilks_lambda([1.0, 0.1], p=2, q=2, n_obs=30), cf.NumericalError,
+     r"degenerate correlation \(rho = 1\)"),
+    (lambda Y, Z, sol: cf.redundancy(sol, Y[:-1]), cf.DataError,
+     "left set: row count 29 does not match scores 30"),
+    (lambda Y, Z, sol: cf.redundancy(sol, Y[:, :2]), cf.DataError,
+     "left set has 2 columns, solution expects 3"),
+    (lambda Y, Z, sol: cf.cross_loadings(sol, Z[:, :1]), cf.DataError,
+     "right set has 1 columns, solution expects 2"),
+    (lambda Y, Z, sol: cf.cross_loadings(sol, Z, k_max=3), cf.DataError,
+     r"k_max must be in 1\.\.2, got 3"),
+], ids=["cca-rows", "cca-no-columns", "eigen-empty", "eigen-negative", "wilks-no-sizes",
+        "wilks-rho-1", "redundancy-rows", "redundancy-columns", "loadings-columns",
+        "loadings-k-max"])
+def test_a_bad_argument_is_refused_by_name(call, error, message):
+    Y, Z = correlated_sets(np.random.default_rng(76), T=30, p=3, q=2)
+    with pytest.raises(error, match=f"^{message}$"):
+        call(Y, Z, cf.cca_fit(Y, Z))

@@ -172,6 +172,25 @@ class TestSpreads:
         assert len(err) == 1 and "'alpha' does not follow the '<term>-<grade>' naming" in err[0]
         assert not (workdir / "out").exists()
 
+    @pytest.mark.parametrize("command, rows, rate_yield", [
+        ("aggregate", ["2010-01,1.7e308,A,36"] * 2, "1.0"),
+        ("aggregate", ["2010-01,1.7e308,A,36"], "-1.7e308"),
+        ("spreads", ["2010-01,1.7e308"], "-1.7e308"),
+    ], ids=["mean-of-two-loans", "loan-over-yield", "rate-over-yield"])
+    def test_a_spread_that_overflows_exit_4(self, workdir, capsys, command, rows, rate_yield):
+        # each cell is finite, but the bucket mean or the spread is not; both commands
+        # exited 0 and wrote a spread of inf that read_panel_csv then refused
+        header = "date,rate,grade,term" if command == "aggregate" else "date,36-A"
+        (workdir / "rates.csv").write_text("\n".join([header, *rows]) + "\n")
+        (workdir / "yields.csv").write_text(f"date,maturity_months,yield\n"
+                                            f"2010-01,36,{rate_yield}\n")
+        flag = "--loans" if command == "aggregate" else "--panel"
+        assert run(command, flag, "rates.csv", "--yields", "yields.csv", "--out", "out") == 4
+        what = "mean rate" if rate_yield == "1.0" else "spread"
+        assert capsys.readouterr().err.splitlines() == [
+            f"numerical error: {what} of series '36-A' in 2010-01 overflows double precision"]
+        assert not (workdir / "out").exists()
+
 
 class TestOlsParity:
     def test_emitted_csv_matches_library_byte_for_byte(self, workdir):

@@ -206,6 +206,10 @@ SPEC = b'{"preset": "missing_factor", "n_periods": 24}'
 HUGE_ROWS = panel_rows(3, 12, "S", 0)
 HUGE_ROWS[-1][1] = "1e308"  # the square of S1's last difference overflows
 HUGE_LAST_CELL = as_csv(HUGE_ROWS)
+ALTERNATING_ROWS = panel_rows(3, 40, "S", 0)
+for t, row in enumerate(ALTERNATING_ROWS[1:]):
+    row[1] = "1.7e308" if t % 2 else "-1.7e308"  # each cell is finite, no difference is
+ALTERNATING = as_csv(ALTERNATING_ROWS)
 
 
 @FUZZ
@@ -218,15 +222,21 @@ def test_panel_commands_keep_the_exit_contract(panel, lags):
                  {"panel.csv": panel})
 
 
-@pytest.mark.parametrize("argv_of, message", [
-    (lambda p: ["adf", "--panel", p["panel.csv"]],
+@pytest.mark.parametrize("command, panel, message", [
+    ("adf", HUGE_LAST_CELL,
      "unit-root test of series 'S1': values of response 'diff' are too large"),
-    (lambda p: ["analyze", "--spreads", p["panel.csv"], "--macro", p["macro.csv"]],
+    ("analyze", HUGE_LAST_CELL,
      "values of series 'S1' are too large"),  # the spread levels' summary refuses S1 first
-], ids=["adf", "analyze"])
-def test_values_too_large_to_square_exit_4(argv_of, message):
-    code, err = run_main(lambda p: argv_of(p) + ["--out", p["out"]],
-                         {"panel.csv": HUGE_LAST_CELL, "macro.csv": MACRO})
+    # adf exited 3 saying the finite cells were not finite: its differences overflowed
+    ("adf", ALTERNATING,
+     "unit-root test of series 'S1': values of response 'diff' are too large"),
+    ("analyze", ALTERNATING, "values of series 'S1' are too large"),
+], ids=["adf", "analyze", "adf-alternating", "analyze-alternating"])
+def test_values_too_large_to_square_exit_4(command, panel, message):
+    inputs = {"adf": ["--panel", "panel.csv"],
+              "analyze": ["--spreads", "panel.csv", "--macro", "macro.csv"]}[command]
+    code, err = run_main(lambda p: [command, *(p.get(w, w) for w in inputs), "--out", p["out"]],
+                         {"panel.csv": panel, "macro.csv": MACRO})
     assert code == cli.EXIT_NUMERICAL
     assert err.splitlines() == [f"numerical error: {message} to square in double precision"]
 

@@ -271,3 +271,32 @@ class TestDiagnostic:
         assert rows[0][0] == report.responses[0]
         assert rows[-1][0] == "mean"
         assert rows[-1][-1] == format(report.mean_delta, ".3f")
+
+
+def _augment(fits=slice(None), rows=slice(None), columns=slice(None)):
+    """augment_with_pc1 on slices of four fits (the last on another design), X and Y."""
+    rng = np.random.default_rng(97)
+    X, Y = rng.normal(size=(40, 2)), rng.normal(size=(40, 3))
+    fitted = [cf.ols(Y[:, j], X, response_name=f"y{j}") for j in range(3)]
+    fitted.append(cf.ols(Y[:, 0], X[:, ::-1], response_name="y0", predictor_names=["b", "a"]))
+    return cf.augment_with_pc1(fitted[fits], X[rows], Y[:, columns])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: cf.FactorScores(np.zeros((5, 2)), r=3), cf.DataError,
+     "r=3 but scores have 2 columns"),
+    (lambda: cf.residual_pc1(np.ones((2, 3))), cf.DataError, "need at least three rows"),
+    (lambda: cf.residual_pc1(np.ones((5, 3))), cf.NumericalError,
+     r"degenerate residuals \(no variation along the first component\)"),
+    (lambda: _augment(fits=slice(1, None)), cf.DataError, "fits do not share one design"),
+    (lambda: _augment(fits=slice(3), rows=slice(1, None)), cf.DataError,
+     "design rows 39 do not match fit rows 40"),
+    (lambda: _augment(fits=slice(3), columns=slice(2)), cf.DataError,
+     r"responses have shape \(40, 2\), fits \(40, 3\)"),
+    (lambda: cf.DiagnosticReport((), (), (), (), 0.0, 0.0, 0.3, 0.1, "maybe"), cf.DataError,
+     "unknown verdict 'maybe'"),
+], ids=["scores-r", "pc1-two-rows", "pc1-constant", "augment-designs", "augment-design-rows",
+        "augment-responses", "report-verdict"])
+def test_a_bad_argument_is_refused_by_name(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()

@@ -248,6 +248,20 @@ class TestToSpreads:
         with pytest.raises(cf.DataError, match="conflicting"):
             cf.to_spreads(panel, curve)
 
+    @pytest.mark.parametrize("rates, yield_pct, message", [
+        ([1.7e308, 1.7e308], 1.0, "mean rate"),
+        ([1.7e308], -1.7e308, "spread"),
+    ], ids=["mean", "spread"])
+    def test_an_overflow_is_refused_by_series_and_month(self, rates, yield_pct, message):
+        # under the RuntimeWarning filter: the overflow raises no floating-point warning
+        records = [cf.LoanRecord(month("2010-02"), 5.0, "B", 36)]
+        records += [cf.LoanRecord(month("2010-03"), rate, "A", 36) for rate in rates]
+        curve = [cf.YieldCurvePoint(month(m), 36, y)
+                 for m, y in (("2010-02", 1.0), ("2010-03", yield_pct))]
+        with pytest.raises(cf.NumericalError, match=f"^{message} of series '36-A' in 2010-03 "
+                                                    "overflows double precision$"):
+            cf.to_spreads(cf.aggregate_loans(records), curve)
+
 
 # ---------------------------------------------------------------------------
 # differencing and interpolation

@@ -236,3 +236,29 @@ class TestCannedSpecs:
         assert spec.n_proxies == 10
         assert spec.n_proxied == 3
         assert spec.n_periods == 63
+
+
+class TestSpecFile:
+    """read_spec's refusals; tests/test_cli.py runs the format through `simulate`."""
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"preset": "nope"}', "unknown preset 'nope' (expected one of ['default', "
+                               "'missing_factor', 'no_missing_factor'])"),
+        ('{"preset": "default", "foo": 1}', "unexpected keys with preset: ['foo']"),
+        ('{"preset": "default", "seed": "x"}', "invalid literal for int() with base 10: 'x'"),
+        ("[1, 2]", "expected a JSON object"),
+        ('{"intercepts": [1.0]}', "missing keys: ['idio_variances', 'n_periods', "
+                                  "'proxied_loadings', 'proxy_noise_scale', "
+                                  "'proxy_projection', 'seed']"),
+        ('{"preset": "def', "not valid JSON (Unterminated string starting at: line 1 "
+                            "column 12 (char 11))"),
+        ('{"intercepts": [1.0], "proxied_loadings": [[1.0]], "proxy_projection": [[1.0]], '
+         '"proxy_noise_scale": 0.1, "idio_variances": [1.0], "n_periods": 30, "seed": 0, '
+         '"extra": 1}', "unknown keys: ['extra']"),
+    ], ids=["unknown-preset", "extra-with-preset", "bad-seed", "array", "missing-keys",
+            "truncated", "unknown-key"])
+    def test_a_fault_in_the_file_names_it(self, tmp_path, text, message):
+        (tmp_path / "spec.json").write_text(text)
+        with pytest.raises(cf.DataError) as caught:
+            cf.synthgen.read_spec(tmp_path / "spec.json", seed=3)
+        assert str(caught.value) == f"{tmp_path / 'spec.json'}: {message}"
