@@ -258,8 +258,8 @@ def read_spec(path, seed=None) -> FactorModelSpec:
             spec = FactorModelSpec(**kwargs)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: {exc}") from None
-    given = {name: getattr(spec, name) for name in spec.__slots__}
-    return spec if seed is None else FactorModelSpec(**given | {"seed": seed})
+    values = {name: getattr(spec, name) for name in spec.__slots__}
+    return spec if seed is None else FactorModelSpec(**values | {"seed": seed})
 
 
 def spec_json_text(spec: FactorModelSpec) -> str:

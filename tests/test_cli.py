@@ -402,9 +402,15 @@ class TestConfig:
         (workdir / "run.cfg").write_text("macro = macro.csv\nfactors = three\n")
         assert run("cca", "--config", "run.cfg", "--spreads", "spreads.csv") == 2
 
-    def test_missing_required_setting_exit_2(self, workdir):
+    @pytest.mark.parametrize("given, message", [
+        (["--spreads", "spreads.csv"], "missing required setting 'macro' (flag --macro or config)"),
+        (["--loans", "spreads.csv", "--macro", "spreads.csv"],
+         "need either spreads=PATH or both loans=PATH and yields=PATH"),
+    ], ids=["macro", "yields"])
+    def test_missing_required_setting_exit_2(self, workdir, capsys, given, message):
         write_spread_panel(workdir / "spreads.csv")
-        assert run("ols", "--spreads", "spreads.csv") == 2
+        assert run("ols", *given) == 2
+        assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
 
     def test_align_setting_is_gone(self, workdir, capsys):
         write_spread_panel(workdir / "spreads.csv")

@@ -288,6 +288,7 @@ def _augment(fits=slice(None), rows=slice(None), columns=slice(None)):
     (lambda: cf.residual_pc1(np.ones((2, 3))), cf.DataError, "need at least three rows"),
     (lambda: cf.residual_pc1(np.ones((5, 3))), cf.NumericalError,
      r"degenerate residuals \(no variation along the first component\)"),
+    (lambda: _augment(fits=slice(1)), cf.DataError, "need at least two fitted responses"),
     (lambda: _augment(fits=slice(1, None)), cf.DataError, "fits do not share one design"),
     (lambda: _augment(fits=slice(3), rows=slice(1, None)), cf.DataError,
      "design rows 39 do not match fit rows 40"),
@@ -295,8 +296,8 @@ def _augment(fits=slice(None), rows=slice(None), columns=slice(None)):
      r"responses have shape \(40, 2\), fits \(40, 3\)"),
     (lambda: cf.DiagnosticReport((), (), (), (), 0.0, 0.0, 0.3, 0.1, "maybe"), cf.DataError,
      "unknown verdict 'maybe'"),
-], ids=["scores-r", "pc1-two-rows", "pc1-constant", "augment-designs", "augment-design-rows",
-        "augment-responses", "report-verdict"])
+], ids=["scores-r", "pc1-two-rows", "pc1-constant", "augment-one-fit", "augment-designs",
+        "augment-design-rows", "augment-responses", "report-verdict"])
 def test_a_bad_argument_is_refused_by_name(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         call()

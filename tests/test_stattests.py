@@ -108,8 +108,7 @@ class TestAdf:
             cf.adf_test(np.full(50, 2.0))
 
     def test_differences_that_overflow_are_refused_as_unsquarable(self):
-        # every value is finite, but each difference of ±1.7e308 overflows; np.ptp overflowed
-        # too, and the differences then failed the regression's finite check as a DataError
+        # every value is finite, but each difference of ±1.7e308 overflows (and np.ptp would)
         x = np.where(np.arange(40) % 2, 1.7e308, -1.7e308)
         with pytest.raises(cf.NumericalError, match="^values of response 'diff' are too large "
                                                     "to square in double precision$"):
