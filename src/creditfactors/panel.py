@@ -7,8 +7,9 @@ percent per annum. Missing entries are NaN. Panels are immutable; every
 transform returns a new panel.
 
 Loan and yield files stream from disk, panel files are decoded whole. After the csv module reads a
-header, numpy's C reader tries the data CHUNK_ROWS lines at a time and hands the rows it cannot
-prove valid to the CSV core, which reads all lines from a quote or a bad byte on.
+header, numpy's C reader tries the data CHUNK_ROWS lines at a time; the CSV core reads the rows it
+cannot prove valid (all lines from a quote or a bad byte on), joins their cells into plain lines
+for numpy again, and reads the rows numpy still cannot prove valid by the reader's row rule.
 """
 
 import csv
@@ -470,17 +471,18 @@ def _chunk_parts(path, lines, first, dtype, plain, core, what):
     return parts
 
 
-def _record_parts(path, columns, what, plain, core):
+def _record_parts(path, columns, what, plain, row):
     """_chunk_parts of a loan or yield file, short rows padded. columns maps each column to its
     plain dtype, a repeated one its last; numpy reads any other as S0, so it counts every cell."""
     with open(path, newline="") as fh:
-        row, line = _header(path, fh, 1)
-        if row is None or not set(columns).issubset(row):
+        header, line = _header(path, fh, 1)
+        if header is None or not set(columns).issubset(header):
             raise DataError(f"{path}: expected header with columns {','.join(columns)}")
-        take = {max(j for j, name in enumerate(row) if name == col): col for col in columns}
-        dtype = [(take.get(j, str(j)), columns.get(take.get(j), "S0")) for j in range(len(row))]
-        return _chunk_parts(path, fh, line + 1, dtype, plain, lambda lines, first: core(
-            _csv_chunks(path, lines, first, take, len(row), True)), what)
+        take = {max(j for j, name in enumerate(header) if name == col): col for col in columns}
+        dtype = [(take.get(j, str(j)), columns.get(take.get(j), "S0")) for j in range(len(header))]
+        return _chunk_parts(path, fh, line + 1, dtype, plain, lambda lines, first: _csv_core(
+            path, _csv_chunks(path, lines, first, take, len(header), True),
+            list(columns.items()), plain, row), what)
 
 
 def _at(path, line, make):
@@ -491,21 +493,37 @@ def _at(path, line, make):
         raise DataError(f"{path}:{line}: {exc}") from None
 
 
-def _codes(cells, table: dict, code) -> np.ndarray:
-    """code(cell) for every cell, computed once per distinct cell; -1 where it fails."""
-    for cell in set(cells).difference(table):
-        try:
-            table[cell] = code(cell)
-        except ValueError:  # DataError included
-            table[cell] = -1
-    return np.fromiter(map(table.__getitem__, cells), np.int64, len(cells))
+def _csv_core(path, chunks, dtype, plain, row):
+    """The parts of the _csv_chunks chunks. Each row's cells, a text (S) cell stripped and an
+    empty number as nan, are joined with commas into a plain line; plain(cells, holes) gets the
+    lines' _plain_chunk cells, or where numpy refuses them a zero array of dtype, which it flags
+    whole, and holes marks the empty numbers. row(*cells) reads each flagged row under _at."""
+    dtype = np.dtype(dtype)
+    numbers = np.array([dtype[name].base.kind != "S" for name in dtype.names
+                        for _ in range(math.prod(dtype[name].shape))])
+    for at, cols in chunks:
+        holes, joined = np.zeros((len(at), len(cols)), bool), []
+        for j, col in enumerate(cols):
+            if not numbers[j]:
+                col = list(map(str.strip, col))
+            elif not all(col):
+                holes[:, j] = [not c for c in col]
+                col = [c or "nan" for c in col]
+            joined.append(col)
+        lines = list(map(",".join, zip(*joined)))
+        cells = _plain_chunk(lines, "\n".join(lines), dtype)
+        part, ok = plain(np.zeros(len(at), dtype) if cells is None else cells, holes[:, numbers])
+        for i in np.flatnonzero(~ok).tolist():
+            for col, value in zip(part, _at(path, at[i], lambda: row(*(c[i] for c in cols)))):
+                col[i] = value
+        yield part
 
 
 def _month_index(dates) -> np.ndarray:
-    """Month.index of each YYYY-MM or YYYY-MM-DD in ASCII digits of an S11 or U11 array, else -1;
-    it reads code points, NUL past a date's end, so a date that fills all 11 fails."""
+    """Month.index of each YYYY-MM or YYYY-MM-DD in ASCII digits of an S11 array, else -1; it
+    reads bytes, NUL past a date's end, so a date that fills all 11 fails."""
     text = np.ascontiguousarray(dates)
-    points = text.view(f"u{text.itemsize // 11}").reshape(-1, 11)
+    points = text.view("u1").reshape(-1, 11)
     digit = points - ord("0")  # unsigned: below 10 only for a digit
     form = (points - (digit < 10) * digit).view(text.dtype)[:, 0]  # each digit as '0'
     digits = digit[:, :7].astype(np.int64)
@@ -517,51 +535,37 @@ def _month_index(dates) -> np.ndarray:
 
 def read_loans_csv(path) -> LoanBook:
     """Loan-level CSV with header date,rate,grade,term (one loan per row)."""
-    def plain(cells):  # the part and which rows the CSV core reads alike
+    def plain(cells, holes=None):  # the part and which rows row reads alike; no loan has a hole
         grade_of = np.full(257, -1)  # the GRADES code of a grade's two bytes as one number
         grade_of[[ord(g) for g in GRADES]] = range(len(GRADES))
         grade = grade_of[np.ascontiguousarray(cells["grade"]).view("<u2").clip(max=256)]
         months, rate = _month_index(cells["date"]), cells["rate"]
         term = np.select([cells["term"] == t for t in TERMS], range(len(TERMS)), -1)
         ok = (months >= 0) & (grade >= 0) & (term >= 0) & np.isfinite(rate) & (rate > 0)
-        return (months, term * len(GRADES) + grade, rate), ok
+        return (months, term * len(GRADES) + grade, rate), ok  # term-major, as _BUCKETS
 
-    def core(chunks):
-        month_of, grade_of, term_of = {}, {}, {}
-        for at, (dates, rates, grades, terms) in chunks:
-            months = _codes(dates, month_of, lambda d: Month.parse(d).index)
-            grade = _codes(grades, grade_of, lambda g: GRADES.index(g.strip()))
-            term = _codes(terms, term_of, lambda t: TERMS.index(int(t)))
-            try:
-                rate = np.fromiter(map(float, rates), float, len(rates))
-            except ValueError:  # a cell is not a number: flag every row, the loop finds it
-                rate = np.full(len(rates), np.nan)
-            bad = (months < 0) | (grade < 0) | (term < 0) | ~(np.isfinite(rate) & (rate > 0))
-            for i in np.flatnonzero(bad):  # raises at the first row that really fails
-                d, r, g, t = dates[i], rates[i], grades[i], terms[i]
-                _at(path, at[i], lambda: LoanRecord(Month.parse(d), float(r), g.strip(), int(t)))
-            yield months, term * len(GRADES) + grade, rate  # term-major, as _BUCKETS
+    def row(d, r, g, t):
+        loan = LoanRecord(Month.parse(d), float(r), g.strip(), int(t))
+        return loan.month.index, _BUCKETS.index((loan.grade, loan.term)), loan.rate
 
     # the loan columns in the CSV core's order -> plain dtype; a cell that fills an S is invalid
     columns = {"date": "S11", "rate": "f8", "grade": "S2", "term": "i8"}
-    return LoanBook(*map(np.concatenate, zip(*_record_parts(path, columns, "loan", plain, core))))
+    return LoanBook(*map(np.concatenate, zip(*_record_parts(path, columns, "loan", plain, row))))
 
 
 def read_yields_csv(path) -> list:
     """Yield-curve CSV with header date,maturity_months,yield."""
-    def plain(cells):  # the part (None for a row the CSV core may read otherwise) and its mask
+    def plain(cells, holes=None):  # the part (None where row may read otherwise) and its mask
         cols = _month_index(cells["date"]), cells["maturity_months"], cells["yield"]
         ok = (cols[0] >= 0) & (cols[1] > 0) & np.isfinite(cols[2])
         return ([YieldCurvePoint(Month.from_index(i), m, y) if k else None
                  for k, i, m, y in zip(ok.tolist(), *(c.tolist() for c in cols))],), ok
 
-    def core(chunks):
-        for lines, cols in chunks:
-            yield [_at(path, line, lambda: YieldCurvePoint(Month.parse(d), int(m), float(y)))
-                   for line, d, m, y in zip(lines, *cols)],
+    def row(d, m, y):
+        return YieldCurvePoint(Month.parse(d), int(m), float(y)),
 
     columns = {"date": "S11", "maturity_months": "i8", "yield": "f8"}
-    return [pt for part, in _record_parts(path, columns, "yield", plain, core) for pt in part]
+    return [pt for part, in _record_parts(path, columns, "yield", plain, row) for pt in part]
 
 
 def _month_labels(start: int, n: int) -> list:
@@ -593,45 +597,28 @@ def read_panel_csv(path) -> AlignedPanel:
         lines = list(_decoded(fh, path))  # a byte that does not decode fails before any row
     skip = next((i for i, ln in enumerate(lines) if not ln.startswith("#")), len(lines))
     rows = iter(lines[skip:])
-    row, line = _header(path, rows, skip + 1)
-    if row is None:
+    header, line = _header(path, rows, skip + 1)
+    if header is None:
         raise DataError(f"{path}: empty file")
-    if not row or row[0] != "date":
+    if not header or header[0] != "date":
         raise DataError(f"{path}: first column must be 'date'")
-    if len(row) < 2:
+    if len(header) < 2:
         raise DataError(f"{path}: no series columns")
-    names, take = _at(path, line, lambda: _series_names(row[1:])), range(len(row))
+    names, take = _at(path, line, lambda: _series_names(header[1:])), range(len(header))
     if INTERCEPT in names:
         raise DataError(f"{path}:{line}: series name {INTERCEPT!r} is reserved for the "
                         "regression intercept")
 
-    def read(lines, first):  # the CSV core from line first on
-        for at, (dates, *cols) in _csv_chunks(path, lines, first, take, len(take), False):
-            n, idx = len(dates), _month_index(np.array(dates, "U11"))
-            off = np.flatnonzero((idx < 0) | ("\0" in "".join(dates)))  # U drops an end NUL
-            idx[off] = _codes([dates[i] for i in off], {}, lambda d: Month.parse(d).index)
-            vals, bad, empty = np.full((n, len(cols)), np.nan), idx < 0, {"": "nan"}
-            for j, col in enumerate(cols):
-                try:
-                    try:
-                        vals[:, j] = np.fromiter(map(float, col), float, n)
-                    except ValueError:  # an empty cell reads as nan; a bad one fails again
-                        vals[:, j] = np.fromiter(map(float, map(empty.get, col, col)), float, n)
-                except ValueError:  # a cell is not a number: flag every row, the loop finds it
-                    bad[:] = True
-            for i, j in zip(*np.unravel_index(np.flatnonzero(~np.isfinite(vals)), vals.shape)):
-                bad[i] |= cols[j][i] != ""  # only an empty cell may read as non-finite
-            for i in np.flatnonzero(bad).tolist():  # raises at the first row that really fails
-                idx[i], vals[i] = _at(path, at[i], lambda: (
-                    Month.parse(dates[i]).index, [_cell_value(col[i]) for col in cols]))
-            yield idx, vals
-
-    def plain(cells):  # the part and which rows the CSV core reads alike
+    def plain(cells, holes=False):  # the part and which rows row reads alike
         idx, vals = _month_index(cells["date"]), cells["values"]
-        return (idx, vals), (idx >= 0) & np.isfinite(vals).all(axis=1)
+        return (idx, vals), (idx >= 0) & (np.isfinite(vals) | holes).all(axis=1)
+
+    def row(d, *cells):
+        return Month.parse(d).index, [_cell_value(c) for c in cells]
 
     dtype = [("date", "S11"), ("values", "f8", (len(names),))]
-    parts = _chunk_parts(path, rows, line + 1, dtype, plain, read, "data")
+    parts = _chunk_parts(path, rows, line + 1, dtype, plain, lambda lines, first: _csv_core(
+        path, _csv_chunks(path, lines, first, take, len(take), False), dtype, plain, row), "data")
     index, values = (np.concatenate(part) for part in zip(*parts))  # months span chunk edges
     gap = np.flatnonzero(np.diff(index) != 1)
     if len(gap):

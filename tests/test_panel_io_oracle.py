@@ -346,15 +346,24 @@ def test_a_date_at_the_field_limit_reads_in_small_memory(tmp_path):
 
 
 def test_a_date_left_to_the_parser_keeps_its_values_in_the_bulk_pass(tmp_path, monkeypatch):
-    """A padded date, or one in other digits, is parsed alone; no value of its row is re-read."""
+    """A padded date is stripped in the CSV core; no value of its row is re-read."""
     reparsed = []
     monkeypatch.setattr(panel, "_cell_value", reparsed.append)
+    dates = [f" {Month(2010, 1).plus(t)}" for t in range(6)]
+    path = tmp_path / "p.csv"
+    path.write_text("date,x\n" + "".join(f"{d},{t}.5\n" for t, d in enumerate(dates)))
+    p = cf.read_panel_csv(path)
+    assert not reparsed
+    assert p.start == Month(2010, 1) and p.values.ravel().tolist() == [t + 0.5 for t in range(6)]
+
+
+def test_a_date_in_other_digits_reads_by_the_row_rule(tmp_path):
+    """A chunk holding a date in Arabic-Indic digits is not ASCII, so numpy never sees it."""
     dates = [f" {Month(2010, 1).plus(t)}" for t in range(6)]
     dates[4] = dates[4].translate({ord("0") + d: 0x660 + d for d in range(10)})
     path = tmp_path / "p.csv"
     path.write_text("date,x\n" + "".join(f"{d},{t}.5\n" for t, d in enumerate(dates)))
     p = cf.read_panel_csv(path)
-    assert not reparsed
     assert p.start == Month(2010, 1) and p.values.ravel().tolist() == [t + 0.5 for t in range(6)]
 
 

@@ -12,6 +12,7 @@ lists, or fail with the same `DataError` message.
 import csv
 import io
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -22,10 +23,20 @@ from hypothesis import strategies as st
 from creditfactors import panel
 from creditfactors.cli import main
 from creditfactors.panel import (GRADES, TERMS, DataError, LoanBook, LoanRecord, Month,
-                                 YieldCurvePoint, _at, _codes, _decoded)
+                                 YieldCurvePoint, _at, _decoded)
 from test_cli_fuzz import BAD_BYTES, BAD_CELLS, BAD_DATES
 
 CHUNK_ROWS = 4096  # CSV rows held as text at a time by the oracle readers
+
+
+def _codes(cells, table: dict, code) -> np.ndarray:
+    """code(cell) for every cell, computed once per distinct cell; -1 where it fails."""
+    for cell in set(cells).difference(table):
+        try:
+            table[cell] = code(cell)
+        except ValueError:  # DataError included
+            table[cell] = -1
+    return np.fromiter(map(table.__getitem__, cells), np.int64, len(cells))
 
 
 def oracle_csv_chunks(path, columns, what):
@@ -441,13 +452,14 @@ def test_numpy_reads_a_plain_number_as_python_does(cell):
 
 
 def spy_readers(monkeypatch):
-    """Lists that fill with the lines of each np.loadtxt call and with (first line, lines) of
-    each call of the CSV core."""
+    """Lists that fill with the lines of each np.loadtxt call on the file's own lines (not on
+    the CSV core's joined cells) and with (first line, lines) of each call of the CSV core."""
     parsed, cored = [], []
     load, core = np.loadtxt, panel._csv_chunks
 
     def loadtxt(lines, *args, **kwargs):
-        parsed.append(list(lines))
+        if sys._getframe(2).f_code is panel._chunk_parts.__code__:  # through _plain_chunk
+            parsed.append(list(lines))
         return load(lines, *args, **kwargs)
 
     def csv_chunks(path, lines, first, *args):
