@@ -4,10 +4,10 @@
     python3 scripts/line_coverage.py [PYTEST_ARGS...]
 
 Run from the repository root; it needs pytest only, not a coverage package.
-It runs `pytest -q -p no:cacheprovider` (plus PYTEST_ARGS, such as one test
-file) in this process under a `sys.settrace` / `threading.settrace` tracer
-that records line events only in frames whose code lies under
-src/creditfactors. A statement counts when its first line carries bytecode of
+It runs `pytest -q -p no:cacheprovider --hypothesis-seed=0` (plus
+PYTEST_ARGS, such as one test file) in this process under a `sys.settrace` /
+`threading.settrace` tracer that records line events only in frames whose code
+lies under src/creditfactors. A statement counts when its first line carries bytecode of
 a function, method or nested function; module and class bodies run on import
 and are left out. Docstrings, `global` and `nonlocal` carry no bytecode and
 never count.
@@ -29,6 +29,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import pytest  # noqa: E402
 
+SEED = 0  # hypothesis draws the same examples on every run, so one tree gives one list
 ran = set()  # (file, line) of every line event in the package
 
 
@@ -90,7 +91,7 @@ def main(argv):
     sys.settrace(_trace)
     threading.settrace(_trace)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", *argv])
+        status = pytest.main(["-q", "-p", "no:cacheprovider", f"--hypothesis-seed={SEED}", *argv])
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -104,7 +105,7 @@ def main(argv):
         for line, function, text in missed:
             print(f"  {line:4d}  {function}: {text}")
     print(f"\ntotal: {never} of {total} statements in functions never ran "
-          f"(pytest exit {int(status)})")
+          f"(pytest exit {int(status)}, hypothesis seed {SEED})")
     return int(status)
 
 

@@ -39,7 +39,8 @@ def unit_columns(X, names=None):
     """
     Xt = np.array(np.asarray(X, dtype=float).T, order="C")
     constant = Xt.min(axis=1) == Xt.max(axis=1)
-    means = np.where(constant, Xt[:, 0], Xt.mean(axis=1))
+    with np.errstate(over="ignore"):  # check_squares refuses a column whose mean overflowed
+        means = np.where(constant, Xt[:, 0], Xt.mean(axis=1))
     Xt -= means[:, None]
     squares = np.einsum("ij,ij->i", Xt, Xt)
     for j in np.flatnonzero(~constant):

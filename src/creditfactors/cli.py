@@ -308,12 +308,14 @@ def _summary_table(p: panel_mod.AlignedPanel):
     for name in p.names:
         col = p.column(name)
         vals = col[~np.isnan(col)]  # Run refuses a series with no observations
+        mean, sd = vals[0], 0.0  # a constant series', whose sum may overflow
         if vals.min() < vals.max():  # std squares the deviations: refuse what cannot be
             with np.errstate(over="ignore"):
                 dev = vals - vals.mean()
                 check_squares(dev @ dev, f"series {name!r}")
-        sd = format(vals.std(ddof=1), ".4f") if vals.size > 1 else ""
-        rows.append([name, str(vals.size), format(vals.mean(), ".4f"), sd,
+            mean, sd = vals.mean(), vals.std(ddof=1)
+        rows.append([name, str(vals.size), format(mean, ".4f"),
+                     format(sd, ".4f") if vals.size > 1 else "",
                      format(vals.min(), ".4f"), format(vals.max(), ".4f")])
     return header, rows
 

@@ -300,14 +300,19 @@ def first_difference(panel: AlignedPanel) -> AlignedPanel:
     """Month-over-month change of every series; the grid loses its first month.
 
     A difference is observed only where both neighbouring levels are. Every
-    column must contain at least two consecutive observations.
+    column must contain at least two consecutive observations; a difference
+    that overflows raises NumericalError, as its square would.
     """
     if panel.n_obs < 2:
         raise DataError("cannot difference a panel with fewer than two rows")
-    diff = panel.values[1:] - panel.values[:-1]
+    with np.errstate(over="ignore"):  # refused below, named
+        diff = panel.values[1:] - panel.values[:-1]
     for j, name in enumerate(panel.names):
         if not np.any(~np.isnan(diff[:, j])):
             raise DataError(f"series {name!r} has fewer than two consecutive observations")
+        if np.isinf(diff[:, j]).any():
+            raise NumericalError(f"values of series {name!r} are too large to square in double "
+                                 "precision")
     return AlignedPanel(panel.start.plus(1), panel.names, diff)
 
 

@@ -23,6 +23,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from creditfactors import cli
+from creditfactors._linalg import unit_columns
+from creditfactors.errors import NumericalError
+from creditfactors.panel import AlignedPanel, Month, first_difference
 
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_NUMERICAL}
 
@@ -239,6 +242,27 @@ def test_values_too_large_to_square_exit_4(command, panel, message):
                          {"panel.csv": panel, "macro.csv": MACRO})
     assert code == cli.EXIT_NUMERICAL
     assert err.splitlines() == [f"numerical error: {message} to square in double precision"]
+
+
+@pytest.mark.parametrize("source", ["summary mean", "first difference", "unit-column mean"])
+def test_values_near_the_double_limit_raise_no_floating_point_event(source):
+    # each source raised FloatingPointError here: a constant series' mean and a column's mean
+    # overflowed in a sum whose result was discarded or refused, and a difference overflowed
+    big, start = 1.7e308, Month(2000, 1)
+    with np.errstate(all="raise"):
+        if source == "summary mean":
+            _, rows = cli._summary_table(AlignedPanel(start, ("S1",), np.full((3, 1), big)))
+            text = format(big, ".4f")
+            assert rows == [["S1", "3", text, "0.0000", text, text]]
+        elif source == "first difference":
+            with pytest.raises(NumericalError, match=r"^values of series 'S1' are too large to "
+                                                     r"square in double precision$"):
+                first_difference(AlignedPanel(start, ("S0", "S1"), [[0.0, big], [1.0, -big]]))
+        else:
+            means, _, norms = unit_columns(np.column_stack([np.full(3, big), [1.0, 2.0, 3.0]]))
+            assert means.tolist() == [big, 2.0] and norms[0] == 0.0
+            with pytest.raises(NumericalError, match=r"^values of column 0 are too large"):
+                unit_columns(np.array([[big], [big / 2], [big]]))
 
 
 @settings(FUZZ, max_examples=15)

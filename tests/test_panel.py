@@ -404,6 +404,32 @@ class TestAlignedPanel:
         np.testing.assert_allclose(p.complete_column("x"), [1.0, 2.0, 3.0])
 
 
+REFUSALS = {  # a public call whose input no other test refuses, and the DataError it gives
+    "1-D values": (lambda: cf.AlignedPanel(month("2010-01"), ("x",), [1.0, 2.0]),
+                   "panel values must be 2-D, got shape (2,)"),
+    "no rows": (lambda: cf.AlignedPanel(month("2010-01"), ("x",), np.empty((0, 1))),
+                "panel must have at least one row"),
+    "more names than columns": (lambda: cf.AlignedPanel(month("2010-01"), ("x", "y"), [[1.0]]),
+                                "2 series names but 1 value columns"),
+    "no observations": (lambda: single("x", "2010-01", [np.nan]).complete_column("x"),
+                        "series 'x' has no observations"),
+    "one row to difference": (lambda: cf.first_difference(single("x", "2010-01", [1.0])),
+                              "cannot difference a panel with fewer than two rows"),
+    "one anchor": (lambda: cf.interpolate_quarterly([(month("2010-01"), 1.0)]),
+                   "need at least two anchor points to interpolate"),
+    "infinite anchor": (lambda: cf.interpolate_quarterly(
+        [(month("2010-01"), 1.0), (month("2010-04"), np.inf)]), "anchor values must be finite"),
+    "no panels": (lambda: cf.align([]), "no panels to align"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=list(REFUSALS))
+def test_a_refused_panel_input_names_its_fault(call, message):
+    with pytest.raises(cf.DataError) as info:
+        call()
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # CSV round trips
 # ---------------------------------------------------------------------------
