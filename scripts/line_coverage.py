@@ -6,11 +6,12 @@
 Run from the repository root; it needs pytest only, not a coverage package.
 It runs `pytest -q -p no:cacheprovider --hypothesis-seed=0` (plus
 PYTEST_ARGS, such as one test file) in this process under a `sys.settrace` /
-`threading.settrace` tracer that records line events only in frames whose code
-lies under src/creditfactors. A statement counts when its first line carries bytecode of
-a function, method or nested function; module and class bodies run on import
-and are left out. Docstrings, `global` and `nonlocal` carry no bytecode and
-never count.
+`threading.settrace` tracer that records line events only in frames whose
+code lies under src/creditfactors. The fixed seed makes hypothesis draw the
+same examples on every run, so one tree gives one list. A statement counts
+when its first line carries bytecode of a function, method or nested
+function; module and class bodies run on import and are left out.
+Docstrings, `global` and `nonlocal` carry no bytecode and never count.
 
 Tests that run the package in a subprocess (the demos, the cold-start checks,
 and the CLI runs of `python -m creditfactors.cli` in the acceptance and
@@ -29,7 +30,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import pytest  # noqa: E402
 
-SEED = 0  # hypothesis draws the same examples on every run, so one tree gives one list
+SEED = 0  # --hypothesis-seed of every run
 ran = set()  # (file, line) of every line event in the package
 
 
