@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Time the loan, yield and panel CSV readers on ten forms of the benchmark's inputs.
 
-    python3 scripts/reader_timings.py [--rounds 10] [--reads 5]
-    python3 scripts/reader_timings.py --compare PARENT_CHECKOUT [--rounds 10] [--reads 5]
+    python3 scripts/reader_timings.py
+    python3 scripts/reader_timings.py --compare PARENT_CHECKOUT
 
 Run from the repository root. The inputs come from
 `perfbench/inputs.generate(..., seed=101)`: the `loanbook` loan and yield files
@@ -13,7 +13,7 @@ core: loans whose grades are padded (` D`), loans whose cells are separated by
 
 Both checkouts' packages are loaded into this one process, each under a name
 of its own, so that every read runs in the same interpreter and heap. In each
-round every input is read `--reads` times by each checkout's
+of ROUNDS (10) rounds every input is read READS (5) times by each checkout's
 `creditfactors.panel`, the two taking turns read by read; which goes first
 alternates from turn to turn and from round to round, so both see the same
 drift of the host. A round keeps the median of each side's reads of each
@@ -40,6 +40,8 @@ os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"  # befo
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH_SEED = 101
+ROUNDS = 10  # rounds per side, the same for both trees
+READS = 5  # reads of each input per side and round
 READERS = {"loans": "read_loans_csv", "yields": "read_yields_csv", "spreads": "read_panel_csv"}
 
 
@@ -120,13 +122,13 @@ def load_panel(checkout, name):
     return importlib.import_module(f"{name}.panel")
 
 
-def timed(panels, made, reads, flip):
+def timed(panels, made, flip):
     """{side: {input: (median seconds of its reads, digest of the result)}} of one round. The
     sides take turns read by read, the first side of each turn alternating from flip on."""
     times = {side: {name: [] for name in made} for side in panels}
     digests = {side: {} for side in panels}
     for name, (kind, path) in made.items():
-        for k in range(reads):
+        for k in range(READS):
             for side in (list(panels) if (k + flip) % 2 == 0 else list(panels)[::-1]):
                 read = getattr(panels[side], READERS[kind])
                 t0 = time.perf_counter()
@@ -141,9 +143,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--compare", metavar="PARENT_CHECKOUT",
                         help="alternate rounds with the parent checkout and compare")
-    parser.add_argument("--rounds", type=int, default=10, help="rounds per side (default 10)")
-    parser.add_argument("--reads", type=int, default=5,
-                        help="reads of each input per round (default 5)")
     args = parser.parse_args(argv)
     sides = {"change": ROOT}
     if args.compare:
@@ -153,10 +152,10 @@ def main(argv=None) -> int:
     runs = {side: [] for side in sides}
     with tempfile.TemporaryDirectory() as work:
         made = write_inputs(work)
-        for r in range(args.rounds):
-            for side, run in timed(panels, made, args.reads, r).items():
+        for r in range(ROUNDS):
+            for side, run in timed(panels, made, r).items():
                 runs[side].append(run)
-    print(f"{args.rounds} rounds of {args.reads} reads per input and side, "
+    print(f"{ROUNDS} rounds of {READS} reads per input and side, "
           f"ms: median [q1, q3] of the round medians")
     differ = False
     for name in made:
@@ -168,7 +167,7 @@ def main(argv=None) -> int:
         if args.compare:
             med = {side: statistics.median(run[name][0] for run in runs[side]) for side in sides}
             won = sum(c[name][0] < p[name][0] for p, c in zip(runs["parent"], runs["change"]))
-            line += f"  ratio {med['change'] / med['parent']:.3f}  won {won}/{args.rounds}"
+            line += f"  ratio {med['change'] / med['parent']:.3f}  won {won}/{ROUNDS}"
         digests = {run[name][1] for side in sides for run in runs[side]}
         differ |= len(digests) > 1
         print(line + ("  READS DIFFER" if len(digests) > 1 else ""))
